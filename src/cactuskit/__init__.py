@@ -27,6 +27,7 @@ from .core import (
     GroupSpec,
     IndexOutOfRange,
     InvalidPair,
+    MalformedInput,
     NotAJ3,
     NotNested,
     OutOfInterval,
@@ -59,11 +60,8 @@ from .hyperbolic import (
     tiling_edge_length,
 )
 from .rewriting import (
-    MoveKind,
     NormalForm,
-    RewriteMove,
     Word,
-    applicable_moves,
     equal,
     free_reduce,
     identity,

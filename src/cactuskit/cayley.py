@@ -26,6 +26,7 @@ from .core import (
     Generator,
     GroupSpec,
     InvalidPair,
+    MalformedInput,
     PreconditionViolated,
     VertexNotInBall,
     presentation,
@@ -34,6 +35,17 @@ from .core import parse_generator
 from .rewriting import NormalForm, Word, _normalize_ids, _word_engine, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
+
+
+def _key_codec(G: int):
+    """(encode, decode) between a generator-id list and a vertex key.
+
+    One byte per letter while every id fits in a byte (G <= 255), so a key is
+    bytes(ids); two bytes per letter (array "H") beyond that.
+    """
+    if G > 255:
+        return (lambda ids: array("H", ids).tobytes()), (lambda blob: list(array("H", blob)))
+    return bytes, list
 
 
 class BallDistance(NamedTuple):
@@ -60,7 +72,6 @@ class CayleyBall:
         depth: array,
         adj: array,
         off: array,
-        wide: bool,
     ) -> None:
         self.spec = spec
         self.radius = radius
@@ -70,19 +81,10 @@ class CayleyBall:
         self._depth = depth
         self._adj = adj
         self._off = off
-        self._wide = wide
+        self._encode, self._decode = _key_codec(self._pres.G)
+        self._texts = [g.text() for g in self._pres.gens]
 
     # -- key plumbing --------------------------------------------------------
-
-    def _encode(self, ids) -> bytes:
-        if self._wide:
-            return array("H", ids).tobytes()
-        return bytes(ids)
-
-    def _decode(self, blob: bytes) -> tuple[int, ...]:
-        if self._wide:
-            return tuple(array("H", blob))
-        return tuple(blob)
 
     def _to_ids(self, key) -> list[int]:
         if isinstance(key, Word):
@@ -106,6 +108,10 @@ class CayleyBall:
 
     def word(self, key) -> NormalForm:
         return NormalForm(self.spec, self._pres.letters(self._to_ids(key)))
+
+    def text(self, vid: int) -> str:
+        """The vertex's word in the text syntax, e.g. "1,3;2,3", or "e"."""
+        return ";".join(self._texts[i] for i in self._decode(self._keys[vid])) or "e"
 
     # -- graph views ---------------------------------------------------------
 
@@ -212,9 +218,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     eng = _word_engine(spec, radius + 1)  # BFS words have up to radius+1 letters
     mtype = eng.mtype
     G = pres.G
-    wide = G > 255
-    enc = (lambda ids: array("H", ids).tobytes()) if wide else bytes
-    dec = (lambda blob: list(array("H", blob))) if wide else list
+    enc, dec = _key_codec(G)
 
     keys: list[bytes] = [enc([])]
     index: dict[bytes, int] = {keys[0]: 0}
@@ -250,7 +254,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
             adj.append(vid << 16 | g)
         off.append(len(adj))
         u += 1
-    return CayleyBall(spec, radius, keys, index, depth, adj, off, wide)
+    return CayleyBall(spec, radius, keys, index, depth, adj, off)
 
 
 @dataclass(frozen=True)
@@ -313,15 +317,9 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 # -- serialization -----------------------------------------------------------
 
 
-def _vertex_sort_key(b: CayleyBall, vid: int):
-    return (b._depth[vid], b.word(b.key(vid)).text())
-
-
 def export_obj(b: CayleyBall) -> dict:
     """The JSON-ready view: vertices sorted by (depth, word), edges once each."""
-    texts = {}
-    for vid in range(len(b)):
-        texts[vid] = ";".join(f"{p},{q}" for p, q in b.key(vid)) or "e"
+    texts = [b.text(vid) for vid in range(len(b))]
     vrecs = sorted(
         ({"word": texts[v], "depth": b.depth_at(v)} for v in range(len(b))),
         key=lambda r: (r["depth"], r["word"]),
@@ -365,19 +363,31 @@ def export(b: CayleyBall, format: str = "json") -> bytes:
     raise InvalidPair(f"unknown export format {format!r}")
 
 
+def _field(rec, name: str, kind: type):
+    """rec[name], checked to have the type the export schema gives it."""
+    if not isinstance(rec, dict) or name not in rec:
+        raise MalformedInput(f"ball record without {name!r}: {str(rec):.80}")
+    value = rec[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedInput(f"ball field {name!r} must be {kind.__name__}, got {value!r:.80}")
+    return value
+
+
 def import_ball(obj: dict) -> CayleyBall:
     """Rebuild a CayleyBall from the export schema.
 
     The file's graph is taken at face value -- vertices are not re-normalized
     and adjacency is not recomputed.  That is deliberate: verification checks
     run on imported graphs must be able to see defects (this is how the
-    synthetic negative-control graphs come in).
+    synthetic negative-control graphs come in).  Only the schema is checked:
+    a missing field, a field of the wrong type or a depth outside
+    0..radius raises MalformedInput.
     """
-    fam = Family(obj["spec"]["family"])
-    spec = GroupSpec(fam, int(obj["spec"]["n"]))
+    spec_rec = _field(obj, "spec", dict)
+    spec = GroupSpec(Family(_field(spec_rec, "family", str)), _field(spec_rec, "n", int))
+    radius = _field(obj, "radius", int)
     pres = presentation(spec)
-    wide = pres.G > 255
-    enc = (lambda ids: array("H", ids).tobytes()) if wide else bytes
+    enc = _key_codec(pres.G)[0]
 
     def blob_of(text: str) -> bytes:
         return enc(pres.ids(parse_word(spec, text).letters))
@@ -385,21 +395,24 @@ def import_ball(obj: dict) -> CayleyBall:
     keys: list[bytes] = []
     index: dict[bytes, int] = {}
     depth = array("i")
-    for rec in obj["vertices"]:
-        blob = blob_of(rec["word"])
+    for rec in _field(obj, "vertices", list):
+        word, d = _field(rec, "word", str), _field(rec, "depth", int)
+        if not 0 <= d <= radius:
+            raise MalformedInput(f"vertex {word!r} has depth {d} outside 0..{radius}")
+        blob = blob_of(word)
         if blob in index:
-            raise InvalidPair(f"duplicate vertex {rec['word']!r}")
+            raise InvalidPair(f"duplicate vertex {word!r}")
         index[blob] = len(keys)
         keys.append(blob)
-        depth.append(int(rec["depth"]))
+        depth.append(d)
     lists: list[list[int]] = [[] for _ in keys]
-    for rec in obj["edges"]:
+    for rec in _field(obj, "edges", list):
         try:
-            u = index[blob_of(rec["from"])]
-            v = index[blob_of(rec["to"])]
+            u = index[blob_of(_field(rec, "from", str))]
+            v = index[blob_of(_field(rec, "to", str))]
         except KeyError as exc:
             raise VertexNotInBall(f"edge endpoint missing: {rec!r}") from exc
-        gid = pres.id_of(parse_generator(spec, rec["generator"]))
+        gid = pres.id_of(parse_generator(spec, _field(rec, "generator", str)))
         lists[u].append(v << 16 | gid)
         lists[v].append(u << 16 | gid)
     adj = array("q")
@@ -407,4 +420,4 @@ def import_ball(obj: dict) -> CayleyBall:
     for entries in lists:
         adj.extend(entries)
         off.append(len(adj))
-    return CayleyBall(spec, int(obj["radius"]), keys, index, depth, adj, off, wide)
+    return CayleyBall(spec, radius, keys, index, depth, adj, off)

@@ -28,13 +28,12 @@ from .core import (
     BudgetExceeded,
     CactusError,
     ClosureViolation,
-    Family,
     GroupSpec,
     affine,
     cactus,
 )
 from .hyperbolic import embed_ball, four_point_delta, qi_fit, render_svg
-from .rewriting import equal, normalize, parse_word
+from .rewriting import normalize, parse_word
 from .verify import (
     check_cube_spans,
     check_median,
@@ -82,7 +81,6 @@ def _add_spec_flags(p: argparse.ArgumentParser, default_n: int | None = None) ->
         p.add_argument("--n", type=int, required=True)
     else:
         p.add_argument("--n", type=int, default=default_n)
-    p.add_argument("--jobs", type=int, default=1, help="worker hint; output is canonical")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,8 +155,7 @@ def _run_normalize(args: argparse.Namespace) -> int:
 
 def _run_equal(args: argparse.Namespace) -> int:
     spec = _spec_of(args)
-    w1, w2 = parse_word(spec, args.word), parse_word(spec, args.word2)
-    n1, n2 = normalize(w1), normalize(w2)
+    n1, n2 = normalize(parse_word(spec, args.word)), normalize(parse_word(spec, args.word2))
     _emit(
         {
             "verb": "equal",
@@ -168,7 +165,7 @@ def _run_equal(args: argparse.Namespace) -> int:
             "word2": args.word2,
         },
         {
-            "equal": equal(w1, w2),
+            "equal": n1 == n2,
             "normal_form": n1.text(),
             "normal_form2": n2.text(),
         },

@@ -78,6 +78,10 @@ class VertexNotInBall(CactusError, KeyError):
     """A vertex key is not present in the ball."""
 
 
+class MalformedInput(CactusError, ValueError):
+    """A serialized ball does not follow the export schema."""
+
+
 class PreconditionViolated(CactusError, ValueError):
     """A check was invoked outside its stated precondition."""
 
@@ -293,20 +297,13 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
     )
 
 
-def cactus_conjugate_nested(outer: Generator, inner: Generator) -> Generator:
-    """conjugate_nested restricted to J_n, where it is s_{p+q-r, p+q-m}."""
-    if outer.spec.family is not Family.CACTUS:
-        raise WrongFamily("cactus_conjugate_nested needs cactus generators")
-    return conjugate_nested(outer, inner)
-
-
 # --------------------------------------------------------------------------
 # Precomputed relation tables.
 #
 # Everything downstream (normalization, ball construction, verification)
 # starts from pair lookups, so we flatten the generator set to integer ids and
-# tabulate the relation kind, the conjugation, and the one priority-raising
-# rewrite per ordered pair.
+# tabulate the relation kind and the conjugation per ordered pair.  The
+# rewriting rules built on them live in rewriting.Engine.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
 # intervals first, then smaller start, then smaller end.  Ranking by length
@@ -317,20 +314,6 @@ def cactus_conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # s(1,2)s(3,4)s(5,2) are the same element but both are fixpoints under
 # start-first ordering).  Interval length is conjugation-invariant, so
 # ranking it first removes that ambiguity.
-#
-# Move codes in `mtype`, the length-2 rewriting table R_2:
-#
-#   0  stable pair (no priority-raising move)
-#   1  free cancellation (equal letters)
-#   2  rewrite (a, b) -> (mres1[a*G+b], mres2[a*G+b])
-#      either a commuting swap bringing the kappa-smaller generator left, or
-#      a nested flip bringing the longer interval left.
-#
-# R_2 alone is not confluent from degree 4 on.  rewriting.Engine completes it
-# by Knuth-Bendix to rules of length up to L, and its copy of this table adds
-# code 3 for a pair that ends the left side of a longer rule.  The completion
-# runs on first use of an engine, never here: building a presentation stays
-# O(G^2).
 # --------------------------------------------------------------------------
 
 _REL_NONE, _REL_DISJOINT, _REL_FIRST, _REL_SECOND = 0, 1, 2, 3
@@ -348,7 +331,6 @@ class Presentation:
         self.pairs = tuple((g.p, g.q) for g in gens)
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
         self.by_text = {g.text(): g for g in gens}
-        self.start = [g.p for g in gens]
         self.card = [len(interval_of(g)) for g in gens]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]
 
@@ -371,25 +353,6 @@ class Presentation:
                     conj[a * G + b] = self.gid[(img.p, img.q)]
         self.rel = rel
         self.conj = conj
-
-        kappa = self.kappa
-        mtype = [0] * (G * G)
-        mres1 = [0] * (G * G)
-        mres2 = [0] * (G * G)
-        for a in range(G):
-            for b in range(G):
-                ab = a * G + b
-                if a == b:
-                    mtype[ab] = 1
-                elif rel[ab] == _REL_DISJOINT and kappa[b] < kappa[a]:
-                    mtype[ab] = 2
-                    mres1[ab], mres2[ab] = b, a
-                elif rel[ab] == _REL_SECOND:
-                    mtype[ab] = 2
-                    mres1[ab], mres2[ab] = b, conj[b * G + a]
-        self.mtype = mtype
-        self.mres1 = mres1
-        self.mres2 = mres2
 
     # -- encoding ----------------------------------------------------------
 

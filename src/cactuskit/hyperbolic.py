@@ -186,7 +186,7 @@ def embed_ball(b: CayleyBall) -> Embedding:
                 )
                 if gap > _CLOSURE_TOL:
                     raise ClosureViolation(
-                        f"vertex {b.word(b.key(nb)).text()!r} placed {gap:.3e} apart "
+                        f"vertex {b.text(nb)!r} placed {gap:.3e} apart "
                         f"along different paths (tolerance {_CLOSURE_TOL:.0e})"
                     )
 

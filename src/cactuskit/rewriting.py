@@ -11,7 +11,8 @@ lexicographically.  Every rewriting rule replaces its left side by a
 kappa-shortlex-smaller right side, so rewriting always terminates, and a word
 is in *normal form* when no rule applies anywhere in it.
 
-The presentation's length-2 moves (core.Presentation's table) are the rules
+The presentation's length-2 relation moves (_successors_all), each oriented
+to decrease in this order, are the rules R_2:
 
 * free cancellation: (g, g) -> ();
 * commuting swap: adjacent generators with disjoint intervals are
@@ -27,11 +28,11 @@ These alone are not confluent from degree 4 on, in both families:
 ``3,4;1,2;1,3`` sticks at both ``1,2;3,4;1,3`` (the middle letter escapes
 left past the disjoint ``3,4``) and ``3,4;1,3;2,3`` (it is reflected under
 ``1,3`` by a nested flip), and no static ranking of the generators un-sticks
-it without sticking its mirror ``1,2;3,4;2,4``.  So the length-2 table is
-completed: Engine(spec, L) runs Knuth-Bendix completion under the same
-kappa-shortlex order, keeping only the critical pairs whose overlap word has
-length <= L (Sims, Computation with Finitely Presented Groups, 1994; Holt,
-Eick and O'Brien, Handbook of Computational Group Theory, 2005).  Its system
+it without sticking its mirror ``1,2;3,4;2,4``.  So R_2 is completed:
+Engine(spec, L) runs Knuth-Bendix completion under the same kappa-shortlex
+order, keeping only the critical pairs whose overlap word has length <= L
+(Sims, Computation with Finitely Presented Groups, 1994; Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005).  Its system
 R_L has left sides of length <= L, and every critical pair of length <= L
 resolves, so on words of length <= L the normal form does not depend on which
 rule is applied where.  The witness above resolves through the length-3 rule
@@ -58,7 +59,6 @@ Consequences:
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,23 +144,6 @@ def parse_word(spec: GroupSpec, text: str) -> Word:
     )
 
 
-class MoveKind(enum.Enum):
-    FREE_CANCEL = "free_cancel"
-    COMMUTE_SWAP = "commute_swap"
-    NESTED_FLIP_LEFT = "nested_flip_left"    # longer interval moves left
-    NESTED_FLIP_RIGHT = "nested_flip_right"  # longer interval moves right
-
-
-@dataclass(frozen=True)
-class RewriteMove:
-    """One applicable rewrite at a position, with the resulting word."""
-
-    kind: MoveKind
-    position: int
-    result: Word
-    raises_priority: bool
-
-
 def free_reduce(word: Word) -> Word:
     """Delete adjacent equal letters until none remain (leftmost first)."""
     out: list[Generator] = []
@@ -172,68 +155,42 @@ def free_reduce(word: Word) -> Word:
     return Word(word.spec, tuple(out))
 
 
-def applicable_moves(word: Word) -> tuple[RewriteMove, ...]:
-    """All length-2 relation moves at all positions, in both directions.
-
-    These are the presentation's moves only; the longer rules of a completed
-    Engine are not listed.  The raising moves are the length-2 table R_2.
-    For each adjacent pair this lists the free cancellation, the commuting
-    swap (its own inverse), or the nested flip in whichever direction
-    applies; flips come in inverse pairs across the two orientations of the
-    same relation, so the full move set generates the whole length-capped
-    equivalence class.
-    """
-    pres = presentation(word.spec)
-    ids = pres.ids(word.letters)
-    G = pres.G
-    rel, conj, kappa = pres.rel, pres.conj, pres.kappa
-    moves: list[RewriteMove] = []
-    for i in range(len(ids) - 1):
-        a, b = ids[i], ids[i + 1]
-        if a == b:
-            res = ids[:i] + ids[i + 2 :]
-            moves.append(
-                RewriteMove(MoveKind.FREE_CANCEL, i, Word(word.spec, pres.letters(res)), True)
-            )
-            continue
-        r = rel[a * G + b]
-        if r == _REL_DISJOINT:
-            res = ids[:i] + [b, a] + ids[i + 2 :]
-            moves.append(
-                RewriteMove(
-                    MoveKind.COMMUTE_SWAP,
-                    i,
-                    Word(word.spec, pres.letters(res)),
-                    kappa[b] < kappa[a],
-                )
-            )
-        elif r == _REL_FIRST:
-            res = ids[:i] + [conj[a * G + b], a] + ids[i + 2 :]
-            moves.append(
-                RewriteMove(
-                    MoveKind.NESTED_FLIP_RIGHT, i, Word(word.spec, pres.letters(res)), False
-                )
-            )
-        elif r == _REL_SECOND:
-            res = ids[:i] + [b, conj[b * G + a]] + ids[i + 2 :]
-            moves.append(
-                RewriteMove(
-                    MoveKind.NESTED_FLIP_LEFT, i, Word(word.spec, pres.letters(res)), True
-                )
-            )
-    return tuple(moves)
-
-
 COMPLETION_LENGTH = 4
 
 Rules = dict[tuple[int, ...], tuple[int, ...]]
 
 
-def _complete(pres: Presentation, length: int) -> Rules:
-    """Knuth-Bendix completion of the length-2 table, pruned at `length`.
+def _successors_all(ids: tuple[int, ...], pres: Presentation):
+    """Every length-2 relation move at every position, in both directions.
 
-    Critical pairs come from proper overlaps of two left sides, u v and v w
-    with v non-empty, whose overlap word u v w has at most `length` letters.
+    The free cancellation, the commuting swap or the nested flip of each
+    adjacent pair.  This is the one list of the presentation's moves: the
+    kappa-decreasing ones are the rules R_2 that _complete starts from, and
+    all of them together generate oracle_closure's length-capped classes.
+    """
+    G, rel, conj = pres.G, pres.rel, pres.conj
+    for i in range(len(ids) - 1):
+        a, b = ids[i], ids[i + 1]
+        if a == b:
+            yield ids[:i] + ids[i + 2 :]
+            continue
+        r = rel[a * G + b]
+        if r == _REL_DISJOINT:
+            yield ids[:i] + (b, a) + ids[i + 2 :]
+        elif r == _REL_FIRST:
+            yield ids[:i] + (conj[a * G + b], a) + ids[i + 2 :]
+        elif r == _REL_SECOND:
+            yield ids[:i] + (b, conj[b * G + a]) + ids[i + 2 :]
+
+
+def _complete(pres: Presentation, length: int) -> Rules:
+    """Knuth-Bendix completion of the relation moves, pruned at `length`.
+
+    The equations are seeded with every length-2 relation move
+    (_successors_all on each pair of letters) and oriented by the
+    kappa-shortlex order, which gives R_2.  Critical pairs come from proper
+    overlaps of two left sides, u v and v w with v non-empty, whose overlap
+    word u v w has at most `length` letters.
     Every new rule is oriented by the kappa-shortlex order, and the rules it
     makes reducible are retired and re-added as equations.  All words stay
     within `length` letters, so this terminates.  The result is reduced: no
@@ -263,14 +220,9 @@ def _complete(pres: Presentation, length: int) -> Rules:
         return tuple(w)
 
     G = pres.G
-    equations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for a in range(G):
-        for b in range(G):
-            t = pres.mtype[a * G + b]
-            if t == 1:
-                equations.append(((a, b), ()))
-            elif t == 2:
-                equations.append(((a, b), (pres.mres1[a * G + b], pres.mres2[a * G + b])))
+    equations = [
+        ((a, b), s) for a in range(G) for b in range(G) for s in _successors_all((a, b), pres)
+    ]
     unmatched: list[tuple[int, ...]] = []  # new left sides, overlaps not yet formed
     while equations or unmatched:
         while equations:
@@ -306,13 +258,17 @@ def _complete(pres: Presentation, length: int) -> Rules:
 class Engine:
     """The completed rewriting system R_L of one spec, with its flat pair table.
 
-    `rules` maps every left side to its right side.  `mtype`, `mres1` and
-    `mres2` hold the length-2 rules in the layout of the presentation's move
-    table (core.py), plus one more move code:
+    `rules` maps every left side to its right side.  The flat table holds
+    one move code per ordered pair (a, b) at index a*G + b:
 
+      0  stable pair: no rule ends in it
+      1  free cancellation (a, b) -> (), a == b
+      2  rewrite (a, b) -> (rhs1[a*G+b], rhs2[a*G+b]): a commuting swap
+         bringing the kappa-smaller letter left, or a nested flip bringing
+         the longer interval left
       3  the pair ends the left side of a longer rule
 
-    so a stable pair costs one table lookup, as it did before completion.
+    so a stable pair costs one table lookup.
     Longer left sides are found through `back`, a trie read right to left:
     its first level is keyed by the last three letters (y, a, b) as the
     integer (a*G + b)*G + y, deeper levels by one earlier letter each, and
@@ -329,8 +285,8 @@ class Engine:
         self.length = length
         self.rules = _complete(pres, length)
         self.mtype = [0] * (G * G)
-        self.mres1 = [0] * (G * G)
-        self.mres2 = [0] * (G * G)
+        self.rhs1 = [0] * (G * G)
+        self.rhs2 = [0] * (G * G)
         self.back: dict[int, dict] = {}
         for lhs, rhs in self.rules.items():
             idx = lhs[-2] * G + lhs[-1]
@@ -342,7 +298,7 @@ class Engine:
                 node[key] = rhs
             elif rhs:
                 self.mtype[idx] = 2
-                self.mres1[idx], self.mres2[idx] = rhs
+                self.rhs1[idx], self.rhs2[idx] = rhs
             else:
                 self.mtype[idx] = 1
 
@@ -369,7 +325,7 @@ def _normalize_ids(w: list[int], eng: Engine, start_at: int = 0) -> list[int]:
     applied.  `start_at` lets callers that append to an already-normal prefix
     skip the known-stable left part.
     """
-    G, mtype, mres1, mres2, back = eng.G, eng.mtype, eng.mres1, eng.mres2, eng.back
+    G, mtype, rhs1, rhs2, back = eng.G, eng.mtype, eng.rhs1, eng.rhs2, eng.back
     n = len(w)
     fuel = 10_000 + 100 * n * n
     i = start_at if start_at > 0 else 0
@@ -380,8 +336,8 @@ def _normalize_ids(w: list[int], eng: Engine, start_at: int = 0) -> list[int]:
             i += 1
             continue
         if t == 2:
-            w[i] = mres1[idx]
-            w[i + 1] = mres2[idx]
+            w[i] = rhs1[idx]
+            w[i + 1] = rhs2[idx]
             start = i
         elif t == 1:
             del w[i : i + 2]
@@ -448,23 +404,6 @@ def equal(w1: Word, w2: Word) -> bool:
     if w1.spec != w2.spec:
         raise SpecMismatch("cannot compare words from different groups")
     return normalize(w1).letters == normalize(w2).letters
-
-
-def _successors_all(ids: tuple[int, ...], pres: Presentation):
-    """Closure moves: cancellations plus relation rewrites in both directions."""
-    G, rel, conj = pres.G, pres.rel, pres.conj
-    for i in range(len(ids) - 1):
-        a, b = ids[i], ids[i + 1]
-        if a == b:
-            yield ids[:i] + ids[i + 2 :]
-            continue
-        r = rel[a * G + b]
-        if r == _REL_DISJOINT:
-            yield ids[:i] + (b, a) + ids[i + 2 :]
-        elif r == _REL_FIRST:
-            yield ids[:i] + (conj[a * G + b], a) + ids[i + 2 :]
-        elif r == _REL_SECOND:
-            yield ids[:i] + (b, conj[b * G + a]) + ids[i + 2 :]
 
 
 def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:

@@ -90,10 +90,6 @@ class VerificationReport:
         return d
 
 
-def _word_text(b: CayleyBall, vid: int) -> str:
-    return ";".join(f"{p},{q}" for p, q in b.key(vid)) or "e"
-
-
 # ---------------------------------------------------------------------------
 # Squares: conditions on the 2-skeleton
 # ---------------------------------------------------------------------------
@@ -108,7 +104,7 @@ def check_squares_embedded(b: CayleyBall) -> VerificationReport:
     )
     for s in sqs:
         if len(set(s.cycle)) != 4:
-            rep.note_failure({"cycle": [";".join(f"{p},{q}" for p, q in k) or "e" for k in s.cycle],
+            rep.note_failure({"cycle": [b.text(b.vid(k)) for k in s.cycle],
                               "distinct_corners": len(set(s.cycle))})
     return rep
 
@@ -134,11 +130,8 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
     for (corner, wedge), members in seen.items():
         if len(members) > 1:
             rep.note_failure({
-                "corner": ";".join(f"{p},{q}" for p, q in corner) or "e",
-                "squares": [
-                    [";".join(f"{p},{q}" for p, q in k) or "e" for k in sqs[m].cycle]
-                    for m in members
-                ],
+                "corner": b.text(b.vid(corner)),
+                "squares": [[b.text(b.vid(k)) for k in sqs[m].cycle] for m in members],
             })
     return rep
 
@@ -201,7 +194,7 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
             labels = [gens[g].text() for g in (x, y, z)]
 
             def fail(reason: str, **extra) -> None:
-                w = {"vertex": _word_text(b, v), "labels": labels, "reason": reason}
+                w = {"vertex": b.text(v), "labels": labels, "reason": reason}
                 w.update(extra)
                 rep.note_failure(w)
 
@@ -238,14 +231,14 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
             if common != {h}:
                 fail(
                     "graph search disagrees with the expected eighth corner",
-                    expected=_word_text(b, h),
-                    found=sorted(_word_text(b, w) for w in common),
+                    expected=b.text(h),
+                    found=sorted(b.text(w) for w in common),
                 )
                 continue
             cube = [v, *corners, *fars, h]
             if len(set(cube)) != 8:
                 fail("cube corners not distinct",
-                     corners=[_word_text(b, w) for w in cube])
+                     corners=[b.text(w) for w in cube])
     return rep
 
 
@@ -312,9 +305,9 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
         medians = interval(s1, s2) & interval(s1, s3) & interval(s2, s3)
         if len(medians) != 1:
             rep.note_failure({
-                "triple": [_word_text(b, s) for s in (s1, s2, s3)],
+                "triple": [b.text(s) for s in (s1, s2, s3)],
                 "median_count": len(medians),
-                "medians": sorted(_word_text(b, m) for m in list(medians)[:5]),
+                "medians": sorted(b.text(m) for m in list(medians)[:5]),
             })
     return rep
 
@@ -324,26 +317,14 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarMap:
-    """Reduction of arbitrary integers into the window [1, n] modulo n."""
-
-    n: int
-
-    def __call__(self, z: int) -> int:
-        return _wrap(z, self.n)
-
-
 def phi_pair(i: int, pair: tuple[int, int], n: int) -> tuple[int, int]:
     """Index arithmetic of the cyclic-to-plain shift: both entries move by 1-i."""
-    bar = BarMap(n)
-    return bar(pair[0] - i + 1), bar(pair[1] - i + 1)
+    return _wrap(pair[0] - i + 1, n), _wrap(pair[1] - i + 1, n)
 
 
 def psi_pair(i: int, pair: tuple[int, int], n: int) -> tuple[int, int]:
     """Inverse shift; psi_pair(i, phi_pair(i, pq)) == pq for all inputs."""
-    bar = BarMap(n)
-    return bar(pair[0] + i - 1), bar(pair[1] + i - 1)
+    return _wrap(pair[0] + i - 1, n), _wrap(pair[1] + i - 1, n)
 
 
 def phi_map(i: int, g: Generator) -> Generator:

@@ -7,6 +7,7 @@ import pytest
 from cactuskit import (
     BudgetExceeded,
     InvalidPair,
+    MalformedInput,
     PreconditionViolated,
     VertexNotInBall,
     affine,
@@ -19,6 +20,7 @@ from cactuskit import (
     parse_word,
     squares,
 )
+from cactuskit.cayley import _key_codec
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,20 @@ def test_vid_key_word_round_trip(aj3_r2):
         assert word.pairs() == key
         # stored keys are normal forms
         assert normalize(word).pairs() == key
+        assert b.text(vid) == word.text()
+    assert b.text(0) == "e"
+
+
+def test_key_codec_one_and_two_bytes():
+    """Keys are bytes(ids) while ids fit a byte, two bytes a letter past 255."""
+    enc, dec = _key_codec(30)
+    assert enc([0, 7, 29]) == bytes([0, 7, 29])
+    assert dec(enc([0, 7, 29])) == [0, 7, 29]
+    enc, dec = _key_codec(300)
+    ids = [0, 255, 256, 299]
+    assert len(enc(ids)) == 2 * len(ids)
+    assert dec(enc(ids)) == ids
+    assert dec(enc([])) == []
 
 
 def test_vertices_iteration_depth_monotone(aj3_r3):
@@ -262,3 +278,14 @@ def test_import_rejects_bad_input(aj3_r2):
     )
     with pytest.raises(VertexNotInBall):
         import_ball(dangling)
+    for bad in (
+        dict(obj, spec={"family": "affine"}),
+        dict(obj, vertices=[{"word": "e"}]),
+        dict(obj, vertices=5),
+        dict(obj, radius="2"),
+        dict(obj, vertices=[{"word": "e", "depth": 3}]),
+        dict(obj, edges=[{"from": "e", "to": "1,2", "generator": 12}]),
+        [obj],
+    ):
+        with pytest.raises(MalformedInput):
+            import_ball(bad)

@@ -190,6 +190,29 @@ def test_verify_rejects_broken_graphs(capsys, tmp_path):
     assert env["result"]["failure_count"] >= 1
 
 
+def test_verify_malformed_input_exits_2(capsys, tmp_path):
+    """A file off the export schema is an input error (2), not a failed check (1)."""
+    good = {
+        "spec": {"family": "affine", "n": 3},
+        "radius": 1,
+        "vertices": [{"word": "e", "depth": 0}],
+        "edges": [],
+    }
+    for name, obj in (
+        ("no-n", dict(good, spec={"family": "affine"})),
+        ("no-depth", dict(good, vertices=[{"word": "e"}])),
+        ("int-vertices", dict(good, vertices=5)),
+    ):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "edges", "--n", "3", "--input", str(f)
+        )
+        assert code == 2, name
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_missing_input_file_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--check", "squares", "--n", "3", "--input", "/no/such/file"

@@ -6,12 +6,10 @@ import pytest
 
 from cactuskit import (
     BudgetExceeded,
-    MoveKind,
     NormalForm,
     SpecMismatch,
     Word,
     affine,
-    applicable_moves,
     cactus,
     equal,
     free_reduce,
@@ -24,7 +22,8 @@ from cactuskit import (
     parse_word,
     random_word,
 )
-from cactuskit.rewriting import COMPLETION_LENGTH, _SINKS_CACHE, engine
+from cactuskit.core import _REL_DISJOINT, _REL_FIRST, _REL_SECOND, presentation
+from cactuskit.rewriting import COMPLETION_LENGTH, _SINKS_CACHE, _successors_all, engine
 
 
 def w(spec, text):
@@ -92,38 +91,66 @@ def test_free_reduce_keeps_separated_repeats():
 # ---------------------------------------------------------------------------
 
 
+def moves(word):
+    """The length-2 relation moves on a word, from rewriting._successors_all.
+
+    One (kind, position, result, raises) per move: position is the first
+    letter the move changes; kind follows from the pair there: "cancel",
+    "swap" (disjoint), "flip-left" (the right letter contains the left one,
+    so the longer interval moves left) or "flip-right"; raises means the
+    result is kappa-shortlex smaller, i.e. the move is a rule of R_2.
+    """
+    pres = presentation(word.spec)
+    ids = tuple(pres.ids(word.letters))
+    kind_of = {_REL_DISJOINT: "swap", _REL_FIRST: "flip-right", _REL_SECOND: "flip-left"}
+
+    def order_key(u):
+        return (len(u), [pres.kappa[x] for x in u])
+
+    out = []
+    for res in _successors_all(ids, pres):
+        i = next(k for k in range(len(ids)) if res[k : k + 1] != ids[k : k + 1])
+        a, b = ids[i], ids[i + 1]
+        kind = "cancel" if a == b else kind_of[pres.rel[a * pres.G + b]]
+        out.append((kind, i, Word(word.spec, pres.letters(res)), order_key(res) < order_key(ids)))
+    return out
+
+
 def test_moves_on_involution_pair():
     spec = affine(3)
-    (move,) = applicable_moves(w(spec, "1,2;1,2"))
-    assert move.kind is MoveKind.FREE_CANCEL
-    assert move.position == 0
-    assert move.result.text() == "e"
-    assert move.raises_priority
+    ((kind, position, result, raises),) = moves(w(spec, "1,2;1,2"))
+    assert kind == "cancel"
+    assert position == 0
+    assert result.text() == "e"
+    assert raises
 
 
 def test_moves_on_disjoint_pair():
     spec = affine(5)
-    (move,) = applicable_moves(w(spec, "3,4;1,2"))
-    assert move.kind is MoveKind.COMMUTE_SWAP
-    assert move.result.text() == "1,2;3,4"
-    assert move.raises_priority
+    ((kind, _, result, raises),) = moves(w(spec, "3,4;1,2"))
+    assert kind == "swap"
+    assert result.text() == "1,2;3,4"
+    assert raises
     # and the swap back is the non-raising direction
-    (back,) = applicable_moves(move.result)
-    assert back.kind is MoveKind.COMMUTE_SWAP
-    assert back.result.text() == "3,4;1,2"
-    assert not back.raises_priority
+    ((kind, _, back, raises),) = moves(result)
+    assert kind == "swap"
+    assert back.text() == "3,4;1,2"
+    assert not raises
 
 
 def test_moves_on_nested_pair():
     spec = affine(3)
-    (move,) = applicable_moves(w(spec, "1,3;1,2"))
-    assert move.kind is MoveKind.NESTED_FLIP_RIGHT
-    assert move.result.text() == "2,3;1,3"
-    assert not move.raises_priority
-    (move,) = applicable_moves(w(spec, "1,2;1,3"))
-    assert move.kind is MoveKind.NESTED_FLIP_LEFT
-    assert move.result.text() == "1,3;2,3"
-    assert move.raises_priority
+    ((kind, _, result, raises),) = moves(w(spec, "1,3;1,2"))
+    assert kind == "flip-right"
+    assert result.text() == "2,3;1,3"
+    assert not raises
+    ((kind, _, result, raises),) = moves(w(spec, "1,2;1,3"))
+    assert kind == "flip-left"
+    assert result.text() == "1,3;2,3"
+    assert raises
+    # each flip is undone by the flip in the other direction
+    assert [m[2].text() for m in moves(w(spec, "2,3;1,3"))] == ["1,3;1,2"]
+    assert [m[2].text() for m in moves(w(spec, "1,3;2,3"))] == ["1,2;1,3"]
 
 
 def test_moves_every_result_is_same_element():
@@ -132,14 +159,14 @@ def test_moves_every_result_is_same_element():
     for seed in range(8):
         word = random_word(spec, 5, seed)
         cls = oracle_closure(word)
-        for move in applicable_moves(word):
-            assert move.result in cls
+        for _, _, result, _ in moves(word):
+            assert result in cls
 
 
 def test_no_moves_on_short_words():
     spec = affine(3)
-    assert applicable_moves(identity(spec)) == ()
-    assert applicable_moves(w(spec, "1,2")) == ()
+    assert moves(identity(spec)) == []
+    assert moves(w(spec, "1,2")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +289,11 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
     """
     for spec in (cactus(4), affine(4)):
         word = w(spec, "3,4;1,2;1,3")
-        # sinks of the length-2 raising moves alone, from applicable_moves
+        # sinks of the length-2 raising moves alone, from _successors_all
         seen, todo, priority_sinks = {word}, [word], set()
         while todo:
             u = todo.pop()
-            raised = [m.result for m in applicable_moves(u) if m.raises_priority]
+            raised = [result for _, _, result, raises in moves(u) if raises]
             if not raised:
                 priority_sinks.add(u.text())
             for r in raised:
