@@ -107,7 +107,7 @@ class CayleyBall:
         return tuple(pairs[i] for i in self._decode(self._keys[vid]))
 
     def word(self, key) -> NormalForm:
-        return NormalForm(self.spec, self._pres.letters(self._to_ids(key)))
+        return NormalForm(self._pres.spec, self._pres.letters(self._to_ids(key)))
 
     def text(self, vid: int) -> str:
         """The vertex's word in the text syntax, e.g. "1,3;2,3", or "e"."""
@@ -394,6 +394,7 @@ def import_ball(obj: dict) -> CayleyBall:
 
     keys: list[bytes] = []
     index: dict[bytes, int] = {}
+    vid_of_text: dict[str, int] = {}  # each vertex's own spelling, parsed once
     depth = array("i")
     for rec in _field(obj, "vertices", list):
         word, d = _field(rec, "word", str), _field(rec, "depth", int)
@@ -402,17 +403,23 @@ def import_ball(obj: dict) -> CayleyBall:
         blob = blob_of(word)
         if blob in index:
             raise InvalidPair(f"duplicate vertex {word!r}")
-        index[blob] = len(keys)
+        index[blob] = vid_of_text[word] = len(keys)
         keys.append(blob)
         depth.append(d)
+
+    def vid_of(text: str) -> int:
+        vid = vid_of_text.get(text)
+        return index[blob_of(text)] if vid is None else vid
+
     lists: list[list[int]] = [[] for _ in keys]
     for rec in _field(obj, "edges", list):
         try:
-            u = index[blob_of(_field(rec, "from", str))]
-            v = index[blob_of(_field(rec, "to", str))]
+            u = vid_of(_field(rec, "from", str))
+            v = vid_of(_field(rec, "to", str))
         except KeyError as exc:
             raise VertexNotInBall(f"edge endpoint missing: {rec!r}") from exc
-        gid = pres.id_of(parse_generator(spec, _field(rec, "generator", str)))
+        gtext = _field(rec, "generator", str)
+        gid = pres.id_of(pres.by_text.get(gtext) or parse_generator(spec, gtext))
         lists[u].append(v << 16 | gid)
         lists[v].append(u << 16 | gid)
     adj = array("q")
@@ -420,4 +427,4 @@ def import_ball(obj: dict) -> CayleyBall:
     for entries in lists:
         adj.extend(entries)
         off.append(len(adj))
-    return CayleyBall(spec, radius, keys, index, depth, adj, off)
+    return CayleyBall(pres.spec, radius, keys, index, depth, adj, off)

@@ -232,6 +232,11 @@ def _run_verify(args: argparse.Namespace) -> int:
                 raise UsageError("--input and --radius are mutually exclusive")
             with open(args.input, "r", encoding="utf-8") as fh:
                 b = import_ball(json.load(fh))
+            if b.spec != _spec_of(args):
+                raise UsageError(
+                    f"--family {args.family} --n {args.n} does not match the spec of "
+                    f"{args.input}: {b.spec.family.value}, n = {b.spec.degree}"
+                )
             inv["input"] = args.input
         else:
             if args.radius is None:

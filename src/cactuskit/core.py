@@ -357,15 +357,19 @@ class Presentation:
     # -- encoding ----------------------------------------------------------
 
     def id_of(self, g: Generator) -> int:
-        if g.spec != self.spec:
+        if g.spec is not self.spec and g.spec != self.spec:
             raise SpecMismatch(f"{g!r} does not belong to {self.spec}")
         return self.gid[(g.p, g.q)]
 
     def ids(self, letters) -> list[int]:
-        return [self.id_of(g) for g in letters]
+        # Letters built on this presentation's own spec object (every word the
+        # rewriting module returns) pass by identity; any other goes through
+        # id_of's value check.
+        spec, gid = self.spec, self.gid
+        return [gid[g.p, g.q] if g.spec is spec else self.id_of(g) for g in letters]
 
     def letters(self, ids) -> tuple[Generator, ...]:
-        return tuple(self.gens[i] for i in ids)
+        return tuple(map(self.gens.__getitem__, ids))
 
 
 @lru_cache(maxsize=None)

@@ -73,7 +73,6 @@ from .core import (
     _REL_DISJOINT,
     _REL_FIRST,
     _REL_SECOND,
-    generators,
     parse_generator,
     presentation,
 )
@@ -85,16 +84,21 @@ class Word:
 
     Equality and hashing are by value (spec plus letter sequence) across all
     Word subclasses, so a certified NormalForm compares equal to the plain
-    Word with the same letters.
+    Word with the same letters.  parse_word, normalize, oracle_closure,
+    normalization_sinks and random_word build their words on
+    presentation(spec).spec, one object per group that all its letters
+    carry, so the per-letter spec check passes by identity; a letter of any
+    other spec object is still checked by value.
     """
 
     spec: GroupSpec
     letters: tuple[Generator, ...]
 
     def __post_init__(self) -> None:
+        spec = self.spec
         for g in self.letters:
-            if g.spec != self.spec:
-                raise SpecMismatch(f"letter {g!r} does not belong to {self.spec}")
+            if g.spec is not spec and g.spec != spec:
+                raise SpecMismatch(f"letter {g!r} does not belong to {spec}")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Word):
@@ -137,11 +141,12 @@ def parse_word(spec: GroupSpec, text: str) -> Word:
     text = text.strip()
     if not text or text == "e":
         return Word(spec, ())
-    by_text = presentation(spec).by_text  # the canonical spellings, parsed once
-    return Word(
-        spec,
-        tuple(by_text.get(part) or parse_generator(spec, part) for part in text.split(";")),
-    )
+    pres = presentation(spec)
+    spec, parts = pres.spec, text.split(";")
+    letters = tuple(map(pres.by_text.get, parts))  # the canonical spellings, parsed once
+    if not all(letters):
+        letters = tuple(g or parse_generator(spec, part) for g, part in zip(letters, parts))
+    return Word(spec, letters)
 
 
 def free_reduce(word: Word) -> Word:
@@ -377,7 +382,7 @@ def normalize(word: Word) -> NormalForm:
     """
     eng = _word_engine(word.spec, len(word))
     ids = _normalize_ids(eng.pres.ids(word.letters), eng)
-    return NormalForm(word.spec, eng.pres.letters(ids))
+    return NormalForm(eng.pres.spec, eng.pres.letters(ids))
 
 
 def is_normal(word: Word) -> bool:
@@ -401,7 +406,7 @@ def equal(w1: Word, w2: Word) -> bool:
     outside it, equal elements can have distinct fixpoints (module
     docstring), so False there means "not provably equal by this system".
     """
-    if w1.spec != w2.spec:
+    if w1.spec is not w2.spec and w1.spec != w2.spec:
         raise SpecMismatch("cannot compare words from different groups")
     return normalize(w1).letters == normalize(w2).letters
 
@@ -430,12 +435,16 @@ def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
                         )
                     nxt.append(s)
         frontier = nxt
-    return frozenset(Word(word.spec, pres.letters(ids)) for ids in seen)
+    return frozenset(Word(pres.spec, pres.letters(ids)) for ids in seen)
 
 
 _SINKS_CACHE: dict[
     tuple[GroupSpec, int], dict[tuple[int, ...], frozenset[tuple[int, ...]]]
 ] = {}
+# Entries one (spec, L) memo may keep between calls; a memo that passes it is
+# cleared.  The exhaustive AJ_3 (length <= 5) and AJ_4 (length <= 4) sweeps fill
+# at most 20,881 entries, so they never clear it.
+_SINKS_MEMO_MAX = 1 << 15
 
 
 def _sinks_ids(
@@ -476,18 +485,21 @@ def normalization_sinks(word: Word) -> frozenset[Word]:
     normalize() does with one fixed strategy.  Confluence on this word is
     exactly the statement that the returned set is a singleton equal to
     {normalize(word)}; that holds on the certified scope (module docstring).
-    The memo is kept per (spec, L), the rule set it was filled under.
+    The memo is kept per (spec, L), the rule set it was filled under, and
+    cleared once it holds more than _SINKS_MEMO_MAX entries.
     Raises BudgetExceeded if some strategy can loop forever (impossible, as
     every rule decreases the word in a well-order).
     """
     eng = _word_engine(word.spec, len(word))
     memo = _SINKS_CACHE.setdefault((word.spec, eng.length), {})
     sinks = _sinks_ids(tuple(eng.pres.ids(word.letters)), eng, memo, set())
-    return frozenset(Word(word.spec, eng.pres.letters(ids)) for ids in sinks)
+    if len(memo) > _SINKS_MEMO_MAX:
+        memo.clear()
+    return frozenset(Word(eng.pres.spec, eng.pres.letters(ids)) for ids in sinks)
 
 
 def random_word(spec: GroupSpec, length: int, seed: int) -> Word:
     """A reproducible uniform random word: same (spec, length, seed), same word."""
     rng = random.Random(seed)
-    gens = generators(spec)
-    return Word(spec, tuple(gens[rng.randrange(len(gens))] for _ in range(length)))
+    pres = presentation(spec)
+    return Word(pres.spec, tuple(pres.gens[rng.randrange(pres.G)] for _ in range(length)))

@@ -6,6 +6,7 @@ import pytest
 
 from cactuskit import (
     BudgetExceeded,
+    IndexOutOfRange,
     InvalidPair,
     MalformedInput,
     PreconditionViolated,
@@ -289,3 +290,29 @@ def test_import_rejects_bad_input(aj3_r2):
     ):
         with pytest.raises(MalformedInput):
             import_ball(bad)
+    for bad_edge in (
+        {"from": "e", "to": "1,2", "generator": "1,1"},
+        {"from": "e", "to": "1,2", "generator": "1;2"},
+        {"from": "e", "to": "1,2;x", "generator": "1,2"},
+        {"from": "2,2", "to": "1,2", "generator": "1,2"},
+    ):
+        with pytest.raises(InvalidPair):
+            import_ball(dict(obj, edges=[bad_edge]))
+    with pytest.raises(IndexOutOfRange):
+        import_ball(dict(obj, edges=[{"from": "e", "to": "1,2", "generator": "4,1"}]))
+
+
+def test_import_reads_other_spellings(aj3_r2):
+    """Edge endpoints and generators need not be spelled as the vertex records are."""
+    obj = export_obj(aj3_r2)
+    respelled = [
+        {
+            "from": "" if r["from"] == "e" else r["from"],
+            "to": r["to"].replace("1,", "01,"),
+            "generator": " " + r["generator"],
+        }
+        for r in obj["edges"]
+    ]
+    assert respelled != obj["edges"]
+    b = import_ball(dict(obj, edges=respelled))
+    assert export(b) == export(aj3_r2)

@@ -213,6 +213,29 @@ def test_verify_malformed_input_exits_2(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verify_input_must_match_family_and_n(capsys, tmp_path):
+    """--family/--n name the file's group; a mismatch is a usage error (2)."""
+    f = tmp_path / "b.json"
+    code, _, _ = run_cli(capsys, "ball", "--n", "3", "--radius", "2", "--out", str(f))
+    assert code == 0
+    for flags in (
+        ("--family", "cactus", "--n", "7"),
+        ("--n", "4"),
+        ("--family", "cactus", "--n", "3"),
+    ):
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "edges", *flags, "--input", str(f)
+        )
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("error: ") and "does not match" in err
+    code, env, _ = run_json(
+        capsys, "verify", "--check", "edges", "--n", "3", "--input", str(f)
+    )
+    assert code == 0
+    assert env["invocation"]["family"] == "affine" and env["invocation"]["n"] == 3
+
+
 def test_verify_missing_input_file_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--check", "squares", "--n", "3", "--input", "/no/such/file"

@@ -1,6 +1,7 @@
 """Words, rewriting moves, normal forms, and the equivalence-class oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,8 +23,24 @@ from cactuskit import (
     parse_word,
     random_word,
 )
-from cactuskit.core import _REL_DISJOINT, _REL_FIRST, _REL_SECOND, presentation
-from cactuskit.rewriting import COMPLETION_LENGTH, _SINKS_CACHE, _successors_all, engine
+from cactuskit import rewriting
+from cactuskit.core import (
+    _REL_DISJOINT,
+    _REL_FIRST,
+    _REL_SECOND,
+    Family,
+    Generator,
+    GroupSpec,
+    presentation,
+)
+from cactuskit.rewriting import (
+    COMPLETION_LENGTH,
+    _SINKS_CACHE,
+    _normalize_ids,
+    _successors_all,
+    _word_engine,
+    engine,
+)
 
 
 def w(spec, text):
@@ -63,6 +80,44 @@ def test_word_spec_consistency():
     g = generators(affine(3))[0]
     with pytest.raises(SpecMismatch):
         Word(affine(4), (g,))
+
+
+def test_equal_but_distinct_spec_object_works_alike():
+    """A spec equal to the presentation's, but another object, passes every check."""
+    canon = presentation(affine(4)).spec
+    fresh = GroupSpec(Family.AFFINE, 4)
+    assert fresh == canon and fresh is not canon
+    word = Word.from_pairs(fresh, [(3, 4), (1, 2), (1, 3), (2, 4), (4, 1), (1, 2)])
+    assert all(g.spec is fresh for g in word.letters)
+    same = parse_word(fresh, word.text())
+    assert same.spec is canon and all(g.spec is canon for g in same.letters)
+    assert word == same and hash(word) == hash(same)
+    assert presentation(fresh).ids(word.letters) == presentation(canon).ids(same.letters)
+    nf = normalize(word)
+    assert nf.spec is canon and all(g.spec is canon for g in nf.letters)
+    assert nf.letters == normalize(same).letters
+    assert equal(word, same) and equal(same, word)
+    # every word the module builds is on the presentation's own spec object
+    assert random_word(fresh, 5, 1).spec is canon
+    assert all(x.spec is canon for x in oracle_closure(word))
+    assert all(x.spec is canon for x in normalization_sinks(word))
+
+
+def test_letter_of_another_spec_is_rejected():
+    """The identity test is only a fast path: a foreign letter still fails both checks."""
+    pres = presentation(affine(4))
+    # (1, 2) is also a pair of AJ_4, so only the spec check can catch these
+    for g in (generators(affine(3))[0], Generator(1, 2, cactus(4))):
+        with pytest.raises(SpecMismatch):
+            Word(pres.spec, (g,))
+        with pytest.raises(SpecMismatch):
+            Word(pres.spec, (pres.gens[0], g))
+        with pytest.raises(SpecMismatch):
+            pres.ids([pres.gens[0], g])
+        with pytest.raises(SpecMismatch):
+            pres.id_of(g)
+    with pytest.raises(SpecMismatch):
+        equal(w(affine(4), "1,2"), w(affine(3), "1,2"))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +377,10 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
 def _reduce_naively(word, rules):
     """Leftmost-start rewriting by a plain scan of the rule dict (test reference)."""
     word = tuple(word)
+    longest = max(map(len, rules))
     while True:
         for i in range(len(word)):
-            for j in range(i + 2, len(word) + 1):
+            for j in range(i + 2, min(i + longest, len(word)) + 1):
                 rhs = rules.get(word[i:j])
                 if rhs is not None:
                     word = word[:i] + rhs + word[j:]
@@ -393,6 +449,48 @@ def test_normalize_ignores_what_ran_before():
     for x, nf in zip(words, short_first):
         assert normalize(w(spec, nf)).text() == nf
         assert is_normal(w(spec, nf))
+
+
+@pytest.mark.parametrize("spec", [affine(3), affine(4), cactus(5), affine(5), cactus(6)])
+def test_normalize_ids_matches_naive_leftmost_reduction(spec):
+    """The table-driven scan rewrites exactly as a plain leftmost-redex reducer.
+
+    In a reduced system the redex that ends leftmost is also the one that
+    starts leftmost, so both strategies rewrite the same redex at every step
+    and must give the same word, inside the certified scope and beyond it.
+    Every left side of R_4 is tried alone and behind a random prefix, and
+    random words of lengths 0 to 64.
+    """
+    eng4 = engine(spec, COMPLETION_LENGTH)
+    rng = random.Random(7)
+    prefixes = [random_word(spec, k % 5, k).letters for k in range(len(eng4.rules))]
+    for lhs, prefix in zip(eng4.rules, prefixes):
+        for ids in (list(lhs), eng4.pres.ids(prefix) + list(lhs)):
+            want = _reduce_naively(ids, eng4.rules)
+            assert tuple(_normalize_ids(list(ids), eng4)) == want, (spec, ids)
+    for seed in range(40):
+        length = rng.randrange(65)
+        word = random_word(spec, length, seed)
+        eng = _word_engine(spec, length)
+        ids = eng.pres.ids(word.letters)
+        got = _normalize_ids(list(ids), eng)
+        assert tuple(got) == _reduce_naively(ids, eng.rules), (spec, word.text())
+        assert eng.pres.letters(got) == normalize(word).letters
+
+
+def test_sinks_memo_is_bounded(monkeypatch):
+    """A memo past _SINKS_MEMO_MAX entries is cleared; the answers do not change."""
+    spec = cactus(5)
+    words = [random_word(spec, length, seed) for length in (3, 4, 5, 6) for seed in range(12)]
+    want = [normalization_sinks(x) for x in words]
+    monkeypatch.setattr(rewriting, "_SINKS_MEMO_MAX", 40)
+    _SINKS_CACHE.clear()
+    sizes = []
+    for x, sinks in zip(words, want):
+        assert normalization_sinks(x) == sinks
+        assert all(len(memo) <= 40 for memo in _SINKS_CACHE.values())
+        sizes.append(len(_SINKS_CACHE[spec, min(len(x), COMPLETION_LENGTH)]))
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap was reached
 
 
 def test_sinks_memo_is_kept_per_rule_set():
