@@ -268,50 +268,45 @@ class Square:
     cycle: tuple[VertexKey, VertexKey, VertexKey, VertexKey]
 
 
-def _canonical_cycle(cyc: tuple) -> tuple:
-    best = None
-    for seq in (cyc, cyc[::-1]):
-        for r in range(4):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def squares(b: CayleyBall) -> tuple[Square, ...]:
     """All 4-cycles (closed non-backtracking 4-walks) inside the ball.
 
     Enumerated from every corner via midpoint pairs over opposite corners and
     deduplicated on the canonical cycle, so each square appears exactly once.
+    The search runs on vids: each vertex key is decoded once, and cycles are
+    canonicalised and sorted on key ranks (a vid's position in key order),
+    which order exactly as the keys do.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
     has them -- that is what check_squares_embedded looks for; honest Cayley
     balls never produce any.
     """
-    found: set[tuple] = set()
-    V = len(b)
-    for u in range(V):
+    keys = [b.key(v) for v in range(len(b))]
+    by_rank = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(keys)
+    for r, v in enumerate(by_rank):
+        rank[v] = r
+    found: set[tuple[int, int, int, int]] = set()
+    for u in range(len(keys)):
         # two-step non-backtracking walks u -> x -> z, grouped by endpoint z
-        paths: dict[int, list[tuple[tuple[int, int], tuple[int, int]]]] = {}
+        paths: dict[int, list[tuple[int, int, int]]] = {}
         for x, l1 in b.adj_entries(u):
             for z, l2 in b.adj_entries(x):
                 if z == u and l2 == l1:
                     continue
-                paths.setdefault(z, []).append(((x, l1), (z, l2)))
+                paths.setdefault(z, []).append((x, l1, l2))
         for z, plist in paths.items():
-            m = len(plist)
-            if m < 2:
-                continue
-            for i in range(m - 1):
-                (x1, e1), (_, e2) = plist[i]
-                for j in range(i + 1, m):
-                    (x2, e3), (_, e4) = plist[j]
+            for i, (x1, e1, e2) in enumerate(plist):
+                for x2, e3, e4 in plist[i + 1:]:
                     # the two walks must not share either of their edges
                     if x1 == x2 and (e1 == e3 or e2 == e4):
                         continue
-                    found.add(
-                        _canonical_cycle((b.key(u), b.key(x1), b.key(z), b.key(x2)))
-                    )
-    return tuple(Square(c) for c in sorted(found))
+                    cyc = (rank[u], rank[x1], rank[z], rank[x2])
+                    found.add(min(
+                        seq[r:] + seq[:r] for seq in (cyc, cyc[::-1]) for r in range(4)
+                    ))
+    return tuple(
+        Square(tuple(keys[by_rank[r]] for r in cyc)) for cyc in sorted(found)
+    )
 
 
 # -- serialization -----------------------------------------------------------

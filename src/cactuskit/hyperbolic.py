@@ -6,14 +6,16 @@ combinatorics of the tessellation of the hyperbolic plane by regular
 quadrilaterals with interior angle π/3 (six around each vertex, since
 6 · π/3 = 2π).  This module realizes the correspondence numerically:
 
-* ``tiling_edge_length`` solves for the side length of the π/3-angled
-  regular quadrilateral, the one metric constant of the tiling;
+* ``tiling_edge_length`` gives the side length of the π/3-angled regular
+  quadrilateral in closed form, the one metric constant of the tiling;
 * ``embed_ball`` walks a ball breadth-first and assigns every vertex a disk
-  coordinate.  Each vertex carries a *frame*: a base direction plus an
-  orientation sign telling in which rotational sense the six edge labels
-  fan out at π/3 increments.  The label order around a vertex is the cyclic
-  sequence in which consecutive labels form a relation pair, so that each
-  gap between neighbouring edges is one square.  Chirality follows the
+  coordinate, kept as one complex number per vid (``Embedding.points``;
+  ``Embedding.point(key)`` reads it back as an ``HPoint``).  Each vertex
+  carries a *frame*: a base direction plus an orientation sign telling in
+  which rotational sense the six edge labels fan out at π/3 increments.
+  The label order around a vertex is the cyclic sequence in which
+  consecutive labels form a relation pair, so that each gap between
+  neighbouring edges is one square.  Chirality follows the
   orientation character of the group's action on the plane: a full-circle
   generator is a half-turn about its edge midpoint (it swaps the two
   squares flanking that edge), so crossing such an edge keeps the
@@ -28,8 +30,10 @@ agree to 1e-6 — a strong numerical certificate that the graph really is the
 
 Distances use the standard disk metric.  ``qi_fit`` and ``four_point_delta``
 quantify, over a finite ball, how close the graph metric is to the plane's
-metric and how thin its triangles are; both freeze their output as
-regression values in the test suite rather than claiming proofs.
+metric and how thin its triangles are.  Both sweep only trusted pairs (depth
+sum within the radius), read from BFS rows of the core, the vertices of
+depth at most radius/2; both freeze their output as regression values in the
+test suite rather than claiming proofs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .core import (
     ClosureViolation,
     Family,
     NotAJ3,
+    PreconditionViolated,
     TooSmall,
     presentation,
 )
@@ -75,15 +80,12 @@ class HPoint:
         return complex(self.x, self.y)
 
 
-def _hp(z: complex) -> HPoint:
-    return HPoint(z.real, z.imag)
+def _disk_distance(z1: complex, z2: complex) -> float:
+    return 2.0 * math.atanh(abs(z1 - z2) / abs(1.0 - z1.conjugate() * z2))
 
 
 def hyperbolic_distance(p1: HPoint, p2: HPoint) -> float:
-    z1, z2 = p1.z, p2.z
-    num = abs(z1 - z2)
-    den = abs(1.0 - z1.conjugate() * z2)
-    return 2.0 * math.atanh(num / den)
+    return _disk_distance(p1.z, p2.z)
 
 
 def _translate(c: complex, z: complex) -> complex:
@@ -106,36 +108,25 @@ def tiling_edge_length() -> float:
     edge.  The hyperbolic right-triangle relation cos(center angle) =
     cosh(opposite leg)·sin(vertex angle) pins the side:
     cosh(a/2)·sin(π/6) = cos(π/4), i.e. cosh(a/2) = √2 and cosh(a) = 3.
-    Solved by bisection; the closed form 2·arccosh(cos(π/4)/sin(π/6)) and a
-    construct-one-square-and-measure-it cross-check live in the tests.
+    A construct-one-square-and-measure-it cross-check lives in the tests.
     """
-    target = math.cos(math.pi / 4) / math.sin(math.pi / 6)
-
-    def f(a: float) -> float:
-        return math.cosh(a / 2) - target
-
-    lo, hi = 1.0, 2.5
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15:
-            break
-    return (lo + hi) / 2
+    return 2.0 * math.acosh(math.cos(math.pi / 4) / math.sin(math.pi / 6))
 
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """A ball's vertices placed in the disk, identity at the origin."""
+    """A ball's vertices placed in the disk, identity at the origin.
+
+    ``points[vid]`` is the disk coordinate of vertex ``vid``.
+    """
 
     ball: CayleyBall
-    placement: dict[VertexKey, HPoint]
+    points: list[complex]
     edge_length: float
 
     def point(self, key: VertexKey) -> HPoint:
-        return self.placement[key]
+        z = self.points[self.ball.vid(key)]
+        return HPoint(z.real, z.imag)
 
 
 def embed_ball(b: CayleyBall) -> Embedding:
@@ -163,8 +154,7 @@ def embed_ball(b: CayleyBall) -> Embedding:
     pos: list[complex | None] = [None] * n
     base: list[float] = [0.0] * n
     orient: list[int] = [0] * n
-    pos[0] = 0.0 + 0.0j
-    base[0] = 0.0
+    pos[0] = 0j
     orient[0] = 1
 
     for vid in range(n):
@@ -181,17 +171,29 @@ def embed_ball(b: CayleyBall) -> Embedding:
                 back = _to_origin(z_nb, z_v)
                 base[nb] = math.atan2(back.imag, back.real) - orient[nb] * k * third
             else:
-                gap = 2.0 * math.atanh(
-                    abs(z_nb - pos[nb]) / abs(1.0 - z_nb.conjugate() * pos[nb])
-                )
+                gap = _disk_distance(z_nb, pos[nb])
                 if gap > _CLOSURE_TOL:
                     raise ClosureViolation(
                         f"vertex {b.text(nb)!r} placed {gap:.3e} apart "
                         f"along different paths (tolerance {_CLOSURE_TOL:.0e})"
                     )
 
-    placement = {b.key(vid): _hp(pos[vid]) for vid in range(n)}
-    return Embedding(ball=b, placement=placement, edge_length=a)
+    return Embedding(ball=b, points=pos, edge_length=a)
+
+
+def _trusted_metric(b: CayleyBall, sweep: str) -> tuple[list[int], list[int], dict]:
+    """(depth per vid, core, BFS row per core vid) for a trusted-pair sweep.
+
+    The core is the vertices of depth <= radius/2.  A pair whose depths sum
+    to <= radius (so its in-ball distance is the group distance) has at
+    least one core endpoint, so the core rows hold every trusted distance.
+    """
+    if b.radius < 3:
+        raise TooSmall(f"radius {b.radius} ball cannot support a {sweep}; need >= 3")
+    depth = [b.depth_at(v) for v in range(len(b))]
+    half = b.radius // 2
+    core = [v for v, d in enumerate(depth) if d <= half]
+    return depth, core, {v: b.distances_from(v) for v in core}
 
 
 class QIFit(NamedTuple):
@@ -210,27 +212,21 @@ def qi_fit(e: Embedding) -> QIFit:
     by construction — the constants are fitted, not asserted.
     """
     b = e.ball
-    if b.radius < 3:
-        raise TooSmall(f"radius {b.radius} ball cannot support a distance fit; need >= 3")
+    depth, _, table = _trusted_metric(b, "distance fit")
+    points = e.points
     n = len(b)
-    half = b.radius // 2
-    core = [v for v in range(n) if b.depth_at(v) <= half]
-    table = {v: b.distances_from(v) for v in core}
-
-    points = [e.placement[b.key(v)].z for v in range(n)]
+    radius = b.radius
     lam = 1.0
     pairs = 0
-    radius = b.radius
     for u in range(n):
-        du = b.depth_at(u)
+        du = depth[u]
         zu = points[u]
+        row = table.get(u)
         for v in range(u + 1, n):
-            if du + b.depth_at(v) > radius:
+            if du + depth[v] > radius:
                 continue
-            row = table.get(u)
             d_g = row[v] if row is not None else table[v][u]
-            zv = points[v]
-            d_h = 2.0 * math.atanh(abs(zu - zv) / abs(1.0 - zu.conjugate() * zv))
+            d_h = _disk_distance(zu, points[v])
             ratio = d_h / d_g if d_h > d_g else d_g / d_h
             if ratio > lam:
                 lam = ratio
@@ -251,34 +247,36 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
     (d(x,w)+d(y,w)−d(x,y))/2, the defect is (middle − smallest) of the three
     products; delta is the maximum defect over all quadruples all of whose
     six pairwise distances are trusted.  Exhaustive when the quadruple count
-    fits the budget, otherwise uniformly sampled with the fixed seed.
+    fits the budget (at least 1), otherwise uniformly sampled with the fixed
+    seed.
     """
-    if b.radius < 3:
-        raise TooSmall(f"radius {b.radius} ball cannot support a delta sweep; need >= 3")
-    n = len(b)
+    if budget < 1:
+        raise PreconditionViolated(f"budget must be >= 1, got {budget}")
+    depth, core, table = _trusted_metric(b, "delta sweep")
     radius = b.radius
-    half = radius // 2
-    core = [v for v in range(n) if b.depth_at(v) <= half]
-    deep = [v for v in range(n) if b.depth_at(v) > half]
-    table = {v: b.distances_from(v) for v in core}
 
     # A quadruple is trusted iff its two largest depths sum to <= radius.
     # Vertices of depth > radius/2 ("deep") therefore appear at most once
-    # per quadruple, so every needed distance has a core endpoint.
+    # per quadruple, so every needed distance has a core endpoint.  The
+    # trusted quadruples fall into strata: the core 4-subsets, and for each
+    # deep depth d a core trio of depth <= radius - d plus one deep vertex
+    # of depth d.
     def dist(u: int, v: int) -> int:
         row = table.get(u)
         return row[v] if row is not None else table[v][u]
 
-    core_count = len(core)
-    exhaustive_total = math.comb(core_count, 4)
-    deep_by_depth: dict[int, int] = {}
-    for v in deep:
-        deep_by_depth[b.depth_at(v)] = deep_by_depth.get(b.depth_at(v), 0) + 1
-    core_depths = [b.depth_at(v) for v in core]
-    for d, cnt in sorted(deep_by_depth.items()):
-        cap = radius - d
-        eligible = sum(1 for cd in core_depths if cd <= cap)
-        exhaustive_total += math.comb(eligible, 3) * cnt
+    weights = [math.comb(len(core), 4)]
+    pools: list[list[int]] = [core]
+    members: list[list[int]] = [[]]
+    for d in sorted({d for d in depth if d > radius // 2}):
+        pool = [u for u in core if depth[u] <= radius - d]
+        stratum = [v for v, dv in enumerate(depth) if dv == d]
+        w = math.comb(len(pool), 3) * len(stratum)
+        if w > 0:
+            weights.append(w)
+            pools.append(pool)
+            members.append(stratum)
+    total = sum(weights)
 
     def defect2(w: int, x: int, y: int, z: int) -> int:
         dwx, dwy, dwz = dist(w, x), dist(w, y), dist(w, z)
@@ -297,56 +295,36 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
             defect2(z, w, x, y),
         )
 
-    best2 = 0
-    if exhaustive_total <= budget:
-        count = 0
-        for q in combinations(core, 4):
-            d2 = quad_defect2(q)
-            if d2 > best2:
-                best2 = d2
-            count += 1
-        for v in deep:
-            cap = radius - b.depth_at(v)
-            pool = [u for u in core if b.depth_at(u) <= cap]
-            for trio in combinations(pool, 3):
-                d2 = quad_defect2(trio + (v,))
-                if d2 > best2:
-                    best2 = d2
-                count += 1
-        return FourPointDelta(delta=best2 / 2.0, quadruples=count, sampled=False)
+    def exhaustive():
+        yield from combinations(core, 4)
+        for pool, stratum in zip(pools[1:], members[1:]):
+            for v in stratum:
+                for trio in combinations(pool, 3):
+                    yield trio + (v,)
 
-    # Sampled sweep: draw uniformly from the trusted space via its exact
-    # stratification (pure-core 4-subsets, or core trio + one deep vertex).
-    rng = Random(seed)
-    weights = [math.comb(core_count, 4)]
-    pools: list[list[int]] = [core]
-    members: list[list[int]] = [[]]
-    for d in sorted(deep_by_depth):
-        pool = [u for u in core if b.depth_at(u) <= radius - d]
-        stratum = [v for v in deep if b.depth_at(v) == d]
-        w = math.comb(len(pool), 3) * len(stratum)
-        if w > 0:
-            weights.append(w)
-            pools.append(pool)
-            members.append(stratum)
-    cum = list(accumulate(weights))
-    total = cum[-1]
-    for _ in range(budget):
-        i = bisect_right(cum, rng.randrange(total))
-        if i == 0:
-            q = tuple(rng.sample(core, 4))
-        else:
+    if total <= budget:
+        quads = exhaustive()
+    else:
+        # Uniform over the trusted space: a stratum by weight, then a member.
+        rng = Random(seed)
+        cum = list(accumulate(weights))
+
+        def draw() -> tuple[int, int, int, int]:
+            i = bisect_right(cum, rng.randrange(total))
+            if i == 0:
+                return tuple(rng.sample(core, 4))
             v = members[i][rng.randrange(len(members[i]))]
-            q = (*rng.sample(pools[i], 3), v)
-        d2 = quad_defect2(q)
-        if d2 > best2:
-            best2 = d2
-    return FourPointDelta(delta=best2 / 2.0, quadruples=budget, sampled=True)
+            return (*rng.sample(pools[i], 3), v)
+
+        quads = (draw() for _ in range(budget))
+    best2 = max(map(quad_defect2, quads), default=0)
+    return FourPointDelta(
+        delta=best2 / 2.0, quadruples=min(total, budget), sampled=total > budget
+    )
 
 
 # --- rendering ---------------------------------------------------------------
 
-_CANVAS = 1000.0
 _SCALE = 500.0
 
 
@@ -395,20 +373,15 @@ def render_svg(
     compared visually.
     """
     b = e.ball
-    pts = {vid: e.placement[b.key(vid)].z for vid in range(len(b))}
+    pts = e.points
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
         'viewBox="0 0 1000 1000">',
         f'<circle cx="{_fmt(_SCALE)}" cy="{_fmt(_SCALE)}" r="{_fmt(_SCALE)}" '
         'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
-    edges = []
-    for vid in range(len(b)):
-        for nb, _gid in b.adj_entries(vid):
-            if nb > vid:
-                edges.append((vid, nb))
-    edges.sort()
-    for vid, nb in edges:
+    edges = ((u, nb) for u in range(len(b)) for nb, _gid in b.adj_entries(u) if nb > u)
+    for vid, nb in sorted(edges):
         lines.append(
             f'<path d="{_arc_path(pts[vid], pts[nb])}" fill="none" '
             'stroke="#1a1a1a" stroke-width="1.5"/>'

@@ -452,25 +452,19 @@ def verify_claim_phi(n: int) -> VerificationReport:
                 })
 
         expect(t1[0] == 1, "shifted outer interval starts at 1")
+        expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
+               "images are increasing pairs")
         if name == "chain":
-            expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
-                   "images are increasing pairs")
             expect(_plain_contains(t1, t2) and _plain_contains(t2, t3),
                    "containment chain transfers")
         elif name == "nested-plus-disjoint":
-            expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
-                   "images are increasing pairs")
             expect(_plain_contains(t1, t2), "containment transfers")
             expect(_plain_disjoint(t1, t3), "disjointness transfers")
         elif name == "common-outer":
-            expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
-                   "images are increasing pairs")
             expect(_plain_contains(t1, t2) and _plain_contains(t1, t3),
                    "both containments transfer")
             expect(_plain_disjoint(t2, t3), "inner disjointness transfers")
         else:  # pairwise-disjoint
-            expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
-                   "images are increasing pairs")
             expect(_plain_disjoint(t1, t2) and _plain_disjoint(t1, t3)
                    and _plain_disjoint(t2, t3), "pairwise disjointness transfers")
     return rep

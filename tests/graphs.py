@@ -35,6 +35,22 @@ def shared_wedge_graph() -> dict:
     }
 
 
+def doubled_edge_graph() -> dict:
+    """e and 1,2 joined by two edges (labels 1,2 and 1,3): a two-corner 4-cycle."""
+    return {
+        "spec": {"family": "affine", "n": 3},
+        "radius": 1,
+        "vertices": [
+            {"word": "e", "depth": 0},
+            {"word": "1,2", "depth": 1},
+        ],
+        "edges": [
+            {"from": "e", "to": "1,2", "generator": "1,2"},
+            {"from": "e", "to": "1,2", "generator": "1,3"},
+        ],
+    }
+
+
 def missing_cube_corner_graph() -> dict:
     """A degree-4 radius-3 ball with one cube's eighth corner deleted.
 

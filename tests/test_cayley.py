@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from graphs import doubled_edge_graph
+
 from cactuskit import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -198,13 +200,79 @@ def test_square_counts(aj3_r2, aj3_r3, aj4_r3):
     assert len(squares(ball(cactus(3), 3))) == 4
 
 
+def _aj17_square_graph() -> dict:
+    """The one square e, 2,3, 2,3;17,1, 17,1 of AJ_17 (272 generators).
+
+    Past 255 generators a key is two bytes per letter, and the ids of 2,3
+    (17) and 17,1 (256) encode to bytes that sort opposite to the keys.
+    """
+    return {
+        "spec": {"family": "affine", "n": 17},
+        "radius": 2,
+        "vertices": [
+            {"word": "e", "depth": 0},
+            {"word": "2,3", "depth": 1},
+            {"word": "17,1", "depth": 1},
+            {"word": "2,3;17,1", "depth": 2},
+        ],
+        "edges": [
+            {"from": "e", "to": "2,3", "generator": "2,3"},
+            {"from": "e", "to": "17,1", "generator": "17,1"},
+            {"from": "2,3", "to": "2,3;17,1", "generator": "17,1"},
+            {"from": "17,1", "to": "2,3;17,1", "generator": "2,3"},
+        ],
+    }
+
+
 def test_squares_have_canonical_cycles(aj3_r2):
-    for s in squares(aj3_r2):
-        assert len(s.cycle) == 4
-        smallest = min(s.cycle)
-        assert s.cycle[0] == smallest
-        # oriented toward the smaller neighbor of the smallest corner
-        assert s.cycle[1] <= s.cycle[3]
+    wide = import_ball(_aj17_square_graph())
+    encode = _key_codec(272)[0]
+    assert encode([17]) > encode([256])  # while ((2, 3),) < ((17, 1),)
+    for b in (aj3_r2, wide):
+        for s in squares(b):
+            assert len(s.cycle) == 4
+            smallest = min(s.cycle)
+            assert s.cycle[0] == smallest
+            # oriented toward the smaller neighbor of the smallest corner
+            assert s.cycle[1] <= s.cycle[3]
+    (sq,) = squares(wide)
+    assert sq.cycle == ((), ((2, 3),), ((2, 3), (17, 1)), ((17, 1),))
+    assert sq.cycle[1] == ((2, 3),)
+
+
+def _brute_force_cycles(b) -> list:
+    """Every closed 4-walk that never steps straight back along the edge it
+    came in on (cyclically, so also not from its last edge into its first),
+    each canonicalised on its corner keys and listed once, sorted.
+
+    An edge is (its two ends, its label), so two edges joining the same
+    vertices under different labels are different edges.
+    """
+    found = set()
+    for w0 in range(len(b)):
+        walks = [((w0,), ())]
+        for _ in range(4):
+            walks = [
+                (vs + (nb,), ls + (g,))
+                for vs, ls in walks
+                for nb, g in b.adj_entries(vs[-1])
+                if not (len(vs) > 1 and nb == vs[-2] and g == ls[-1])
+            ]
+        for vs, ls in walks:
+            if vs[4] != w0 or (vs[3] == vs[1] and ls[3] == ls[0]):
+                continue
+            keys = tuple(b.key(v) for v in vs[:4])
+            found.add(min(
+                seq[r:] + seq[:r] for seq in (keys, keys[::-1]) for r in range(4)
+            ))
+    return sorted(found)
+
+
+def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
+    doubled = import_ball(doubled_edge_graph())
+    for b in (aj3_r3, j4_r3, doubled):
+        assert [s.cycle for s in squares(b)] == _brute_force_cycles(b)
+    assert len(_brute_force_cycles(doubled)) == 1
 
 
 def test_squares_at_identity(aj3_r2):

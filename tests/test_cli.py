@@ -296,6 +296,13 @@ def test_delta_result(capsys):
     assert env["result"]["quadruples"] == 100
 
 
+def test_delta_budget_below_one_exits_2(capsys):
+    for budget in ("-5", "0"):
+        code, out, err = run_cli(capsys, "delta", "--radius", "3", "--budget", budget)
+        assert code == 2, budget
+        assert out == "" and "budget must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # parsing errors
 # ---------------------------------------------------------------------------

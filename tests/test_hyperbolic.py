@@ -16,6 +16,7 @@ from cactuskit import (
     FourPointDelta,
     HPoint,
     NotAJ3,
+    PreconditionViolated,
     QIFit,
     TooSmall,
     affine,
@@ -108,7 +109,7 @@ def test_embedding_rejects_other_groups():
 
 def test_first_ring_geometry():
     e = embed_ball(ball(affine(3), 1))
-    assert len(e.placement) == 7
+    assert len(e.points) == 7
     assert e.edge_length == tiling_edge_length()
     assert e.point(()).z == 0
     ring_radius = math.tanh(e.edge_length / 2)
@@ -123,7 +124,7 @@ def test_first_ring_geometry():
 def test_embedding_is_deterministic(aj3_r3):
     e1 = embed_ball(aj3_r3)
     e2 = embed_ball(aj3_r3)
-    assert e1.placement == e2.placement
+    assert e1.points == e2.points
 
 
 def test_all_edges_have_tiling_length(disk_r3):
@@ -174,7 +175,7 @@ def test_six_squares_close_around_interior_vertices(disk_r3):
 
 def test_embedding_is_injective(disk_r3):
     e = disk_r3
-    pts = list(e.placement.values())
+    pts = [HPoint(z.real, z.imag) for z in e.points]
     min_d = min(
         hyperbolic_distance(pts[i], pts[j])
         for i in range(len(pts))
@@ -224,6 +225,14 @@ def test_four_point_delta_sampled(aj3_r3):
 def test_four_point_delta_needs_room():
     with pytest.raises(TooSmall):
         four_point_delta(ball(affine(3), 2))
+
+
+def test_four_point_delta_needs_a_positive_budget(aj3_r3):
+    # no quadruple examined is no evidence: refuse rather than report 0.0
+    for budget in (0, -5):
+        with pytest.raises(PreconditionViolated):
+            four_point_delta(aj3_r3, budget=budget)
+    assert four_point_delta(aj3_r3, budget=1, seed=3).quadruples == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from graphs import missing_cube_corner_graph, shared_wedge_graph
+from graphs import doubled_edge_graph, missing_cube_corner_graph, shared_wedge_graph
 
 from cactuskit import (
     IndexOutOfRange,
@@ -161,19 +161,7 @@ def test_missing_cube_corner_is_reported():
 
 def test_degenerate_square_is_reported():
     """A doubled edge makes a two-corner 4-cycle, which must be flagged."""
-    obj = {
-        "spec": {"family": "affine", "n": 3},
-        "radius": 1,
-        "vertices": [
-            {"word": "e", "depth": 0},
-            {"word": "1,2", "depth": 1},
-        ],
-        "edges": [
-            {"from": "e", "to": "1,2", "generator": "1,2"},
-            {"from": "e", "to": "1,2", "generator": "1,3"},
-        ],
-    }
-    rep = check_squares_embedded(import_ball(obj))
+    rep = check_squares_embedded(import_ball(doubled_edge_graph()))
     assert not rep.passed
     assert rep.failures[0]["distinct_corners"] == 2
 
