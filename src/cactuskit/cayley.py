@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -164,20 +165,22 @@ class CayleyBall:
 
     # -- metric --------------------------------------------------------------
 
-    def distances_from(self, vid: int) -> array:
-        """BFS distances (within the ball) from one vertex; -1 = unreachable."""
+    def distances_from(self, vid: int, limit: int = -1) -> array:
+        """BFS distances (within the ball) from one vertex; -1 = unreachable,
+        or farther than `limit` when that is >= 0 (the search stops there)."""
         dist = array("i", [-1] * len(self._keys))
         dist[vid] = 0
         frontier = [vid]
         adj, off = self._adj, self._off
-        while frontier:
+        d = 0
+        while frontier and d != limit:
+            d += 1
             nxt = []
             for u in frontier:
-                du1 = dist[u] + 1
                 for k in range(off[u], off[u + 1]):
                     nb = adj[k] >> 16
                     if dist[nb] < 0:
-                        dist[nb] = du1
+                        dist[nb] = d
                         nxt.append(nb)
             frontier = nxt
         return dist
@@ -214,6 +217,8 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     """
     if radius < 0:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
+    if max_vertices < 1:
+        raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     pres = presentation(spec)
     eng = _word_engine(spec, radius + 1)  # BFS words have up to radius+1 letters
     mtype = eng.mtype
@@ -262,10 +267,12 @@ class Square:
     """An embedded-or-not 4-cycle, stored as its canonical corner cycle.
 
     Canonical form: rotated so the lexicographically smallest corner key is
-    first, then oriented toward its smaller cycle-neighbor.
+    first, then oriented toward its smaller cycle-neighbor.  `vids` holds
+    the same corners, in the same order, as vertex ids.
     """
 
     cycle: tuple[VertexKey, VertexKey, VertexKey, VertexKey]
+    vids: tuple[int, int, int, int]
 
 
 def squares(b: CayleyBall) -> tuple[Square, ...]:
@@ -273,40 +280,48 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 
     Enumerated from every corner via midpoint pairs over opposite corners and
     deduplicated on the canonical cycle, so each square appears exactly once.
-    The search runs on vids: each vertex key is decoded once, and cycles are
-    canonicalised and sorted on key ranks (a vid's position in key order),
-    which order exactly as the keys do.
+    The search runs on vids and packed adjacency entries, from every corner
+    (a graph with one-way entries can show a cycle from some corners only);
+    cycles are canonicalised and sorted on key ranks (a vid's position in
+    key order, taken on decoded id lists), and keys are made only for the
+    corners of the squares found.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
     has them -- that is what check_squares_embedded looks for; honest Cayley
     balls never produce any.
     """
-    keys = [b.key(v) for v in range(len(b))]
-    by_rank = sorted(range(len(keys)), key=keys.__getitem__)
-    rank = [0] * len(keys)
+    n = len(b)
+    rows = [b._adj[b._off[v]:b._off[v + 1]].tolist() for v in range(n)]
+    by_rank = sorted(range(n), key=lambda v: b._decode(b._keys[v]))
+    rank = [0] * n
     for r, v in enumerate(by_rank):
         rank[v] = r
     found: set[tuple[int, int, int, int]] = set()
-    for u in range(len(keys)):
+    for u in range(n):
         # two-step non-backtracking walks u -> x -> z, grouped by endpoint z
         paths: dict[int, list[tuple[int, int, int]]] = {}
-        for x, l1 in b.adj_entries(u):
-            for z, l2 in b.adj_entries(x):
-                if z == u and l2 == l1:
-                    continue
-                paths.setdefault(z, []).append((x, l1, l2))
+        for e1 in rows[u]:
+            x = e1 >> 16
+            back = u << 16 | e1 & 0xFFFF
+            for e2 in rows[x]:
+                if e2 != back:
+                    paths.setdefault(e2 >> 16, []).append((x, e1, e2))
         for z, plist in paths.items():
-            for i, (x1, e1, e2) in enumerate(plist):
-                for x2, e3, e4 in plist[i + 1:]:
-                    # the two walks must not share either of their edges
-                    if x1 == x2 and (e1 == e3 or e2 == e4):
-                        continue
-                    cyc = (rank[u], rank[x1], rank[z], rank[x2])
-                    found.add(min(
-                        seq[r:] + seq[:r] for seq in (cyc, cyc[::-1]) for r in range(4)
-                    ))
-    return tuple(
-        Square(tuple(keys[by_rank[r]] for r in cyc)) for cyc in sorted(found)
-    )
+            for (x1, e1, e2), (x2, e3, e4) in combinations(plist, 2):
+                # the two walks must not share either of their edges
+                if x1 == x2 and (e1 == e3 or e2 == e4):
+                    continue
+                c = (rank[u], rank[x1], rank[z], rank[x2])
+                if len(set(c)) == 4:
+                    k = c.index(min(c))
+                    c = c[k:] + c[:k]
+                    if c[1] > c[3]:
+                        c = (c[0], c[3], c[2], c[1])
+                else:
+                    c = min(s[r:] + s[:r] for s in (c, c[::-1]) for r in range(4))
+                found.add(c)
+    cycles = [tuple(by_rank[r] for r in c) for c in sorted(found)]
+    keys = {v: b.key(v) for v in {v for vids in cycles for v in vids}}
+    return tuple(Square(tuple(keys[v] for v in vids), vids) for vids in cycles)
 
 
 # -- serialization -----------------------------------------------------------

@@ -182,10 +182,9 @@ def _run_ball(args: argparse.Namespace) -> int:
         "radius": args.radius,
         "format": args.format,
     }
-    payload = export(b, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(payload)
+            fh.write(export(b, args.format))
         inv["out"] = args.out
         _emit(
             inv,
@@ -198,7 +197,7 @@ def _run_ball(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _emit(inv, export_obj(b))
     else:
-        sys.stdout.write(payload.decode("utf-8"))
+        sys.stdout.write(export(b, args.format).decode("utf-8"))
     return EXIT_PASS
 
 

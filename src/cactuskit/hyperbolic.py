@@ -29,11 +29,13 @@ agree to 1e-6 — a strong numerical certificate that the graph really is the
 1-skeleton of the tiling out to the built radius.
 
 Distances use the standard disk metric.  ``qi_fit`` and ``four_point_delta``
-quantify, over a finite ball, how close the graph metric is to the plane's
-metric and how thin its triangles are.  Both sweep only trusted pairs (depth
-sum within the radius), read from BFS rows of the core, the vertices of
-depth at most radius/2; both freeze their output as regression values in the
-test suite rather than claiming proofs.
+measure, over a finite ball, how close the graph metric is to the plane's
+and how thin its triangles are.  Both sweep only trusted pairs (depth sum
+within the radius), read from BFS rows of the core (depth <= radius/2) that
+stop at distance radius: a trusted pair u, v is joined through the identity
+by a path of length depth(u) + depth(v) <= radius.  The four-point defect
+needs no basepoint: twice it is (largest − middle) of the three
+opposite-side distance sums of the quadruple.
 """
 
 from __future__ import annotations
@@ -187,13 +189,14 @@ def _trusted_metric(b: CayleyBall, sweep: str) -> tuple[list[int], list[int], di
     The core is the vertices of depth <= radius/2.  A pair whose depths sum
     to <= radius (so its in-ball distance is the group distance) has at
     least one core endpoint, so the core rows hold every trusted distance.
+    Rows stop at distance radius, which bounds every trusted distance.
     """
     if b.radius < 3:
         raise TooSmall(f"radius {b.radius} ball cannot support a {sweep}; need >= 3")
     depth = [b.depth_at(v) for v in range(len(b))]
     half = b.radius // 2
     core = [v for v, d in enumerate(depth) if d <= half]
-    return depth, core, {v: b.distances_from(v) for v in core}
+    return depth, core, {v: b.distances_from(v, b.radius) for v in core}
 
 
 class QIFit(NamedTuple):
@@ -209,28 +212,27 @@ def qi_fit(e: Embedding) -> QIFit:
     Sweeps every vertex pair whose in-ball graph distance is trusted (depth
     sum within the radius) and returns the least lambda with
     d_G/lambda ≤ d_H ≤ lambda·d_G, additive constant 0.  max_violation is 0
-    by construction — the constants are fitted, not asserted.
+    by construction — the constants are fitted, not asserted.  Each u is
+    paired only with the larger vids of depth <= radius - depth(u).
     """
     b = e.ball
     depth, _, table = _trusted_metric(b, "distance fit")
     points = e.points
-    n = len(b)
     radius = b.radius
+    by_depth = [[v for v, dv in enumerate(depth) if dv == d] for d in range(radius + 1)]
     lam = 1.0
     pairs = 0
-    for u in range(n):
-        du = depth[u]
+    for u, du in enumerate(depth):
         zu = points[u]
         row = table.get(u)
-        for v in range(u + 1, n):
-            if du + depth[v] > radius:
-                continue
-            d_g = row[v] if row is not None else table[v][u]
-            d_h = _disk_distance(zu, points[v])
-            ratio = d_h / d_g if d_h > d_g else d_g / d_h
-            if ratio > lam:
-                lam = ratio
-            pairs += 1
+        for bucket in by_depth[:radius - du + 1]:
+            for v in bucket[bisect_right(bucket, u):]:
+                d_g = row[v] if row is not None else table[v][u]
+                d_h = _disk_distance(zu, points[v])
+                ratio = d_h / d_g if d_h > d_g else d_g / d_h
+                if ratio > lam:
+                    lam = ratio
+                pairs += 1
     return QIFit(lam=lam, c=0.0, pair_count=pairs, max_violation=0.0)
 
 
@@ -249,11 +251,17 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
     six pairwise distances are trusted.  Exhaustive when the quadruple count
     fits the budget (at least 1), otherwise uniformly sampled with the fixed
     seed.
+
+    The defect is the same at every basepoint w: twice each product is
+    d(w,x)+d(w,y)+d(w,z) minus one of the opposite-side sums d(w,x)+d(y,z),
+    d(w,y)+d(x,z), d(w,z)+d(x,y), so twice the defect is (largest − middle)
+    of them.  Its six distances are read from the rows of the quadruple's
+    first three corners, which are core in every stratum; those rows stop at
+    the radius, which bounds each trusted distance (a path through e).
     """
     if budget < 1:
         raise PreconditionViolated(f"budget must be >= 1, got {budget}")
     depth, core, table = _trusted_metric(b, "delta sweep")
-    radius = b.radius
 
     # A quadruple is trusted iff its two largest depths sum to <= radius.
     # Vertices of depth > radius/2 ("deep") therefore appear at most once
@@ -261,15 +269,11 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
     # trusted quadruples fall into strata: the core 4-subsets, and for each
     # deep depth d a core trio of depth <= radius - d plus one deep vertex
     # of depth d.
-    def dist(u: int, v: int) -> int:
-        row = table.get(u)
-        return row[v] if row is not None else table[v][u]
-
     weights = [math.comb(len(core), 4)]
     pools: list[list[int]] = [core]
     members: list[list[int]] = [[]]
-    for d in sorted({d for d in depth if d > radius // 2}):
-        pool = [u for u in core if depth[u] <= radius - d]
+    for d in sorted({d for d in depth if d > b.radius // 2}):
+        pool = [u for u in core if depth[u] <= b.radius - d]
         stratum = [v for v, dv in enumerate(depth) if dv == d]
         w = math.comb(len(pool), 3) * len(stratum)
         if w > 0:
@@ -278,46 +282,38 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
             members.append(stratum)
     total = sum(weights)
 
-    def defect2(w: int, x: int, y: int, z: int) -> int:
-        dwx, dwy, dwz = dist(w, x), dist(w, y), dist(w, z)
-        a2 = dwx + dwy - dist(x, y)
-        b2 = dwx + dwz - dist(x, z)
-        c2 = dwy + dwz - dist(y, z)
-        lo = min(a2, b2, c2)
-        return a2 + b2 + c2 - lo - max(a2, b2, c2) - lo
-
-    def quad_defect2(q: tuple[int, int, int, int]) -> int:
-        w, x, y, z = q
-        return max(
-            defect2(w, x, y, z),
-            defect2(x, w, y, z),
-            defect2(y, w, x, z),
-            defect2(z, w, x, y),
-        )
-
+    # quadruples as (core trio, fourth corners to pair it with)
     def exhaustive():
-        yield from combinations(core, 4)
+        for i, j, k in combinations(range(len(core)), 3):
+            yield (core[i], core[j], core[k]), core[k + 1:]
         for pool, stratum in zip(pools[1:], members[1:]):
-            for v in stratum:
-                for trio in combinations(pool, 3):
-                    yield trio + (v,)
+            for trio in combinations(pool, 3):
+                yield trio, stratum
 
     if total <= budget:
-        quads = exhaustive()
+        groups = exhaustive()
     else:
         # Uniform over the trusted space: a stratum by weight, then a member.
         rng = Random(seed)
         cum = list(accumulate(weights))
 
-        def draw() -> tuple[int, int, int, int]:
+        def draw():
             i = bisect_right(cum, rng.randrange(total))
             if i == 0:
-                return tuple(rng.sample(core, 4))
+                return (q := rng.sample(core, 4))[:3], q[3:]
             v = members[i][rng.randrange(len(members[i]))]
-            return (*rng.sample(pools[i], 3), v)
+            return rng.sample(pools[i], 3), (v,)
 
-        quads = (draw() for _ in range(budget))
-    best2 = max(map(quad_defect2, quads), default=0)
+        groups = (draw() for _ in range(budget))
+    best2 = 0
+    for (w, x, y), fourths in groups:
+        rw, rx, ry = table[w], table[x], table[y]
+        dwx, dwy, dxy = rw[x], rw[y], rx[y]
+        for z in fourths:
+            s1, s2, s3 = dwx + ry[z], dwy + rx[z], dxy + rw[z]
+            d2 = 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3
+            if d2 > best2:
+                best2 = d2
     return FourPointDelta(
         delta=best2 / 2.0, quadruples=min(total, budget), sampled=total > budget
     )

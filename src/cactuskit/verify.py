@@ -103,9 +103,9 @@ def check_squares_embedded(b: CayleyBall) -> VerificationReport:
         vacuous=not sqs,
     )
     for s in sqs:
-        if len(set(s.cycle)) != 4:
-            rep.note_failure({"cycle": [b.text(b.vid(k)) for k in s.cycle],
-                              "distinct_corners": len(set(s.cycle))})
+        if len(set(s.vids)) != 4:
+            rep.note_failure({"cycle": [b.text(v) for v in s.vids],
+                              "distinct_corners": len(set(s.vids))})
     return rep
 
 
@@ -113,25 +113,25 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
     """No two distinct squares share a length-2 path (two consecutive edges).
 
     Item space: every (corner, unordered pair of incident square-edges) that
-    occurs in some square; each must belong to exactly one square.
+    occurs in some square; each must belong to exactly one square.  Items are
+    keyed on vids as (corner, smaller, larger neighbor).
     """
     sqs = squares(b)
-    seen: dict[tuple, list[int]] = {}
+    seen: dict[tuple[int, int, int], list[int]] = {}
     for idx, s in enumerate(sqs):
-        c = s.cycle
+        c = s.vids
         for k in range(4):
-            corner = c[k]
-            wedge = frozenset((c[(k - 1) % 4], c[(k + 1) % 4]))
-            seen.setdefault((corner, wedge), []).append(idx)
+            a, z = c[k - 1], c[(k + 1) % 4]
+            seen.setdefault((c[k], a, z) if a < z else (c[k], z, a), []).append(idx)
     rep = VerificationReport(
         "no-shared-consecutive-edges", b.spec, {"radius": b.radius},
         len(seen), 0, vacuous=not sqs,
     )
-    for (corner, wedge), members in seen.items():
+    for (corner, _, _), members in seen.items():
         if len(members) > 1:
             rep.note_failure({
-                "corner": b.text(b.vid(corner)),
-                "squares": [[b.text(b.vid(k)) for k in sqs[m].cycle] for m in members],
+                "corner": b.text(corner),
+                "squares": [[b.text(v) for v in sqs[m].vids] for m in members],
             })
     return rep
 

@@ -24,6 +24,7 @@ from cactuskit import (
     squares,
 )
 from cactuskit.cayley import _key_codec
+from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,10 @@ def test_radius_zero_and_validation():
 def test_vertex_budget():
     with pytest.raises(BudgetExceeded):
         ball(affine(3), 3, max_vertices=10)
+    for budget in (0, -5):
+        with pytest.raises(PreconditionViolated):
+            ball(affine(3), 0, max_vertices=budget)
+    assert len(ball(affine(3), 0, max_vertices=1)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +251,16 @@ def _brute_force_cycles(b) -> list:
     each canonicalised on its corner keys and listed once, sorted.
 
     An edge is (its two ends, its label), so two edges joining the same
-    vertices under different labels are different edges.
+    vertices under different labels are different edges.  The graph is read
+    as undirected: a stored entry u -g-> v is an edge that a walk may follow
+    either way, also where the ball lacks the entry v -g-> u.
     """
+    edges = [set() for _ in range(len(b))]
+    for u in range(len(b)):
+        for nb, g in b.adj_entries(u):
+            edges[u].add((nb, g))
+            edges[nb].add((u, g))
+    edges = [sorted(s) for s in edges]
     found = set()
     for w0 in range(len(b)):
         walks = [((w0,), ())]
@@ -255,7 +268,7 @@ def _brute_force_cycles(b) -> list:
             walks = [
                 (vs + (nb,), ls + (g,))
                 for vs, ls in walks
-                for nb, g in b.adj_entries(vs[-1])
+                for nb, g in edges[vs[-1]]
                 if not (len(vs) > 1 and nb == vs[-2] and g == ls[-1])
             ]
         for vs, ls in walks:
@@ -268,11 +281,40 @@ def _brute_force_cycles(b) -> list:
     return sorted(found)
 
 
+def _one_way_entries(b) -> int:
+    return sum(b.step(nb, g) != u for u in range(len(b)) for nb, g in b.adj_entries(u))
+
+
 def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
     doubled = import_ball(doubled_edge_graph())
-    for b in (aj3_r3, j4_r3, doubled):
-        assert [s.cycle for s in squares(b)] == _brute_force_cycles(b)
+    # past radius 3 the degree-4 ball stores one-way entries, so a square
+    # can show from some of its corners only
+    j4_r5 = ball(cactus(4), 5)
+    assert (len(j4_r5), _one_way_entries(j4_r5)) == (608, 1)
+    for b in (aj3_r3, j4_r3, doubled, j4_r5):
+        sqs = squares(b)
+        assert [s.cycle for s in sqs] == _brute_force_cycles(b)
+        assert all(s.cycle == tuple(map(b.key, s.vids)) for s in sqs)
     assert len(_brute_force_cycles(doubled)) == 1
+    assert len(_brute_force_cycles(j4_r5)) == 450
+
+
+def test_square_checks_count_brute_force_cycles():
+    """Both square checks' item and failure counts, made from the reference."""
+    b = ball(cactus(4), 6)
+    assert _one_way_entries(b) == 10
+    cycles = _brute_force_cycles(b)
+    wedges: dict = {}
+    for c in cycles:
+        for k in range(4):
+            wedge = (c[k], frozenset((c[k - 1], c[(k + 1) % 4])))
+            wedges.setdefault(wedge, set()).add(c)
+    embedded = check_squares_embedded(b)
+    assert embedded.items_checked == len(cycles)
+    assert embedded.failure_count == sum(len(set(c)) != 4 for c in cycles)
+    edges = check_no_shared_consecutive_edges(b)
+    assert edges.items_checked == len(wedges) == 4867
+    assert edges.failure_count == sum(len(m) > 1 for m in wedges.values()) == 9
 
 
 def test_squares_at_identity(aj3_r2):

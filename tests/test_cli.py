@@ -303,6 +303,14 @@ def test_delta_budget_below_one_exits_2(capsys):
         assert out == "" and "budget must be >= 1" in err
 
 
+def test_vertex_budget_below_one_exits_2(capsys):
+    # a nonsense budget is a usage error, not resource exhaustion (exit 3)
+    for argv in (("ball", "--budget", "-5"), ("growth", "--budget", "0")):
+        code, out, err = run_cli(capsys, *argv, "--n", "3", "--radius", "2")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error:") and "budget must be >= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # parsing errors
 # ---------------------------------------------------------------------------

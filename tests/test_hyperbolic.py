@@ -9,6 +9,9 @@ propagation.
 
 import cmath
 import math
+from bisect import bisect_right
+from itertools import accumulate, combinations
+from random import Random
 
 import pytest
 
@@ -201,6 +204,14 @@ def test_qi_fit_frozen_values(disk_r3, disk_r4):
     assert f4.c == 0.0 and f4.max_violation == 0.0
 
 
+def test_qi_fit_counts_every_trusted_pair(disk_r3, disk_r4):
+    for e in (disk_r3, disk_r4, embed_ball(ball(affine(3), 5))):
+        b = e.ball
+        depth = [b.depth_at(v) for v in range(len(b))]
+        brute = sum(du + dv <= b.radius for du, dv in combinations(depth, 2))
+        assert qi_fit(e).pair_count == brute
+
+
 def test_qi_fit_needs_room():
     with pytest.raises(TooSmall):
         qi_fit(embed_ball(ball(affine(3), 2)))
@@ -220,6 +231,67 @@ def test_four_point_delta_sampled(aj3_r3):
     assert four_point_delta(aj3_r3, budget=500, seed=1) == s1
     s2 = four_point_delta(aj3_r3, budget=500, seed=2)
     assert s2.quadruples == 500
+
+
+def _reference_delta(b, budget=10**7, seed=0):
+    """Max over every basepoint of the Gromov-product defect, over full BFS
+    rows, with the quadruple space and the draws of four_point_delta."""
+    depth = [b.depth_at(v) for v in range(len(b))]
+    core = [v for v, d in enumerate(depth) if d <= b.radius // 2]
+    rows = {v: b.distances_from(v) for v in core}
+
+    def dist(u, v):
+        return rows[u][v] if u in rows else rows[v][u]
+
+    def defect2(w, x, y, z):
+        a2 = dist(w, x) + dist(w, y) - dist(x, y)
+        b2 = dist(w, x) + dist(w, z) - dist(x, z)
+        c2 = dist(w, y) + dist(w, z) - dist(y, z)
+        return sorted((a2, b2, c2))[1] - min(a2, b2, c2)
+
+    def quad_defect2(q):
+        w, x, y, z = q
+        return max(defect2(w, x, y, z), defect2(x, w, y, z),
+                   defect2(y, w, x, z), defect2(z, w, x, y))
+
+    weights, pools, members = [math.comb(len(core), 4)], [core], [[]]
+    for d in sorted({d for d in depth if d > b.radius // 2}):
+        pool = [u for u in core if depth[u] <= b.radius - d]
+        stratum = [v for v, dv in enumerate(depth) if dv == d]
+        if math.comb(len(pool), 3) * len(stratum):
+            weights.append(math.comb(len(pool), 3) * len(stratum))
+            pools.append(pool)
+            members.append(stratum)
+    total = sum(weights)
+    if total <= budget:
+        quads = [*combinations(core, 4)] + [
+            trio + (v,)
+            for pool, stratum in zip(pools[1:], members[1:])
+            for v in stratum
+            for trio in combinations(pool, 3)
+        ]
+    else:
+        rng, cum = Random(seed), list(accumulate(weights))
+        quads = []
+        for _ in range(budget):
+            i = bisect_right(cum, rng.randrange(total))
+            if i == 0:
+                quads.append(tuple(rng.sample(core, 4)))
+            else:
+                v = members[i][rng.randrange(len(members[i]))]
+                quads.append((*rng.sample(pools[i], 3), v))
+    best2 = max(map(quad_defect2, quads), default=0)
+    return FourPointDelta(best2 / 2.0, min(total, budget), total > budget)
+
+
+def test_four_point_delta_matches_per_basepoint_reference(aj3_r3, aj3_r4, aj4_r3):
+    for b in (aj3_r3, aj3_r4, ball(cactus(4), 4), aj4_r3):
+        full = four_point_delta(b)
+        assert not full.sampled and full == _reference_delta(b)
+        for budget, seed in ((100, 1), (1000, 7)):
+            got = four_point_delta(b, budget=budget, seed=seed)
+            assert got.sampled == (full.quadruples > budget)
+            assert got == _reference_delta(b, budget, seed)
 
 
 def test_four_point_delta_needs_room():
