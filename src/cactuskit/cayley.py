@@ -15,10 +15,11 @@ pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 
 from __future__ import annotations
 
-import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -276,33 +277,47 @@ class Square:
 
 
 def squares(b: CayleyBall) -> tuple[Square, ...]:
-    """All 4-cycles (closed non-backtracking 4-walks) inside the ball.
+    """All 4-cycles (closed non-backtracking 4-walks) of the undirected graph
+    that the ball's stored adjacency entries span.
 
-    Enumerated from every corner via midpoint pairs over opposite corners and
-    deduplicated on the canonical cycle, so each square appears exactly once.
-    The search runs on vids and packed adjacency entries, from every corner
-    (a graph with one-way entries can show a cycle from some corners only);
-    cycles are canonicalised and sorted on key ranks (a vid's position in
-    key order, taken on decoded id lists), and keys are made only for the
-    corners of the squares found.
+    Each entry u -g-> v counts as the edge {u, v} labeled g, also where the
+    ball lacks the entry v -g-> u; an edge is its two ends plus its label.
+    The search runs on key ranks (a vid's position in key order, taken on
+    decoded id lists) over packed entries, and looks for each square only
+    from its least-ranked corner: pairs of two-step walks u -> x -> z that
+    meet at z and never step below u's rank.  Each square appears exactly
+    once, and keys are made only for the corners of the squares found.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
     has them -- that is what check_squares_embedded looks for; honest Cayley
     balls never produce any.
     """
     n = len(b)
-    rows = [b._adj[b._off[v]:b._off[v + 1]].tolist() for v in range(n)]
+    adj, off = b._adj, b._off
     by_rank = sorted(range(n), key=lambda v: b._decode(b._keys[v]))
     rank = [0] * n
     for r, v in enumerate(by_rank):
         rank[v] = r
+    # undirected adjacency in rank space: rank_nb << 16 | gid, sorted, no duplicates
+    both: list[set[int]] = [set() for _ in range(n)]
+    for v in range(n):
+        rv = rank[v]
+        for k in range(off[v], off[v + 1]):
+            e = adj[k]
+            rn, g = rank[e >> 16], e & 0xFFFF
+            both[rv].add(rn << 16 | g)
+            both[rn].add(rv << 16 | g)
+    rows = [sorted(s) for s in both]
     found: set[tuple[int, int, int, int]] = set()
     for u in range(n):
+        low = u << 16  # entries at or above this reach ranks >= u
         # two-step non-backtracking walks u -> x -> z, grouped by endpoint z
         paths: dict[int, list[tuple[int, int, int]]] = {}
-        for e1 in rows[u]:
+        row = rows[u]
+        for e1 in row[bisect_left(row, low):]:
             x = e1 >> 16
-            back = u << 16 | e1 & 0xFFFF
-            for e2 in rows[x]:
+            back = low | e1 & 0xFFFF
+            xrow = rows[x]
+            for e2 in xrow[bisect_left(xrow, low):]:
                 if e2 != back:
                     paths.setdefault(e2 >> 16, []).append((x, e1, e2))
         for z, plist in paths.items():
@@ -310,13 +325,10 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
                 # the two walks must not share either of their edges
                 if x1 == x2 and (e1 == e3 or e2 == e4):
                     continue
-                c = (rank[u], rank[x1], rank[z], rank[x2])
-                if len(set(c)) == 4:
-                    k = c.index(min(c))
-                    c = c[k:] + c[:k]
-                    if c[1] > c[3]:
-                        c = (c[0], c[3], c[2], c[1])
-                else:
+                # walks are listed in rank order of x, so x1 <= x2: four
+                # distinct corners are canonical as they stand
+                c = (u, x1, z, x2)
+                if len(set(c)) < 4:
                     c = min(s[r:] + s[:r] for s in (c, c[::-1]) for r in range(4))
                 found.add(c)
     cycles = [tuple(by_rank[r] for r in c) for c in sorted(found)]
@@ -327,47 +339,82 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 # -- serialization -----------------------------------------------------------
 
 
+def _export_rows(b: CayleyBall) -> tuple[list[tuple[int, str]], list[tuple[str, str, str]]]:
+    """(depth, word) per vertex and (from, to, generator) per edge, sorted.
+
+    Vertices sort on (depth, word); an edge is kept from the entry whose
+    `from` end sorts first (words are unique per vertex), so each stored
+    edge appears once.
+    """
+    n = len(b)
+    texts = [b.text(vid) for vid in range(n)]
+    depth = b._depth
+    order = sorted(range(n), key=lambda v: (depth[v], texts[v]))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    gtexts = b._texts
+    adj, off = b._adj, b._off
+    erows = []
+    for u in range(n):
+        pu, tu = pos[u], texts[u]
+        for k in range(off[u], off[u + 1]):
+            e = adj[k]
+            nb = e >> 16
+            if pu < pos[nb]:
+                erows.append((tu, texts[nb], gtexts[e & 0xFFFF]))
+    erows.sort()
+    return [(depth[v], texts[v]) for v in order], erows
+
+
 def export_obj(b: CayleyBall) -> dict:
     """The JSON-ready view: vertices sorted by (depth, word), edges once each."""
-    texts = [b.text(vid) for vid in range(len(b))]
-    vrecs = sorted(
-        ({"word": texts[v], "depth": b.depth_at(v)} for v in range(len(b))),
-        key=lambda r: (r["depth"], r["word"]),
-    )
-    gens = presentation(b.spec).gens
-    erecs = []
-    for u in range(len(b)):
-        for nb, gid in b.adj_entries(u):
-            if (b.depth_at(u), texts[u], u) < (b.depth_at(nb), texts[nb], nb):
-                erecs.append(
-                    {"from": texts[u], "to": texts[nb], "generator": gens[gid].text()}
-                )
-    erecs.sort(key=lambda r: (r["from"], r["to"], r["generator"]))
+    vrows, erows = _export_rows(b)
     return {
         "spec": {"family": b.spec.family.value, "n": b.spec.degree},
         "radius": b.radius,
-        "vertices": vrecs,
-        "edges": erecs,
+        "vertices": [{"word": w, "depth": d} for d, w in vrows],
+        "edges": [{"from": f, "to": t, "generator": g} for f, t, g in erows],
     }
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+
+def _export_json(b: CayleyBall) -> str:
+    """export_obj(b) as json.dumps(indent=1, sort_keys=True) writes it, plus a
+    newline: strings go through json's own escaper, ints through %d."""
+    vrows, erows = _export_rows(b)
+    esc = encode_basestring_ascii
+    edges = [
+        '  {\n   "from": %s,\n   "generator": %s,\n   "to": %s\n  }' % (esc(f), esc(g), esc(t))
+        for f, t, g in erows
+    ]
+    vertices = ['  {\n   "depth": %d,\n   "word": %s\n  }' % (d, esc(w)) for d, w in vrows]
+    return (
+        '{\n "edges": %s,\n "radius": %d,\n "spec": {\n  "family": %s,\n  "n": %d\n },'
+        '\n "vertices": %s\n}\n'
+        % (
+            _json_list(edges),
+            b.radius,
+            esc(b.spec.family.value),
+            b.spec.degree,
+            _json_list(vertices),
+        )
+    )
 
 
 def export(b: CayleyBall, format: str = "json") -> bytes:
     """Deterministic serialization; identical balls give identical bytes."""
     fmt = format.lower()
     if fmt == "json":
-        return (
-            json.dumps(export_obj(b), indent=1, sort_keys=True, ensure_ascii=True)
-            + "\n"
-        ).encode()
+        return _export_json(b).encode()
     if fmt == "dot":
-        obj = export_obj(b)
+        vrows, erows = _export_rows(b)
         lines = [f'graph "{b.spec.family.value}_{b.spec.degree}_r{b.radius}" {{']
-        for rec in obj["vertices"]:
-            lines.append(f'  "{rec["word"]}" [depth={rec["depth"]}];')
-        for rec in obj["edges"]:
-            lines.append(
-                f'  "{rec["from"]}" -- "{rec["to"]}" [label="{rec["generator"]}"];'
-            )
+        lines.extend(f'  "{w}" [depth={d}];' for d, w in vrows)
+        lines.extend(f'  "{f}" -- "{t}" [label="{g}"];' for f, t, g in erows)
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     raise InvalidPair(f"unknown export format {format!r}")
@@ -398,9 +445,13 @@ def import_ball(obj: dict) -> CayleyBall:
     radius = _field(obj, "radius", int)
     pres = presentation(spec)
     enc = _key_codec(pres.G)[0]
+    gid_of_text = {g.text(): i for i, g in enumerate(pres.gens)}
 
     def blob_of(text: str) -> bytes:
-        return enc(pres.ids(parse_word(spec, text).letters))
+        try:  # the canonical spelling, as export writes it
+            return enc([gid_of_text[part] for part in text.split(";")])
+        except KeyError:  # any other spelling, with parse_word's errors
+            return enc(pres.ids(parse_word(spec, text).letters))
 
     keys: list[bytes] = []
     index: dict[bytes, int] = {}

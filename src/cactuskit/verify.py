@@ -250,14 +250,17 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
 def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
     """Unique-median check over all triples of vertices of depth <= test_depth.
 
-    Requires 3 * test_depth <= radius.  Under that precondition every
-    distance and every candidate median the check touches is certified: for
-    sources at depth <= t, pairwise distances are at most 2t, true geodesics
-    between them stay within depth 3t, and any true median lies on such
-    geodesics -- all inside the ball, so in-ball BFS sees the true metric.
+    Requires 0 <= test_depth and 3 * test_depth <= radius.  Under that
+    precondition every distance and every candidate median the check touches
+    is certified: for sources at depth <= t, pairwise distances are at most
+    2t, true geodesics between them stay within depth 3t, and any true median
+    lies on such geodesics -- all inside the ball, so in-ball BFS sees the
+    true metric.
     """
     t = test_depth
-    if t < 0 or 3 * t > b.radius:
+    if t < 0:
+        raise PreconditionViolated(f"test_depth must be >= 0, got {t}")
+    if 3 * t > b.radius:
         raise PreconditionViolated(
             f"need 3*test_depth <= radius, got test_depth={t}, radius={b.radius}"
         )

@@ -1,13 +1,15 @@
 """Cayley-ball construction, metric queries, squares, and serialization."""
 
 import json
+from array import array
 
 import pytest
 
-from graphs import doubled_edge_graph
+from graphs import doubled_edge_graph, missing_cube_corner_graph, shared_wedge_graph
 
 from cactuskit import (
     BudgetExceeded,
+    CayleyBall,
     IndexOutOfRange,
     InvalidPair,
     MalformedInput,
@@ -24,6 +26,7 @@ from cactuskit import (
     squares,
 )
 from cactuskit.cayley import _key_codec
+from cactuskit.core import presentation
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 
@@ -287,16 +290,57 @@ def _one_way_entries(b) -> int:
 
 def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
     doubled = import_ball(doubled_edge_graph())
-    # past radius 3 the degree-4 ball stores one-way entries, so a square
-    # can show from some of its corners only
-    j4_r5 = ball(cactus(4), 5)
+    # past radius 3 the degree-4 ball stores one-way entries, which squares
+    # must read both ways, as the reference does
+    j4_r5, j4_r6 = ball(cactus(4), 5), ball(cactus(4), 6)
     assert (len(j4_r5), _one_way_entries(j4_r5)) == (608, 1)
-    for b in (aj3_r3, j4_r3, doubled, j4_r5):
+    assert (len(j4_r6), _one_way_entries(j4_r6)) == (1611, 10)
+    for b in (aj3_r3, j4_r3, doubled, j4_r5, j4_r6):
         sqs = squares(b)
         assert [s.cycle for s in sqs] == _brute_force_cycles(b)
         assert all(s.cycle == tuple(map(b.key, s.vids)) for s in sqs)
     assert len(_brute_force_cycles(doubled)) == 1
     assert len(_brute_force_cycles(j4_r5)) == 450
+    assert len(_brute_force_cycles(j4_r6)) == 1219
+
+
+def test_squares_follow_one_way_cycle():
+    """A 4-cycle stored one way round only, u -> x -> z -> y -> u with no
+    reverse entries, is a square of the undirected graph the entries span."""
+    spec = affine(3)
+    enc = _key_codec(presentation(spec).G)[0]
+    keys = [enc(ids) for ids in ([], [0], [0, 1], [1])]  # u, x, z, y
+    b = CayleyBall(
+        spec,
+        2,
+        keys,
+        {k: vid for vid, k in enumerate(keys)},
+        array("i", [0, 1, 2, 1]),
+        array("q", [1 << 16 | 0, 2 << 16 | 1, 3 << 16 | 0, 0 << 16 | 1]),
+        array("q", [0, 1, 2, 3, 4]),
+    )
+    assert _one_way_entries(b) == 4
+    sqs = squares(b)
+    assert [s.cycle for s in sqs] == _brute_force_cycles(b)
+    assert [s.vids for s in sqs] == [(0, 1, 2, 3)]
+
+
+def test_squares_keep_self_loop_cycles():
+    """Degenerate cycles through self-loops are listed, as the reference lists them."""
+    b = import_ball({
+        "spec": {"family": "affine", "n": 3},
+        "radius": 1,
+        "vertices": [{"word": "e", "depth": 0}, {"word": "1,2", "depth": 1}],
+        "edges": [
+            {"from": "e", "to": "e", "generator": "1,2"},
+            {"from": "e", "to": "e", "generator": "1,3"},
+            {"from": "1,2", "to": "1,2", "generator": "2,3"},
+            {"from": "e", "to": "1,2", "generator": "1,2"},
+        ],
+    })
+    sqs = squares(b)
+    assert [s.cycle for s in sqs] == _brute_force_cycles(b)
+    assert [s.vids for s in sqs] == [(0, 0, 0, 0), (0, 0, 1, 1)]
 
 
 def test_square_checks_count_brute_force_cycles():
@@ -353,6 +397,28 @@ def test_export_bytes_deterministic(aj3_r2):
     assert parsed == json.loads(json.dumps(export_obj(aj3_r2), sort_keys=True))
     with pytest.raises(InvalidPair):
         export(aj3_r2, "yaml")
+
+
+def _json_reference(b) -> bytes:
+    return (
+        json.dumps(export_obj(b), indent=1, sort_keys=True, ensure_ascii=True) + "\n"
+    ).encode()
+
+
+@pytest.mark.parametrize("family", (affine, cactus))
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_export_json_matches_json_dumps(family, n):
+    for radius in range(4):
+        b = ball(family(n), radius)
+        assert export(b, "json") == _json_reference(b)
+        if radius == 0:  # no edges
+            assert b'\n "edges": [],\n' in export(b, "json")
+
+
+def test_export_json_matches_json_dumps_beyond_the_builder():
+    graphs = (shared_wedge_graph, doubled_edge_graph, missing_cube_corner_graph)
+    for b in (ball(cactus(4), 6), *(import_ball(g()) for g in graphs)):
+        assert export(b, "json") == _json_reference(b)
 
 
 def test_export_dot(aj3_r2):

@@ -28,6 +28,7 @@ from cactuskit import (
     verify_claim_psi,
     verify_phi_psi_roundtrip,
 )
+from cactuskit.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +125,15 @@ def test_median_passes(aj3_r3):
     assert rep.params == {"radius": 3, "test_depth": 1}
 
 
-def test_median_precondition(aj3_r3):
-    with pytest.raises(PreconditionViolated):
+def test_median_precondition(aj3_r3, capsys):
+    with pytest.raises(PreconditionViolated, match=r"^need 3\*test_depth <= radius"):
         check_median(aj3_r3, 2)  # 3*2 > 3
-    with pytest.raises(PreconditionViolated):
+    # a negative depth is refused as negative, not as too deep for the radius
+    with pytest.raises(PreconditionViolated, match=r"^test_depth must be >= 0, got -1$"):
         check_median(aj3_r3, -1)
+    code = main(["verify", "--check", "median", "--n", "3", "--radius", "2", "--depth", "-1"])
+    assert code == 2
+    assert "test_depth must be >= 0, got -1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
