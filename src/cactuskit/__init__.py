@@ -1,4 +1,4 @@
-"""cactuskit: cactus and affine cactus groups as rewriting systems.
+"""cactuskit: cactus and affine cactus groups and their CAT(0) Cayley complexes.
 
 Normal forms and the word problem, Cayley-ball construction, mechanical
 verification of the median/cube-closure conditions, and the degree-3 affine
@@ -66,7 +66,6 @@ from .rewriting import (
     free_reduce,
     identity,
     is_normal,
-    normalization_sinks,
     normalize,
     oracle_closure,
     parse_word,

@@ -1,11 +1,10 @@
 """Finite balls of the Cayley graph, with distances, squares, and export.
 
-Vertices are group elements keyed by their normal forms under the completed
-rewriting system, so the ball construction is only as correct as normal-form
-uniqueness: it is exact through radius 3 at every degree and at every radius
-for AJ_3 (see the rewriting module docstring), and the rewriting oracle
-validates that independently.  Edges join g to g*sigma for every generator
-sigma (involutions, so the graph is undirected and simple).
+Vertices are group elements keyed by their normal forms, which are unique
+because the Cayley complex is CAT(0) (the rewriting module docstring, after
+Sageev 1995 and Niblo-Reeves 1998), so a ball is the exact Cayley ball.
+Edges join g to g*sigma for every generator sigma (involutions, so the
+graph is undirected and simple).
 
 Internally a ball is flat arrays: vertex keys are byte-encoded generator-id
 sequences, adjacency is one packed integer (neighbor_vid << 16 | gid) per
@@ -18,7 +17,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
@@ -34,7 +33,7 @@ from .core import (
     presentation,
 )
 from .core import parse_generator
-from .rewriting import NormalForm, Word, _normalize_ids, _word_engine, parse_word
+from .rewriting import NormalForm, Word, _insert_ids, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
 
@@ -200,55 +199,41 @@ class CayleyBall:
 
 
 def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
-    """BFS ball of the given radius around the identity.
+    """BFS ball of the given radius around the identity, vertices numbered
+    in discovery order: by parent, then by generator id.
 
-    Vertices are hashed by their normal form under the completed rewriting
-    system R_L with L = min(radius + 1, 4), the longest word the search
-    normalizes, fetched once per build.  Normal forms are unique on words of
-    length <= 4 and on every word of AJ_3 (rewriting module docstring), so
-    this is the exact Cayley ball through radius 3 at every degree and at
-    every radius for AJ_3.  Past radius 3 at degree >= 4, a group element
-    whose words normalize apart can still appear as several vertices; every
-    structure check in the verify module operates on the stored graph as
-    built, and normalization_sinks() pinpoints the affected words.
-
-    Boundary vertices are still expanded so that edges between two
-    depth-`radius` vertices are present; only vertices beyond the radius are
-    dropped.  Raises BudgetExceeded past `max_vertices`.
+    A vertex's down-edges are its right descent set, each stored by the
+    parent that found it, so a vertex is expanded along its other letters
+    only (rewriting._insert_ids).  A vertex inside the radius has all G
+    neighbours, a row of G slots by generator id; one at the radius keeps
+    its down-edges only (every relator has even length, so edges join
+    consecutive spheres), read off the sphere below in generator order.
+    Raises BudgetExceeded past `max_vertices`.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
     if max_vertices < 1:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     pres = presentation(spec)
-    eng = _word_engine(spec, radius + 1)  # BFS words have up to radius+1 letters
-    mtype = eng.mtype
     G = pres.G
     enc, dec = _key_codec(G)
+    empty_row = array("q", [-1]) * G
 
     keys: list[bytes] = [enc([])]
     index: dict[bytes, int] = {keys[0]: 0}
     depth = array("i", [0])
-    adj = array("q")
-    off = array("q", [0])
+    adj = array("q", empty_row if radius else ())
 
     u = 0
-    while u < len(keys):
-        du = depth[u]
-        boundary = du == radius
-        base = dec(keys[u])
-        # base is normal, so base + [g] is normal when no rule ends in its last pair
-        pos = len(base) - 1
-        row = base[-1] * G if base else -1
+    while u < len(keys) and depth[u] < radius:
+        inner = depth[u] + 1 < radius  # children get rows of their own
+        base, row = dec(keys[u]), u * G
         for g in range(G):
-            w = base + [g]
-            if row >= 0 and mtype[row + g]:
-                _normalize_ids(w, eng, pos)
-            blob = enc(w)
+            if adj[row + g] >= 0:
+                continue  # a down-edge, stored by the parent
+            blob = enc(_insert_ids(pres, base, g))
             vid = index.get(blob)
             if vid is None:
-                if boundary:
-                    continue
                 vid = len(keys)
                 if vid >= max_vertices:
                     raise BudgetExceeded(
@@ -256,10 +241,30 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
                     )
                 index[blob] = vid
                 keys.append(blob)
-                depth.append(du + 1)
-            adj.append(vid << 16 | g)
-        off.append(len(adj))
+                depth.append(depth[u] + 1)
+                if inner:
+                    adj.extend(empty_row)
+            adj[row + g] = vid << 16 | g
+            if inner:
+                adj[vid * G + g] = u << 16 | g
         u += 1
+
+    # rows of the sphere at the radius, vids u.., from the vids lo..u below
+    lo = bisect_left(depth, radius - 1, 0, u)
+    fill = array("q", [0]) * (len(keys) - u)
+    for e in islice(adj, lo * G, None):
+        if e >> 16 >= u:
+            fill[(e >> 16) - u] += 1
+    off = array("q", range(0, u * G, G))
+    off.extend(accumulate(fill, initial=u * G))
+    fill = off[u:-1]
+    adj.extend(repeat(0, off[-1] - u * G))
+    for g in range(G):
+        for p in range(lo, u):
+            v = adj[p * G + g] >> 16
+            if v >= u:
+                adj[fill[v - u]] = p << 16 | g
+                fill[v - u] += 1
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
 
 

@@ -303,17 +303,11 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # Everything downstream (normalization, ball construction, verification)
 # starts from pair lookups, so we flatten the generator set to integer ids and
 # tabulate the relation kind and the conjugation per ordered pair.  The
-# rewriting rules built on them live in rewriting.Engine.
+# descent tables the word problem runs on (rewriting) are made from them.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
-# intervals first, then smaller start, then smaller end.  Ranking by length
-# before start is load-bearing: conjugating through a *wrapped* outer arc can
-# hand the image a numerically tiny start index, and sorting disjoint letters
-# by bare start index then lets the two sides of a nested flip disagree about
-# the final order (e.g. in degree 5, s(3,4)s(5,2)s(5,1) and
-# s(1,2)s(3,4)s(5,2) are the same element but both are fixpoints under
-# start-first ordering).  Interval length is conjugation-invariant, so
-# ranking it first removes that ambiguity.
+# intervals first, then smaller start, then smaller end.  A normal form is
+# its element's kappa-shortlex-least word (rewriting).
 # --------------------------------------------------------------------------
 
 _REL_NONE, _REL_DISJOINT, _REL_FIRST, _REL_SECOND = 0, 1, 2, 3
@@ -354,6 +348,22 @@ class Presentation:
         self.rel = rel
         self.conj = conj
 
+        # Descent tables.  par[a*G + b] is the label b takes when its edge is
+        # carried across the defining square it spans with a (the image
+        # conj[a*G + b] when a contains b, b itself otherwise), -1 when the
+        # pair spans no square.  A set of letters is an int mask with bit
+        # bit[g] = 1 << (kappa rank of g), so its kappa-least letter is
+        # by_rank[lowest set bit].  descent memoises one step of the right
+        # descent set, (mask, g) -> mask (rewriting._up); its masks are
+        # cliques of the link at e, so it holds at most cliques * G entries.
+        self.by_rank = sorted(range(G), key=self.kappa.__getitem__)
+        self.bit = [1 << self.by_rank.index(g) for g in range(G)]
+        self.par = [
+            -1 if not k else conj[i] if k == _REL_FIRST else i % G
+            for i, k in enumerate(rel)
+        ]
+        self.descent: dict[int, int] = {}
+
     # -- encoding ----------------------------------------------------------
 
     def id_of(self, g: Generator) -> int:
@@ -372,6 +382,9 @@ class Presentation:
         return tuple(map(self.gens.__getitem__, ids))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def presentation(spec: GroupSpec) -> Presentation:
+    """The tables of one spec, kept for the 32 specs used last: O(G^2) entries
+    plus the descent memo's at most cliques * G.  An evicted spec is rebuilt
+    on its next use; words made earlier are then checked by value."""
     return Presentation(spec)

@@ -2,10 +2,16 @@
 
 Each builder returns a dict that import_ball() accepts at face value; the
 graphs are deliberately *not* Cayley balls, so specific structure checks must
-reject them with witnesses.
+reject them with witnesses.  one_way_entries counts what a Cayley ball must
+never hold.
 """
 
 from cactuskit import affine, ball, export_obj
+
+
+def one_way_entries(b) -> int:
+    """Adjacency entries u -g-> v of the ball with no entry v -g-> u."""
+    return sum(b.step(nb, g) != u for u in range(len(b)) for nb, g in b.adj_entries(u))
 
 
 def shared_wedge_graph() -> dict:

@@ -5,7 +5,12 @@ from array import array
 
 import pytest
 
-from graphs import doubled_edge_graph, missing_cube_corner_graph, shared_wedge_graph
+from graphs import (
+    doubled_edge_graph,
+    missing_cube_corner_graph,
+    one_way_entries,
+    shared_wedge_graph,
+)
 
 from cactuskit import (
     BudgetExceeded,
@@ -15,6 +20,7 @@ from cactuskit import (
     MalformedInput,
     PreconditionViolated,
     VertexNotInBall,
+    Word,
     affine,
     ball,
     cactus,
@@ -22,6 +28,7 @@ from cactuskit import (
     export_obj,
     import_ball,
     normalize,
+    oracle_closure,
     parse_word,
     squares,
 )
@@ -48,6 +55,61 @@ def test_sphere_sizes_other_specs():
     assert ball(cactus(5), 3).sphere_sizes() == [1, 10, 60, 305]
     assert ball(affine(4), 3).sphere_sizes() == [1, 12, 102, 812]
     assert ball(affine(5), 3).sphere_sizes() == [1, 20, 290, 3940]
+
+
+def test_exact_spheres_past_radius_three():
+    """Sphere goldens from counts that share no code with the package:
+    perfbench/gen.py's J4_EXACT_SPHERES and J5_EXACT_SPHERES, and the AJ_4
+    radius-6 list of ROADMAP item 1, which criterion 4 checks on its ball."""
+    j4 = ball(cactus(4), 7)
+    assert j4.sphere_sizes() == [1, 6, 20, 55, 145, 380, 995, 2605]
+    j5 = ball(cactus(5), 6)
+    assert j5.sphere_sizes() == [1, 10, 60, 305, 1481, 7116, 34115]
+    assert one_way_entries(j4) == one_way_entries(j5) == 0
+
+
+def _reference_ball(spec, radius):
+    """Each vertex's word with its depth and its set of (gid, neighbour word),
+    from a BFS that keys every word by the kappa-shortlex-least shortest word
+    of its relation-move class (oracle_closure); no normal forms involved."""
+    pres = presentation(spec)
+    kappa = pres.kappa
+
+    def vertex(ids):
+        cls = oracle_closure(Word(pres.spec, pres.letters(ids)))
+        short = min(map(len, cls))
+        return min(
+            (tuple(pres.ids(x.letters)) for x in cls if len(x) == short),
+            key=lambda u: [kappa[i] for i in u],
+        )
+
+    graph = {(): (0, set())}
+    frontier = [()]
+    for d in range(radius + 1):
+        nxt = []
+        for u in frontier:
+            for g in range(pres.G):
+                v = vertex(u + (g,))
+                if len(v) <= radius:
+                    if v not in graph:
+                        graph[v] = (d + 1, set())
+                        nxt.append(v)
+                    graph[u][1].add((g, v))
+        frontier = nxt
+    return graph
+
+
+def test_ball_matches_closure_reference():
+    """Key for key, depth for depth and edge for edge.  AJ_4 stops at radius 3:
+    the reference takes about 4 s at radius 4."""
+    for spec, radius in ((cactus(4), 6), (affine(4), 3)):
+        b = ball(spec, radius)
+        ids = [tuple(presentation(spec).ids(b.word(b.key(v)).letters)) for v in range(len(b))]
+        got = {
+            ids[v]: (b.depth_at(v), {(g, ids[nb]) for nb, g in b.adj_entries(v)})
+            for v in range(len(b))
+        }
+        assert got == _reference_ball(spec, radius), (spec, radius)
 
 
 def test_radius_zero_and_validation():
@@ -157,10 +219,22 @@ def test_step_follows_and_reports_missing(aj3_r2):
 
 
 def test_adjacency_is_symmetric(aj3_r3):
+    """Every entry u -g-> v has its reverse v -g-> u, on every ball the suite
+    builds: these, the sphere goldens' and criterion 4's.  Rows list their
+    entries in generator-id order."""
     b = aj3_r3
     for u in range(len(b)):
         for nb, gid in b.adj_entries(u):
             assert (u, gid) in {(x, g) for x, g in b.adj_entries(nb)}
+    built = [(fam, n, r) for fam in (affine, cactus) for n in (2, 3, 4, 5) for r in range(4)]
+    built += [(affine, 3, r) for r in (4, 5, 6)] + [(cactus, 3, 6)]
+    built += [(cactus, 4, r) for r in (4, 5, 6)] + [(cactus, 5, 5)]
+    for fam, n, r in built:
+        b = ball(fam(n), r)
+        assert one_way_entries(b) == 0, (fam, n, r)
+        for v in range(len(b)):
+            gids = [g for _, g in b.adj_entries(v)]
+            assert gids == sorted(gids), (fam, n, r, v)
 
 
 def test_edges_connect_consecutive_depths(aj3_r3, j4_r3):
@@ -284,24 +358,20 @@ def _brute_force_cycles(b) -> list:
     return sorted(found)
 
 
-def _one_way_entries(b) -> int:
-    return sum(b.step(nb, g) != u for u in range(len(b)) for nb, g in b.adj_entries(u))
-
-
 def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
     doubled = import_ball(doubled_edge_graph())
-    # past radius 3 the degree-4 ball stores one-way entries, which squares
-    # must read both ways, as the reference does
+    # the exact J_4 balls: 607 and 1,602 vertices are the sums of the exact
+    # J_4 spheres (perfbench/gen.py J4_EXACT_SPHERES), every edge stored both ways
     j4_r5, j4_r6 = ball(cactus(4), 5), ball(cactus(4), 6)
-    assert (len(j4_r5), _one_way_entries(j4_r5)) == (608, 1)
-    assert (len(j4_r6), _one_way_entries(j4_r6)) == (1611, 10)
+    assert (len(j4_r5), one_way_entries(j4_r5)) == (607, 0)
+    assert (len(j4_r6), one_way_entries(j4_r6)) == (1602, 0)
     for b in (aj3_r3, j4_r3, doubled, j4_r5, j4_r6):
         sqs = squares(b)
         assert [s.cycle for s in sqs] == _brute_force_cycles(b)
         assert all(s.cycle == tuple(map(b.key, s.vids)) for s in sqs)
     assert len(_brute_force_cycles(doubled)) == 1
     assert len(_brute_force_cycles(j4_r5)) == 450
-    assert len(_brute_force_cycles(j4_r6)) == 1219
+    assert len(_brute_force_cycles(j4_r6)) == 1210
 
 
 def test_squares_follow_one_way_cycle():
@@ -319,7 +389,7 @@ def test_squares_follow_one_way_cycle():
         array("q", [1 << 16 | 0, 2 << 16 | 1, 3 << 16 | 0, 0 << 16 | 1]),
         array("q", [0, 1, 2, 3, 4]),
     )
-    assert _one_way_entries(b) == 4
+    assert one_way_entries(b) == 4
     sqs = squares(b)
     assert [s.cycle for s in sqs] == _brute_force_cycles(b)
     assert [s.vids for s in sqs] == [(0, 1, 2, 3)]
@@ -346,7 +416,7 @@ def test_squares_keep_self_loop_cycles():
 def test_square_checks_count_brute_force_cycles():
     """Both square checks' item and failure counts, made from the reference."""
     b = ball(cactus(4), 6)
-    assert _one_way_entries(b) == 10
+    assert one_way_entries(b) == 0
     cycles = _brute_force_cycles(b)
     wedges: dict = {}
     for c in cycles:
@@ -357,8 +427,8 @@ def test_square_checks_count_brute_force_cycles():
     assert embedded.items_checked == len(cycles)
     assert embedded.failure_count == sum(len(set(c)) != 4 for c in cycles)
     edges = check_no_shared_consecutive_edges(b)
-    assert edges.items_checked == len(wedges) == 4867
-    assert edges.failure_count == sum(len(m) > 1 for m in wedges.values()) == 9
+    assert edges.items_checked == len(wedges) == 4840
+    assert edges.failure_count == sum(len(m) > 1 for m in wedges.values()) == 0
 
 
 def test_squares_at_identity(aj3_r2):

@@ -1,4 +1,5 @@
-"""Property tests: the export/import round trip and the word text syntax."""
+"""Property tests: the export/import round trip, the word text syntax and the
+word problem."""
 
 import json
 from functools import lru_cache
@@ -8,7 +9,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cactuskit import Word, affine, ball, cactus, export, generators, import_ball, parse_word
+from cactuskit import (
+    RelationKind,
+    Word,
+    affine,
+    ball,
+    cactus,
+    classify,
+    conjugate_nested,
+    equal,
+    export,
+    generators,
+    import_ball,
+    normalize,
+    parse_word,
+)
 
 FAMILIES = {"affine": affine, "cactus": cactus}
 
@@ -50,3 +65,35 @@ def words(draw):
 @given(w=words())
 def test_parse_word_inverts_text(w):
     assert parse_word(w.spec, w.text()) == w
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(w=words())
+def test_normalize_is_idempotent_short_and_keeps_parity(w):
+    nf = normalize(w)
+    assert normalize(nf) == nf
+    assert len(nf) <= len(w) and (len(w) - len(nf)) % 2 == 0
+
+
+@st.composite
+def relator(draw, spec):
+    """One defining relator: g g, a b a b (disjoint) or a b a conj(a, b) (nested)."""
+    a, b = draw(st.sampled_from(generators(spec))), draw(st.sampled_from(generators(spec)))
+    kind = classify(a, b) if a != b else None
+    if kind is RelationKind.DISJOINT:
+        return (a, b, a, b)
+    if kind is RelationKind.FIRST_CONTAINS_SECOND:
+        return (a, b, a, conjugate_nested(a, b))
+    if kind is RelationKind.SECOND_CONTAINS_FIRST:
+        return (b, a, b, conjugate_nested(b, a))
+    return (a, a)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), w=words())
+def test_inserting_a_relator_keeps_the_element(data, w):
+    at = data.draw(st.integers(0, len(w)))
+    r = data.draw(relator(w.spec))
+    longer = Word(w.spec, w.letters[:at] + r + w.letters[at:])
+    assert equal(w, longer) and equal(longer, w)
+    assert normalize(longer) == normalize(w)

@@ -1,7 +1,6 @@
 """Words, rewriting moves, normal forms, and the equivalence-class oracle."""
 
 import itertools
-import random
 
 import pytest
 
@@ -17,13 +16,11 @@ from cactuskit import (
     generators,
     identity,
     is_normal,
-    normalization_sinks,
     normalize,
     oracle_closure,
     parse_word,
     random_word,
 )
-from cactuskit import rewriting
 from cactuskit.core import (
     _REL_DISJOINT,
     _REL_FIRST,
@@ -33,14 +30,7 @@ from cactuskit.core import (
     GroupSpec,
     presentation,
 )
-from cactuskit.rewriting import (
-    COMPLETION_LENGTH,
-    _SINKS_CACHE,
-    _normalize_ids,
-    _successors_all,
-    _word_engine,
-    engine,
-)
+from cactuskit.rewriting import _successors_all
 
 
 def w(spec, text):
@@ -100,7 +90,6 @@ def test_equal_but_distinct_spec_object_works_alike():
     # every word the module builds is on the presentation's own spec object
     assert random_word(fresh, 5, 1).spec is canon
     assert all(x.spec is canon for x in oracle_closure(word))
-    assert all(x.spec is canon for x in normalization_sinks(word))
 
 
 def test_letter_of_another_spec_is_rejected():
@@ -315,22 +304,29 @@ def test_closure_budget():
 
 
 # ---------------------------------------------------------------------------
-# strategy independence and its failure
+# normal forms against the relation-move closure
 # ---------------------------------------------------------------------------
 
 
-def test_sinks_of_identity():
-    assert normalization_sinks(identity(affine(3))) == frozenset({identity(affine(3))})
+def least_shortest(cls):
+    """The kappa-shortlex-least shortest word of a set of words."""
+    pres = presentation(next(iter(cls)).spec)
+    short = min(map(len, cls))
+    return min(
+        (x for x in cls if len(x) == short),
+        key=lambda x: [pres.kappa[i] for i in pres.ids(x.letters)],
+    )
 
 
 def test_small_affine_group_is_strategy_independent():
-    """Every rewriting strategy agrees on the degree-3 affine group, length <= 3."""
+    """Every word of the degree-3 affine group up to length 3 normalizes to the
+    least shortest word of its relation-move class, as every member does."""
     spec = affine(3)
     gens = generators(spec)
     for length in range(4):
         for combo in itertools.product(gens, repeat=length):
-            word = Word(spec, combo)
-            assert normalization_sinks(word) == frozenset({normalize(word)})
+            cls = oracle_closure(Word(spec, combo))
+            assert {normalize(x) for x in cls} == {least_shortest(cls)}
 
 
 def test_priority_rewriting_is_not_confluent_at_degree_four():
@@ -338,9 +334,8 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
 
     The presentation's length-2 priority moves alone stick it at two distinct
     sinks of the same group element, so those moves are not confluent.  The
-    completed engine resolves it through the length-3 rule
-    ``3,4;1,3;2,3 -> 1,2;3,4;1,3``: every strategy now ends at one normal
-    form, which the whole length-capped class shares.
+    descent normal form is the least word of the class, ``1,2;3,4;1,3``, and
+    the whole length-capped class shares it.
     """
     for spec in (cactus(4), affine(4)):
         word = w(spec, "3,4;1,2;1,3")
@@ -356,9 +351,6 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
                     seen.add(r)
                     todo.append(r)
         assert priority_sinks == {"1,2;3,4;1,3", "3,4;1,3;2,3"}
-        # the completed rewriting system has one fixpoint, and normalize finds it
-        sinks = normalization_sinks(word)
-        assert {s.text() for s in sinks} == {"1,2;3,4;1,3"}
         assert normalize(word).text() == "1,2;3,4;1,3"
         assert is_normal(w(spec, "1,2;3,4;1,3"))
         assert not is_normal(w(spec, "3,4;1,3;2,3"))
@@ -370,137 +362,22 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
 
 
 # ---------------------------------------------------------------------------
-# the completed rewriting engine
+# the descent engine
 # ---------------------------------------------------------------------------
 
 
-def _reduce_naively(word, rules):
-    """Leftmost-start rewriting by a plain scan of the rule dict (test reference)."""
-    word = tuple(word)
-    longest = max(map(len, rules))
-    while True:
-        for i in range(len(word)):
-            for j in range(i + 2, min(i + longest, len(word)) + 1):
-                rhs = rules.get(word[i:j])
-                if rhs is not None:
-                    word = word[:i] + rhs + word[j:]
-                    break
-            else:
-                continue
-            break
-        else:
-            return word
-
-
-@pytest.mark.parametrize("spec", [affine(3), cactus(4), affine(4), cactus(5)])
-def test_completion_resolves_every_critical_pair(spec):
-    """R_4 is reduced, kappa-shortlex decreasing, and locally confluent to length 4."""
-    eng = engine(spec, COMPLETION_LENGTH)
-    rules, kappa = eng.rules, eng.pres.kappa
-
-    def order_key(u):
-        return (len(u), [kappa[x] for x in u])
-
-    pairs = 0
-    for lhs, rhs in rules.items():
-        assert 2 <= len(lhs) <= COMPLETION_LENGTH
-        assert order_key(rhs) < order_key(lhs)
-        assert _reduce_naively(rhs, rules) == rhs
-        for other in rules:
-            # reduced: no left side contains another
-            assert other == lhs or all(
-                lhs[i : i + len(other)] != other for i in range(len(lhs) - len(other) + 1)
-            )
-            for o in range(1, min(len(lhs), len(other))):
-                if lhs[-o:] == other[:o] and len(lhs) + len(other) - o <= COMPLETION_LENGTH:
-                    left = rhs + other[o:]
-                    right = lhs[:-o] + rules[other]
-                    assert _reduce_naively(left, rules) == _reduce_naively(right, rules)
-                    pairs += 1
-    assert pairs > 0
-
-
-def test_completions_nest():
-    """The rules of R_L with left sides of length <= L' are exactly R_L'."""
-    counts = {}
-    for spec, top in ((affine(3), 6), (cactus(4), 8), (affine(4), 6), (cactus(5), 6)):
-        full = engine(spec, top).rules
-        for length in range(2, top + 1):
-            part = {lhs: rhs for lhs, rhs in full.items() if len(lhs) <= length}
-            assert part == engine(spec, length).rules, (spec, length)
-            counts[spec.family.value, spec.degree, length] = len(part)
-    # AJ_3's completion is its 12 length-2 rules at every length: a complete system
-    assert {counts["affine", 3, k] for k in range(2, 7)} == {12}
-    # J_4 has a finite complete system of 21 rules
-    assert counts["cactus", 4, 7] == counts["cactus", 4, 8] == 21
-    assert [counts["affine", 4, k] for k in range(2, 7)] == [42, 48, 66, 132, 356]
-    assert len(engine(affine(5), 4).rules) == 326
-
-
 def test_normalize_ignores_what_ran_before():
-    """normalize(w) is a pure function of w, whichever engines were built first."""
+    """normalize(w) is a pure function of w, whatever the descent memo held."""
     spec = affine(4)
     words = [random_word(spec, length, seed) for length in (2, 3, 4, 7) for seed in range(6)]
-    engine.cache_clear()
+    presentation(spec).descent.clear()
     short_first = [normalize(x).text() for x in words]
-    engine.cache_clear()
+    presentation(spec).descent.clear()
     long_first = [normalize(x).text() for x in reversed(words)][::-1]
     assert short_first == long_first
     for x, nf in zip(words, short_first):
         assert normalize(w(spec, nf)).text() == nf
         assert is_normal(w(spec, nf))
-
-
-@pytest.mark.parametrize("spec", [affine(3), affine(4), cactus(5), affine(5), cactus(6)])
-def test_normalize_ids_matches_naive_leftmost_reduction(spec):
-    """The table-driven scan rewrites exactly as a plain leftmost-redex reducer.
-
-    In a reduced system the redex that ends leftmost is also the one that
-    starts leftmost, so both strategies rewrite the same redex at every step
-    and must give the same word, inside the certified scope and beyond it.
-    Every left side of R_4 is tried alone and behind a random prefix, and
-    random words of lengths 0 to 64.
-    """
-    eng4 = engine(spec, COMPLETION_LENGTH)
-    rng = random.Random(7)
-    prefixes = [random_word(spec, k % 5, k).letters for k in range(len(eng4.rules))]
-    for lhs, prefix in zip(eng4.rules, prefixes):
-        for ids in (list(lhs), eng4.pres.ids(prefix) + list(lhs)):
-            want = _reduce_naively(ids, eng4.rules)
-            assert tuple(_normalize_ids(list(ids), eng4)) == want, (spec, ids)
-    for seed in range(40):
-        length = rng.randrange(65)
-        word = random_word(spec, length, seed)
-        eng = _word_engine(spec, length)
-        ids = eng.pres.ids(word.letters)
-        got = _normalize_ids(list(ids), eng)
-        assert tuple(got) == _reduce_naively(ids, eng.rules), (spec, word.text())
-        assert eng.pres.letters(got) == normalize(word).letters
-
-
-def test_sinks_memo_is_bounded(monkeypatch):
-    """A memo past _SINKS_MEMO_MAX entries is cleared; the answers do not change."""
-    spec = cactus(5)
-    words = [random_word(spec, length, seed) for length in (3, 4, 5, 6) for seed in range(12)]
-    want = [normalization_sinks(x) for x in words]
-    monkeypatch.setattr(rewriting, "_SINKS_MEMO_MAX", 40)
-    _SINKS_CACHE.clear()
-    sizes = []
-    for x, sinks in zip(words, want):
-        assert normalization_sinks(x) == sinks
-        assert all(len(memo) <= 40 for memo in _SINKS_CACHE.values())
-        sizes.append(len(_SINKS_CACHE[spec, min(len(x), COMPLETION_LENGTH)]))
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the cap was reached
-
-
-def test_sinks_memo_is_kept_per_rule_set():
-    """A memo filled under R_3 never answers for R_4, nor the other way round."""
-    spec = cactus(4)
-    normalization_sinks(w(spec, "3,4;1,2;1,3"))
-    normalization_sinks(w(spec, "3,4;1,2;1,3;2,4"))
-    assert (spec, 3) in _SINKS_CACHE and (spec, 4) in _SINKS_CACHE
-    assert all(len(ids) <= 3 for ids in _SINKS_CACHE[spec, 3])
-    assert any(len(ids) == 4 for ids in _SINKS_CACHE[spec, 4])
 
 
 def test_random_word_is_reproducible():
