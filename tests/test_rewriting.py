@@ -1,6 +1,7 @@
 """Words, rewriting moves, normal forms, and the equivalence-class oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -30,7 +31,8 @@ from cactuskit.core import (
     GroupSpec,
     presentation,
 )
-from cactuskit.rewriting import _successors_all
+from cactuskit.cayley import ball
+from cactuskit.rewriting import _geodesic, _successors_all
 
 
 def w(spec, text):
@@ -318,6 +320,21 @@ def least_shortest(cls):
     )
 
 
+def test_sinks_of_identity():
+    """The identity is the one normal form of every word that cancels away."""
+    spec = affine(3)
+    e = identity(spec)
+    pres = presentation(spec)
+    assert normalize(e) == e and is_normal(e) and equal(e, e)
+    assert oracle_closure(e) == frozenset({e})
+    assert _geodesic(pres, []) == ([], [0])  # the empty word has no descent
+    for g in generators(spec):
+        gg = Word(spec, (g, g))
+        assert normalize(gg) == e and not is_normal(gg)
+        assert equal(gg, e) and equal(e, gg)
+        assert normalize(Word(spec, (g,))).letters == (g,)
+
+
 def test_small_affine_group_is_strategy_independent():
     """Every word of the degree-3 affine group up to length 3 normalizes to the
     least shortest word of its relation-move class, as every member does."""
@@ -378,6 +395,197 @@ def test_normalize_ignores_what_ran_before():
     for x, nf in zip(words, short_first):
         assert normalize(w(spec, nf)).text() == nf
         assert is_normal(w(spec, nf))
+
+
+def _spans_square(pres, a, b):
+    return a != b and pres.rel[a * pres.G + b] != 0
+
+
+@pytest.mark.parametrize("spec", [affine(3), cactus(4), affine(4), cactus(5)])
+def test_completion_resolves_every_critical_pair(spec):
+    """Every critical pair of the length-2 relation moves is resolved by the descent.
+
+    A critical pair is a word of length 3 on which moves at positions 0 and 1
+    overlap: both results, and the word itself, reduce to one normal form,
+    which is kappa-shortlex no larger than any of them, and equal() pairs
+    them up.
+    """
+    pres = presentation(spec)
+    kappa = pres.kappa
+
+    def order_key(u):
+        return (len(u), [kappa[x] for x in u])
+
+    pairs = 0
+    for ids in itertools.product(range(pres.G), repeat=3):
+        results = list(_successors_all(ids, pres))
+        firsts = {next(k for k in range(3) if r[k : k + 1] != ids[k : k + 1]) for r in results}
+        if firsts != {0, 1}:
+            continue
+        word = Word(spec, pres.letters(ids))
+        nf = normalize(word)
+        nf_ids = tuple(pres.ids(nf.letters))
+        for r in results:
+            other = Word(spec, pres.letters(r))
+            assert normalize(other) == nf, (word.text(), other.text())
+            assert equal(word, other) and equal(other, word)
+            assert order_key(nf_ids) <= order_key(r)
+        pairs += 1
+    assert pairs > 0
+
+
+def test_completions_nest():
+    """The normal forms nest: every prefix and every suffix of a normal form
+    is normal, so normal forms of length k + 1 are normal forms of length k
+    extended by one letter, and their counts are the spheres of ball()."""
+    for spec, top in ((affine(3), 6), (cactus(4), 7), (affine(4), 4), (cactus(5), 4)):
+        pres = presentation(spec)
+        layer, spheres, texts = [()], [1], {"e"}
+        for _ in range(top):
+            layer = [
+                u + (g,)
+                for u in layer
+                for g in range(pres.G)
+                if is_normal(Word(spec, pres.letters(u + (g,))))
+            ]
+            spheres.append(len(layer))
+            for u in layer:
+                assert is_normal(Word(spec, pres.letters(u[1:])))
+                texts.add(Word(spec, pres.letters(u)).text())
+        b = ball(spec, top)
+        assert spheres == b.sphere_sizes(), spec
+        assert texts == {b.text(vid) for vid in range(len(b))}
+        if (spec.family.value, spec.degree) == ("cactus", 4):
+            # perfbench/gen.py J4_EXACT_SPHERES
+            assert spheres == [1, 6, 20, 55, 145, 380, 995, 2605]
+        if (spec.family.value, spec.degree) == ("affine", 4):
+            # the AJ_4 spheres of ROADMAP item 1
+            assert spheres == [1, 12, 102, 812, 6402]
+
+
+def _naive_geodesic(ids, pres):
+    """Leftmost reduction by plain relation moves (test reference).
+
+    Scan the word left to right; carry each letter left, one relation move
+    at a time, while it spans a square with the letter before it; if it meets
+    an equal letter the two cancel, and the scan starts again.
+    """
+    G, rel, conj = pres.G, pres.rel, pres.conj
+    w = list(ids)
+    j = 1
+    while j < len(w):
+        v, k = list(w), j
+        while k > 0:
+            a, b = v[k - 1], v[k]
+            if a == b:
+                del v[k - 1 : k + 1]
+                break
+            r = rel[a * G + b]
+            if r == _REL_DISJOINT:
+                v[k - 1], v[k] = b, a
+            elif r == _REL_FIRST:
+                v[k - 1], v[k] = conj[a * G + b], a
+            elif r == _REL_SECOND:
+                v[k - 1], v[k] = b, conj[b * G + a]
+            else:
+                break
+            k -= 1
+        if len(v) < len(w):
+            w, j = v, 1
+        else:
+            j += 1
+    return w
+
+
+def _naive_normal_form(ids, pres):
+    """The kappa-least letter that shortens the word from the left, taken
+    off one at a time, with lengths from _naive_geodesic (test reference)."""
+    by_kappa = sorted(range(pres.G), key=pres.kappa.__getitem__)
+    cur, out = _naive_geodesic(ids, pres), []
+    while cur:
+        for g in by_kappa:
+            shorter = _naive_geodesic([g] + cur, pres)
+            if len(shorter) < len(cur):
+                out.append(g)
+                cur = shorter
+                break
+        else:
+            raise AssertionError("a nonempty geodesic with no left descent")
+    return out
+
+
+@pytest.mark.parametrize("spec", [affine(3), affine(4), cactus(5), affine(5), cactus(6)])
+def test_normalize_ids_matches_naive_leftmost_reduction(spec):
+    """The mask-driven descent normalizes exactly as a plain reducer that
+    applies relation moves one at a time and keeps no masks and no memo.
+
+    Every word of length 3, and random words of lengths 0 to 24.
+    """
+    pres = presentation(spec)
+    rng = random.Random(7)
+    words = [list(ids) for ids in itertools.product(range(pres.G), repeat=3)]
+    words += [pres.ids(random_word(spec, rng.randrange(25), seed).letters) for seed in range(30)]
+    for ids in words:
+        word = Word(spec, pres.letters(ids))
+        want = _naive_normal_form(ids, pres)
+        nf = normalize(word)
+        assert pres.ids(nf.letters) == want, (spec, word.text())
+        assert len(_naive_geodesic(ids, pres)) == len(nf)
+        assert len(_geodesic(pres, ids)[0]) == len(nf)
+
+
+def _cliques(pres):
+    """Every set of letters that pairwise span squares, as descent masks."""
+    out = []
+
+    def grow(mask, members, start):
+        out.append(mask)
+        for g in pres.by_rank[start:]:
+            if all(_spans_square(pres, g, h) for h in members):
+                grow(mask | pres.bit[g], members + [g], pres.by_rank.index(g) + 1)
+
+    grow(0, [], 0)
+    return set(out)
+
+
+def test_sinks_memo_is_bounded():
+    """The descent memo holds (mask, g) steps of cliques only: at most
+    cliques * G entries, however many words run; clearing it changes no
+    answer, and the presentation cache keeps a fixed number of specs."""
+    assert presentation.cache_info().maxsize == 32
+    for spec in (cactus(5), affine(4)):
+        pres = presentation(spec)
+        cliques = _cliques(pres)
+        words = [random_word(spec, length, seed) for length in (3, 8, 20, 40) for seed in range(25)]
+        want = [normalize(x) for x in words]
+        pres.descent.clear()
+        for x, nf in zip(words, want):
+            assert normalize(x) == nf
+            assert equal(x, nf)
+        assert 0 < len(pres.descent) <= len(cliques) * pres.G
+        for key, mask in pres.descent.items():
+            assert key // pres.G in cliques
+            assert mask in cliques
+            assert mask & pres.bit[key % pres.G]
+
+
+def test_sinks_memo_is_kept_per_rule_set():
+    """Each group keeps its own descent memo: filling one never touches
+    another, and an equal spec object shares its presentation's memo."""
+    c4, a4 = presentation(cactus(4)), presentation(affine(4))
+    assert c4.descent is not a4.descent
+    c4.descent.clear()
+    a4.descent.clear()
+    normalize(w(cactus(4), "3,4;1,2;1,3;2,4"))
+    assert c4.descent and not a4.descent
+    assert all(key < (1 << c4.G) * c4.G for key in c4.descent)
+    normalize(w(affine(4), "3,4;1,2;4,1;2,4"))
+    assert a4.descent
+    fresh = GroupSpec(Family.CACTUS, 4)
+    assert presentation(fresh) is c4
+    before = dict(c4.descent)
+    normalize(w(fresh, "3,4;1,2;1,3;2,4"))
+    assert c4.descent == before  # the same steps, already memoised
 
 
 def test_random_word_is_reproducible():
