@@ -1,8 +1,9 @@
 """Mechanical checks of the local geometry of the Cayley complex.
 
-The square-complex of either group family is believed CAT(0) because the
-underlying graph is a median graph; the machine-checkable shadow of that
-statement, at finite scale, consists of:
+The paper proves the square-complex of either group family CAT(0), so its
+1-skeleton is a median graph (Chepoi, *Graphs of some CAT(0) complexes*,
+2000); the machine-checkable shadow of that statement, at finite scale,
+consists of:
 
 * every 4-cycle in the ball is embedded (four distinct corners);
 * two distinct squares never share two consecutive edges;
@@ -23,7 +24,7 @@ verification that they carry interval configurations back and forth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .core import (
     Family,
@@ -140,19 +141,10 @@ def _related_triples(spec: GroupSpec) -> list[tuple[int, int, int]]:
     """Unordered generator-id triples whose intervals are pairwise related."""
     pres = presentation(spec)
     G, rel = pres.G, pres.rel
-    related = [
-        (a, b) for a in range(G) for b in range(a + 1, G) if rel[a * G + b]
+    return [
+        (a, b, c) for a, b, c in combinations(range(G), 3)
+        if rel[a * G + b] and rel[a * G + c] and rel[b * G + c]
     ]
-    nbrs: dict[int, set[int]] = {}
-    for a, b in related:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    triples = []
-    for a, b in related:
-        for c in sorted(nbrs.get(a, ()) & nbrs.get(b, ())):
-            if c > b:
-                triples.append((a, b, c))
-    return triples
 
 
 def check_cube_spans(b: CayleyBall) -> VerificationReport:
@@ -166,7 +158,7 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
     the unique common graph-neighbor of the three face corners.
     """
     pres = presentation(b.spec)
-    G, rel, conj, card = pres.G, pres.rel, pres.conj, pres.card
+    G, rel, conj, card, gens = pres.G, pres.rel, pres.conj, pres.card, pres.gens
     triples = _related_triples(b.spec)
     eligible = [v for v in range(len(b)) if b.depth_at(v) <= b.radius - 3]
     rep = VerificationReport(
@@ -188,57 +180,42 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
             return two_step(v, a, c), two_step(v, c, conj[c * G + a])
         return two_step(v, a, c), two_step(v, c, a)
 
-    gens = pres.gens
+    def defect(v: int, x: int, y: int, z: int) -> dict | None:
+        """Why the cube at v on labels x, y, z does not span, or None."""
+        corners = [b.step(v, g) for g in (x, y, z)]
+        if min(corners) < 0:
+            return {"reason": "adjacent corner missing"}
+        fars = []
+        for a, c in ((x, y), (x, z), (y, z)):
+            r1, r2 = far_corner(v, a, c)
+            if r1 < 0 or r1 != r2:
+                return {"reason": "face does not close",
+                        "pair": [gens[a].text(), gens[c].text()]}
+            fars.append(r1)
+        h = v
+        for g in sorted((x, y, z), key=lambda g: (card[g], g)):
+            h = b.step(h, g)
+            if h < 0:
+                return {"reason": "eighth corner missing"}
+        # independent route: the eighth corner is the unique common
+        # neighbor of the three face corners
+        common = set.intersection(*({nb for nb, _ in b.adj_entries(f)} for f in fars))
+        if common != {h}:
+            return {"reason": "graph search disagrees with the expected eighth corner",
+                    "expected": b.text(h),
+                    "found": sorted(b.text(w) for w in common)}
+        cube = [v, *corners, *fars, h]
+        if len(set(cube)) != 8:
+            return {"reason": "cube corners not distinct",
+                    "corners": [b.text(w) for w in cube]}
+        return None
+
     for v in eligible:
         for x, y, z in triples:
-            labels = [gens[g].text() for g in (x, y, z)]
-
-            def fail(reason: str, **extra) -> None:
-                w = {"vertex": b.text(v), "labels": labels, "reason": reason}
-                w.update(extra)
-                rep.note_failure(w)
-
-            corners = [b.step(v, g) for g in (x, y, z)]
-            if any(c < 0 for c in corners):
-                fail("adjacent corner missing")
-                continue
-            fars = []
-            bad = False
-            for a, c in ((x, y), (x, z), (y, z)):
-                r1, r2 = far_corner(v, a, c)
-                if r1 < 0 or r1 != r2:
-                    fail("face does not close", pair=[gens[a].text(), gens[c].text()])
-                    bad = True
-                    break
-                fars.append(r1)
-            if bad:
-                continue
-            asc = sorted((x, y, z), key=lambda g: (card[g], g))
-            h = v
-            for g in asc:
-                h = b.step(h, g)
-                if h < 0:
-                    break
-            if h < 0:
-                fail("eighth corner missing")
-                continue
-            # independent route: the eighth corner is the unique common
-            # neighbor of the three face corners
-            n0 = {nb for nb, _ in b.adj_entries(fars[0])}
-            n1 = {nb for nb, _ in b.adj_entries(fars[1])}
-            n2 = {nb for nb, _ in b.adj_entries(fars[2])}
-            common = n0 & n1 & n2
-            if common != {h}:
-                fail(
-                    "graph search disagrees with the expected eighth corner",
-                    expected=b.text(h),
-                    found=sorted(b.text(w) for w in common),
-                )
-                continue
-            cube = [v, *corners, *fars, h]
-            if len(set(cube)) != 8:
-                fail("cube corners not distinct",
-                     corners=[b.text(w) for w in cube])
+            bad = defect(v, x, y, z)
+            if bad is not None:
+                rep.note_failure({"vertex": b.text(v),
+                                  "labels": [gens[g].text() for g in (x, y, z)], **bad})
     return rep
 
 
@@ -255,7 +232,8 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
     is certified: for sources at depth <= t, pairwise distances are at most
     2t, true geodesics between them stay within depth 3t, and any true median
     lies on such geodesics -- all inside the ball, so in-ball BFS sees the
-    true metric.
+    true metric.  Each source pair's interval is built once, then shared by
+    every triple that holds the pair.
     """
     t = test_depth
     if t < 0:
@@ -267,37 +245,27 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
     sources = [v for v in range(len(b)) if b.depth_at(v) <= t]
     cutoff = 2 * t
 
-    # truncated BFS per source: distance map and level sets out to 2t
-    dist_of: dict[int, dict[int, int]] = {}
+    # truncated BFS per source: level sets out to 2t, always 2t + 1 of them
     levels_of: dict[int, list[set[int]]] = {}
     for s in sources:
-        dist = {s: 0}
-        levels = [set() for _ in range(cutoff + 1)]
-        levels[0].add(s)
-        frontier = [s]
-        d = 0
-        while frontier and d < cutoff:
-            d += 1
-            nxt = []
-            for u in frontier:
+        seen = {s}
+        levels = [{s}] + [set() for _ in range(cutoff)]
+        for d in range(1, cutoff + 1):
+            for u in levels[d - 1]:
                 for nb, _ in b.adj_entries(u):
-                    if nb not in dist:
-                        dist[nb] = d
+                    if nb not in seen:
+                        seen.add(nb)
                         levels[d].add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        dist_of[s] = dist
         levels_of[s] = levels
 
-    def interval(s1: int, s2: int) -> set[int]:
-        d12 = dist_of[s1].get(s2)
-        if d12 is None:
-            return set()
+    # the interval of each source pair, once: vertices at distance a from s1
+    # and d12 - a from s2, where d12 is the distance from s1 to s2 (none if
+    # s2 lies past 2t)
+    between: dict[tuple[int, int], set[int]] = {}
+    for s1, s2 in combinations_with_replacement(sources, 2):
         l1, l2 = levels_of[s1], levels_of[s2]
-        out: set[int] = set()
-        for a in range(d12 + 1):
-            out |= l1[a] & l2[d12 - a]
-        return out
+        d12 = next((d for d, level in enumerate(l1) if s2 in level), -1)
+        between[s1, s2] = set().union(*(l1[a] & l2[d12 - a] for a in range(d12 + 1)))
 
     rep = VerificationReport(
         "median", b.spec, {"radius": b.radius, "test_depth": t},
@@ -305,12 +273,12 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
     )
     for s1, s2, s3 in combinations_with_replacement(sources, 3):
         rep.items_checked += 1
-        medians = interval(s1, s2) & interval(s1, s3) & interval(s2, s3)
+        medians = between[s1, s2] & between[s1, s3] & between[s2, s3]
         if len(medians) != 1:
             rep.note_failure({
                 "triple": [b.text(s) for s in (s1, s2, s3)],
                 "median_count": len(medians),
-                "medians": sorted(b.text(m) for m in list(medians)[:5]),
+                "medians": sorted(b.text(m) for m in medians)[:5],
             })
     return rep
 

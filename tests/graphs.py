@@ -57,6 +57,26 @@ def doubled_edge_graph() -> dict:
     }
 
 
+def many_medians_graph() -> dict:
+    """Three spokes 1,2 / 2,3 / 3,4 of e, each joined to the same six vertices.
+
+    The triple of spoke ends has seven medians: e and those six.  The six
+    are listed out of text order, so a witness that keeps five medians must
+    sort them all, not take the first five it meets.
+    """
+    spokes = ("1,2", "2,3", "3,4")
+    far = ("1,3", "2,4", "3,1", "4,2", "1,4", "2,1")
+    return {
+        "spec": {"family": "affine", "n": 4},
+        "radius": 3,
+        "vertices": [{"word": "e", "depth": 0}]
+        + [{"word": w, "depth": 1} for w in spokes]
+        + [{"word": w, "depth": 2} for w in far],
+        "edges": [{"from": "e", "to": s, "generator": s} for s in spokes]
+        + [{"from": s, "to": w, "generator": w} for s in spokes for w in far],
+    }
+
+
 def missing_cube_corner_graph() -> dict:
     """A degree-4 radius-3 ball with one cube's eighth corner deleted.
 
@@ -72,3 +92,41 @@ def missing_cube_corner_graph() -> dict:
         "vertices": [r for r in obj["vertices"] if r["word"] != gone],
         "edges": [r for r in obj["edges"] if gone not in (r["from"], r["to"])],
     }
+
+
+def missing_spoke_graph() -> dict:
+    """A degree-4 radius-3 ball without the edge e -- 1,2: every cube at the
+    identity with the label 1,2 loses an adjacent corner."""
+    obj = export_obj(ball(affine(4), 3))
+    return dict(obj, edges=[r for r in obj["edges"] if {r["from"], r["to"]} != {"e", "1,2"}])
+
+
+def open_face_graph() -> dict:
+    """A degree-4 radius-3 ball without the edges from 1,2 to depth 2: every
+    square at the identity with the label 1,2 fails to close."""
+    obj = export_obj(ball(affine(4), 3))
+    depth2 = {r["word"] for r in obj["vertices"] if r["depth"] == 2}
+    return dict(obj, edges=[
+        r for r in obj["edges"] if not (r["from"] == "1,2" and r["to"] in depth2)
+    ])
+
+
+def phantom_eighth_corner_graph() -> dict:
+    """A degree-4 radius-3 ball with a phantom copy of one cube's eighth corner.
+
+    The cube at the identity labeled 1,2 / 1,3 / 1,4 has the face corners
+    1,3;2,3, 1,4;3,4 and 1,4;2,4 and the eighth corner 1,4;2,4;2,3.  The
+    phantom, a word the radius-3 ball does not hold, is joined to the three
+    face corners under the labels the real eighth corner has.
+    """
+    obj = export_obj(ball(affine(4), 3))
+    faces, eighth = {"1,3;2,3", "1,4;3,4", "1,4;2,4"}, "1,4;2,4;2,3"
+    phantom = "1,4;2,4;2,3;1,2"
+    copies = [dict(r, to=phantom) for r in obj["edges"]
+              if r["from"] in faces and r["to"] == eighth]
+    assert len(copies) == 3
+    return dict(
+        obj,
+        vertices=[*obj["vertices"], {"word": phantom, "depth": 3}],
+        edges=[*obj["edges"], *copies],
+    )

@@ -231,6 +231,16 @@ def test_criterion_4_median_structure():
             if n > 3:
                 assert not r_cu.vacuous, spec
             details.append(f"{spec.family.value}({n}): {r_sq.items_checked} sq")
+    # the exact J_4 and J_5 radius-6 balls: 1,602 and 43,088 vertices are the
+    # sums of perfbench/gen.py's J4_EXACT_SPHERES and J5_EXACT_SPHERES
+    for spec, size in ((cactus(4), 1602), (cactus(5), 43088)):
+        b = ball(spec, 6)
+        assert len(b) == size
+        r_sq, r_ed = check_squares_embedded(b), check_no_shared_consecutive_edges(b)
+        for rep in (r_sq, r_ed, check_cube_spans(b)):
+            assert rep.passed and not rep.vacuous, (spec, rep.to_dict())
+        if spec.degree == 4:  # the counts of test_cayley's brute-force 4-cycles
+            assert (r_sq.items_checked, r_ed.items_checked) == (1210, 4840)
     m3 = check_median(ball(affine(3), 6), 2)
     assert m3.passed and m3.items_checked == 5456, m3.to_dict()
     b46 = ball(affine(4), 6)
@@ -241,7 +251,8 @@ def test_criterion_4_median_structure():
     assert m4.passed and m4.items_checked == 260130, m4.to_dict()
     elapsed = time.monotonic() - t0
     verdict(4, True,
-            f"squares/edges/cubes pass on six radius-3 balls; medians unique "
+            f"squares/edges/cubes pass on six radius-3 balls and the J_4, J_5 "
+            f"radius-6 balls; medians unique "
             f"for {m3.items_checked} + {m4.items_checked} triples ({elapsed:.1f}s)")
     assert elapsed < 300.0
 

@@ -1,14 +1,25 @@
 """Mechanical structure checks, their reports, and the index-shift maps."""
 
+from math import comb
+
 import pytest
 
-from graphs import doubled_edge_graph, missing_cube_corner_graph, shared_wedge_graph
+from graphs import (
+    doubled_edge_graph,
+    many_medians_graph,
+    missing_cube_corner_graph,
+    missing_spoke_graph,
+    open_face_graph,
+    phantom_eighth_corner_graph,
+    shared_wedge_graph,
+)
 
 from cactuskit import (
     IndexOutOfRange,
     InvalidPair,
     PreconditionViolated,
     VerificationReport,
+    RelationKind,
     WrongFamily,
     affine,
     ball,
@@ -18,6 +29,8 @@ from cactuskit import (
     check_no_shared_consecutive_edges,
     check_square_normal_forms,
     check_squares_embedded,
+    classify,
+    generators,
     import_ball,
     make_generator,
     phi_map,
@@ -29,6 +42,7 @@ from cactuskit import (
     verify_phi_psi_roundtrip,
 )
 from cactuskit.cli import main
+from cactuskit.verify import _related_triples
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +127,38 @@ def test_cube_spans_pass_at_degree_four(j4_r3, aj4_r3):
     assert rep.items_checked == 5
 
 
+def _dissections(N: int, k: int) -> int:
+    """Kirkman-Cayley: the dissections of a convex N-gon by k diagonals."""
+    return comb(N - 3, k) * comb(N + k - 1, k) // (k + 1)
+
+
+def _classified_triples(spec) -> list:
+    """Pairwise related generator-index triples, a < b < c, by core.classify."""
+    gens = generators(spec)
+
+    def related(i, j):
+        return classify(gens[i], gens[j]) is not RelationKind.NONE
+
+    G = len(gens)
+    return [
+        (a, b, c)
+        for a in range(G) for b in range(a + 1, G) for c in range(b + 1, G)
+        if related(a, b) and related(a, c) and related(b, c)
+    ]
+
+
+def test_related_triples_goldens():
+    """The cube check's label triples, against closed forms and classify."""
+    for n, want in zip(range(3, 8), (0, 5, 35, 140, 420)):
+        assert want == _dissections(n + 1, 3) + _dissections(n + 1, 2)
+        assert len(_related_triples(cactus(n))) == want
+    # the vertices of the 3-dimensional cyclohedron
+    assert len(_related_triples(affine(4))) == 20 == comb(6, 3)
+    for n in range(3, 7):
+        for spec in (affine(n), cactus(n)):
+            assert _related_triples(spec) == _classified_triples(spec)
+
+
 # ---------------------------------------------------------------------------
 # medians
 # ---------------------------------------------------------------------------
@@ -162,6 +208,51 @@ def test_missing_cube_corner_is_reported():
     for w in rep.failures:
         assert w["vertex"] == "e"
         assert len(w["labels"]) == 3
+
+
+def _aj4_triples_with_1_2() -> list:
+    """The label triples of AJ_4's cubes at e that use the label 1,2."""
+    gens = generators(affine(4))
+    return [[gens[g].text() for g in t] for t in _classified_triples(affine(4)) if 0 in t]
+
+
+def test_missing_adjacent_corner_is_reported():
+    rep = check_cube_spans(import_ball(missing_spoke_graph()))
+    assert [w["labels"] for w in rep.failures] == _aj4_triples_with_1_2()
+    assert rep.failure_count == 6
+    for w in rep.failures:
+        assert w == {"vertex": "e", "labels": w["labels"], "reason": "adjacent corner missing"}
+
+
+def test_open_face_is_reported():
+    rep = check_cube_spans(import_ball(open_face_graph()))
+    assert [w["labels"] for w in rep.failures] == _aj4_triples_with_1_2()
+    for w in rep.failures:
+        # the first face tried is the one on the two least labels
+        assert w == {"vertex": "e", "labels": w["labels"],
+                     "reason": "face does not close", "pair": w["labels"][:2]}
+
+
+def test_phantom_eighth_corner_is_reported():
+    rep = check_cube_spans(import_ball(phantom_eighth_corner_graph()))
+    assert rep.failure_count == 1
+    assert rep.failures == [{
+        "vertex": "e",
+        "labels": ["1,2", "1,3", "1,4"],
+        "reason": "graph search disagrees with the expected eighth corner",
+        "expected": "1,4;2,4;2,3",
+        "found": ["1,4;2,4;2,3", "1,4;2,4;2,3;1,2"],
+    }]
+
+
+def test_median_witness_keeps_the_least_medians():
+    rep = check_median(import_ball(many_medians_graph()), 1)
+    assert rep.failure_count == 1
+    assert rep.failures == [{
+        "triple": ["1,2", "2,3", "3,4"],
+        "median_count": 7,
+        "medians": ["1,3", "1,4", "2,1", "2,4", "3,1"],
+    }]
 
 
 def test_degenerate_square_is_reported():
