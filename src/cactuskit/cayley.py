@@ -383,8 +383,9 @@ def export_obj(b: CayleyBall) -> dict:
     }
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+def _json_list(items: list[str], indent: str = " ") -> str:
+    """Records already indented, as a JSON list whose key sits at `indent`."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def _export_json(b: CayleyBall) -> str:

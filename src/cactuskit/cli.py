@@ -12,7 +12,9 @@ One executable, eight verbs:
 
 Every JSON-producing verb wraps its payload in the envelope
 ``{tool_version, invocation, result}``.  Identical argv produces
-byte-identical stdout.  Exit codes: 0 success/pass, 1 verification failure,
+byte-identical stdout.  The argument parser is built once per process, by
+the first `run`/`main` call, and reused by every later call; parsing keeps
+no state between calls.  Exit codes: 0 success/pass, 1 verification failure,
 2 usage error, 3 budget or I/O error.  Diagnostics go to stderr only.
 """
 
@@ -21,9 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .cayley import ball, export, export_obj, import_ball
+from .cayley import CayleyBall, _export_rows, _json_list, ball, export, import_ball
 from .core import (
     BudgetExceeded,
     CactusError,
@@ -73,6 +76,38 @@ def _emit(invocation: dict, result: dict) -> None:
         "result": result,
     }
     sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
+
+
+def _emit_ball(invocation: dict, b: CayleyBall) -> None:
+    """`_emit(invocation, export_obj(b))`, byte for byte, with one format
+    string per vertex record and one per edge record: json's indenting
+    encoder is pure Python.  Strings go through json's own escaper, ints
+    through %d; the head is the dump of the envelope without its result, up
+    to its closing brace."""
+    vrows, erows = _export_rows(b)
+    esc = encode_basestring_ascii
+    vertices = [
+        '      {\n        "word": %s,\n        "depth": %d\n      }' % (esc(w), d)
+        for d, w in vrows
+    ]
+    edges = [
+        '      {\n        "from": %s,\n        "to": %s,\n        "generator": %s\n      }'
+        % (esc(f), esc(t), esc(g))
+        for f, t, g in erows
+    ]
+    head = json.dumps({"tool_version": __version__, "invocation": invocation}, indent=2)
+    sys.stdout.write(
+        '%s,\n  "result": {\n    "spec": {\n      "family": %s,\n      "n": %d\n    },'
+        '\n    "radius": %d,\n    "vertices": %s,\n    "edges": %s\n  }\n}\n'
+        % (
+            head[:-2],
+            esc(b.spec.family.value),
+            b.spec.degree,
+            b.radius,
+            _json_list(vertices, "    "),
+            _json_list(edges, "    "),
+        )
+    )
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, default_n: int | None = None) -> None:
@@ -195,7 +230,7 @@ def _run_ball(args: argparse.Namespace) -> int:
             },
         )
     elif args.format == "json":
-        _emit(inv, export_obj(b))
+        _emit_ball(inv, b)
     else:
         sys.stdout.write(export(b, args.format).decode("utf-8"))
     return EXIT_PASS
@@ -224,6 +259,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     if args.check in _CLAIM_CHECKS:
         if args.input:
             raise UsageError(f"--input does not apply to --check {args.check}")
+        if args.radius is not None:
+            raise UsageError(f"--radius does not apply to --check {args.check}")
         report = _CLAIM_CHECKS[args.check](args.n)
     else:
         if args.input:
@@ -314,8 +351,14 @@ _DISPATCH = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     return _DISPATCH[args.verb](args)
 
 

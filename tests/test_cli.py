@@ -1,11 +1,17 @@
 """Command-line verbs: envelopes, exit codes, determinism, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from graphs import missing_cube_corner_graph, shared_wedge_graph
 
+import cactuskit
+from cactuskit import __version__, affine, ball, cactus, cli, export, export_obj
 from cactuskit.cli import main
 
 
@@ -69,6 +75,39 @@ def test_ball_json_stdout(capsys):
     assert res["spec"] == {"family": "affine", "n": 3}
     assert res["radius"] == 2
     assert len(res["vertices"]) == 31
+
+
+@pytest.mark.parametrize("family", ["affine", "cactus"])
+def test_ball_stdout_is_json_dumps_byte_for_byte(capsys, family):
+    """The direct envelope writer prints exactly what json.dumps(indent=2)
+    prints, down to radius 0 and its empty edge list."""
+    make = affine if family == "affine" else cactus
+    for n in range(2, 6):
+        for radius in range(4):
+            code, out, err = run_cli(
+                capsys, "ball", "--family", family, "--n", str(n), "--radius", str(radius)
+            )
+            envelope = {
+                "tool_version": __version__,
+                "invocation": {"verb": "ball", "family": family, "n": n,
+                               "radius": radius, "format": "json"},
+                "result": export_obj(ball(make(n), radius)),
+            }
+            assert (code, err) == (0, "")
+            assert out == json.dumps(envelope, indent=2) + "\n", (n, radius)
+
+
+def test_ball_stdout_fresh_interpreter_parity(capsys):
+    """A fresh interpreter, with a parser of its own, prints the same bytes."""
+    argv = ["ball", "--n", "3", "--radius", "2"]
+    src = str(Path(cactuskit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cactuskit.cli", *argv], capture_output=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
 
 
 def test_ball_writes_file(capsys, tmp_path):
@@ -169,6 +208,12 @@ def test_verify_flag_conflicts_exit_2(capsys, tmp_path):
     assert code == 2 and "mutually exclusive" in err
     code, out, err = run_cli(capsys, "verify", "--check", "squares", "--n", "3")
     assert code == 2 and "needs --radius" in err
+    for check in ("claim-phi", "claim-psi"):
+        code, out, err = run_cli(
+            capsys, "verify", "--check", check, "--n", "5", "--radius", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --radius does not apply to --check {check}\n"
 
 
 def test_verify_rejects_broken_graphs(capsys, tmp_path):
@@ -339,6 +384,46 @@ def test_bad_word_syntax_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    """A process builds its parser once, and no call sees another's flags:
+    each call prints what it prints on a freshly built parser."""
+    f = tmp_path / "b.json"
+    f.write_bytes(export(ball(affine(3), 1)))
+    calls = [
+        ("growth", "--n", "3", "--radius", "2", "--frob"),
+        ("--version",),
+        ("verify", "--check", "squares", "--n", "3", "--input", str(f)),
+        ("verify", "--check", "squares", "--n", "3", "--radius", "2"),
+        ("ball", "--n", "3", "--radius", "2"),
+        ("ball", "--n", "3", "--radius", "2"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    build, builds = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        fresh.append(outcome(argv))
+    builds.clear()
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    shared = [outcome(argv) for argv in calls]
+    assert len(builds) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0]
+    assert shared[1][1] == __version__ + "\n"
+    assert json.loads(shared[3][1])["invocation"] == {
+        "verb": "verify", "check": "squares", "family": "affine", "n": 3, "radius": 2,
+    }
 
 
 def test_version_flag():
