@@ -62,7 +62,12 @@ class BallDistance(NamedTuple):
 
 
 class CayleyBall:
-    """A radius-R ball of Cay(G, S) around the identity."""
+    """A radius-R ball of Cay(G, S) around the identity.
+
+    Every edge is stored both ways: an entry u -g-> v comes with the entry
+    v -g-> u.  `ball()` and `import_ball()` both keep this, and `squares`
+    relies on it.
+    """
 
     def __init__(
         self,
@@ -282,14 +287,13 @@ class Square:
 
 
 def squares(b: CayleyBall) -> tuple[Square, ...]:
-    """All 4-cycles (closed non-backtracking 4-walks) of the undirected graph
-    that the ball's stored adjacency entries span.
+    """All 4-cycles (closed non-backtracking 4-walks) of the ball's graph.
 
-    Each entry u -g-> v counts as the edge {u, v} labeled g, also where the
-    ball lacks the entry v -g-> u; an edge is its two ends plus its label.
-    The search runs on key ranks (a vid's position in key order, taken on
-    decoded id lists) over packed entries, and looks for each square only
-    from its least-ranked corner: pairs of two-step walks u -> x -> z that
+    An edge is its two ends plus its label, read from the stored entries,
+    which hold every edge both ways (see CayleyBall).  The search runs on
+    key ranks (a vid's position in key order, taken on decoded id lists)
+    over packed entries, and looks for each square only from its
+    least-ranked corner: pairs of two-step walks u -> x -> z that
     meet at z and never step below u's rank.  Each square appears exactly
     once, and keys are made only for the corners of the squares found.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
@@ -302,16 +306,11 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
     rank = [0] * n
     for r, v in enumerate(by_rank):
         rank[v] = r
-    # undirected adjacency in rank space: rank_nb << 16 | gid, sorted, no duplicates
-    both: list[set[int]] = [set() for _ in range(n)]
-    for v in range(n):
-        rv = rank[v]
-        for k in range(off[v], off[v + 1]):
-            e = adj[k]
-            rn, g = rank[e >> 16], e & 0xFFFF
-            both[rv].add(rn << 16 | g)
-            both[rn].add(rv << 16 | g)
-    rows = [sorted(s) for s in both]
+    # row r holds the entries of the rank-r vertex as rank_nb << 16 | gid, sorted
+    rows = [
+        sorted(rank[e >> 16] << 16 | e & 0xFFFF for e in adj[off[v]:off[v + 1]])
+        for v in by_rank
+    ]
     found: set[tuple[int, int, int, int]] = set()
     for u in range(n):
         low = u << 16  # entries at or above this reach ranks >= u

@@ -14,8 +14,11 @@ Every JSON-producing verb wraps its payload in the envelope
 ``{tool_version, invocation, result}``.  Identical argv produces
 byte-identical stdout.  The argument parser is built once per process, by
 the first `run`/`main` call, and reused by every later call; parsing keeps
-no state between calls.  Exit codes: 0 success/pass, 1 verification failure,
-2 usage error, 3 budget or I/O error.  Diagnostics go to stderr only.
+no state between calls.  Every flag a verb takes is one it reads: the disk
+verbs take no ``--family``/``--n`` (they are defined for AJ_3 only), and a
+``verify`` flag that the chosen check would not read is a usage error.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 budget
+or I/O error.  Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -110,12 +113,9 @@ def _emit_ball(invocation: dict, b: CayleyBall) -> None:
     )
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, default_n: int | None = None) -> None:
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=("affine", "cactus"), default="affine")
-    if default_n is None:
-        p.add_argument("--n", type=int, required=True)
-    else:
-        p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int, required=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,21 +156,18 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted([*_BALL_CHECKS, *_CLAIM_CHECKS, "median"]),
     )
     p.add_argument("--radius", type=int)
-    p.add_argument("--depth", type=int, default=2, help="triple depth for median")
+    p.add_argument("--depth", type=int, help="triple depth for median")
     p.add_argument("--input", help="ball JSON file to check instead of building one")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int)
 
     p = sub.add_parser("embed", help="embed a degree-3 affine ball in the disk")
-    _add_spec_flags(p, default_n=3)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--out", required=True, help="SVG output path")
 
     p = sub.add_parser("qi-fit", help="graph-vs-plane distance comparison constants")
-    _add_spec_flags(p, default_n=3)
     p.add_argument("--radius", type=int, required=True)
 
     p = sub.add_parser("delta", help="four-point hyperbolicity defect of a ball")
-    _add_spec_flags(p, default_n=3)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--budget", type=int, default=10**7, help="quadruple budget")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -250,22 +247,30 @@ def _run_growth(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    inv = {
-        "verb": "verify",
-        "check": args.check,
-        "family": args.family,
-        "n": args.n,
-    }
-    if args.check in _CLAIM_CHECKS:
+    check, claim = args.check, args.check in _CLAIM_CHECKS
+    if claim:
         if args.input:
-            raise UsageError(f"--input does not apply to --check {args.check}")
+            raise UsageError(f"--input does not apply to --check {check}")
         if args.radius is not None:
-            raise UsageError(f"--radius does not apply to --check {args.check}")
-        report = _CLAIM_CHECKS[args.check](args.n)
+            raise UsageError(f"--radius does not apply to --check {check}")
+    elif args.input:
+        if args.radius is not None:
+            raise UsageError("--input and --radius are mutually exclusive")
+    elif args.radius is None:
+        raise UsageError(f"--check {check} needs --radius (or --input)")
+    if args.depth is not None and check != "median":
+        raise UsageError(f"--depth does not apply to --check {check}")
+    if args.budget is not None and claim:
+        raise UsageError(f"--budget does not apply to --check {check}")
+    if args.budget is not None and args.input:
+        raise UsageError("--budget does not apply with --input")
+    if claim and args.family == "cactus":
+        raise UsageError(f"--family cactus does not apply to --check {check}")
+    inv = {"verb": "verify", "check": check, "family": args.family, "n": args.n}
+    if claim:
+        report = _CLAIM_CHECKS[check](args.n)
     else:
         if args.input:
-            if args.radius is not None:
-                raise UsageError("--input and --radius are mutually exclusive")
             with open(args.input, "r", encoding="utf-8") as fh:
                 b = import_ball(json.load(fh))
             if b.spec != _spec_of(args):
@@ -275,28 +280,19 @@ def _run_verify(args: argparse.Namespace) -> int:
                 )
             inv["input"] = args.input
         else:
-            if args.radius is None:
-                raise UsageError(f"--check {args.check} needs --radius (or --input)")
-            b = ball(_spec_of(args), args.radius, max_vertices=args.budget)
+            budget = 10**6 if args.budget is None else args.budget
+            b = ball(_spec_of(args), args.radius, max_vertices=budget)
             inv["radius"] = args.radius
-        if args.check == "median":
-            inv["depth"] = args.depth
-            report = check_median(b, args.depth)
+        if check == "median":
+            inv["depth"] = depth = 2 if args.depth is None else args.depth
+            report = check_median(b, depth)
         else:
-            report = _BALL_CHECKS[args.check](b)
+            report = _BALL_CHECKS[check](b)
     _emit(inv, report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _require_aj3(args: argparse.Namespace) -> None:
-    if args.family != "affine" or args.n != 3:
-        raise UsageError(
-            f"verb {args.verb!r} is defined for the degree-3 affine group only"
-        )
-
-
 def _run_embed(args: argparse.Namespace) -> int:
-    _require_aj3(args)
     b = ball(affine(3), args.radius)
     emb = embed_ball(b)
     svg = render_svg(emb)
@@ -304,7 +300,7 @@ def _run_embed(args: argparse.Namespace) -> int:
         fh.write(svg)
     edge_count = sum(1 for v in range(len(b)) for nb, _ in b.adj_entries(v) if nb > v)
     _emit(
-        {"verb": "embed", "family": args.family, "n": 3, "radius": args.radius,
+        {"verb": "embed", "family": "affine", "n": 3, "radius": args.radius,
          "out": args.out},
         {
             "svg_path": args.out,
@@ -317,22 +313,20 @@ def _run_embed(args: argparse.Namespace) -> int:
 
 
 def _run_qi_fit(args: argparse.Namespace) -> int:
-    _require_aj3(args)
     fit = qi_fit(embed_ball(ball(affine(3), args.radius)))
     _emit(
-        {"verb": "qi-fit", "family": args.family, "n": 3, "radius": args.radius},
+        {"verb": "qi-fit", "family": "affine", "n": 3, "radius": args.radius},
         {"lambda": fit.lam, "c": fit.c, "pair_count": fit.pair_count},
     )
     return EXIT_PASS
 
 
 def _run_delta(args: argparse.Namespace) -> int:
-    _require_aj3(args)
     rep = four_point_delta(
         ball(affine(3), args.radius), budget=args.budget, seed=args.seed
     )
     _emit(
-        {"verb": "delta", "family": args.family, "n": 3, "radius": args.radius,
+        {"verb": "delta", "family": "affine", "n": 3, "radius": args.radius,
          "budget": args.budget, "seed": args.seed},
         {"delta": rep.delta, "quadruples": rep.quadruples, "sampled": rep.sampled},
     )

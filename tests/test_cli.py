@@ -11,7 +11,16 @@ import pytest
 from graphs import missing_cube_corner_graph, shared_wedge_graph
 
 import cactuskit
-from cactuskit import __version__, affine, ball, cactus, cli, export, export_obj
+from cactuskit import (
+    ClosureViolation,
+    __version__,
+    affine,
+    ball,
+    cactus,
+    cli,
+    export,
+    export_obj,
+)
 from cactuskit.cli import main
 
 
@@ -216,6 +225,47 @@ def test_verify_flag_conflicts_exit_2(capsys, tmp_path):
         assert err == f"error: --radius does not apply to --check {check}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "--check", "squares", "--n", "3", "--radius", "2", "--depth", "9"),
+            "--depth does not apply to --check squares",
+        ),
+        (
+            ("verify", "--check", "claim-psi", "--n", "4", "--depth", "3"),
+            "--depth does not apply to --check claim-psi",
+        ),
+        (
+            ("verify", "--check", "claim-psi", "--n", "4", "--budget", "1"),
+            "--budget does not apply to --check claim-psi",
+        ),
+        (
+            ("verify", "--check", "edges", "--n", "3", "--input", "BALL", "--budget", "1"),
+            "--budget does not apply with --input",
+        ),
+        (
+            ("verify", "--check", "claim-phi", "--family", "cactus", "--n", "4"),
+            "--family cactus does not apply to --check claim-phi",
+        ),
+        (("delta", "--n", "3", "--radius", "3"), None),
+    ],
+)
+def test_unread_flags_exit_2(capsys, tmp_path, argv, message):
+    """A flag that the verb or check would not read is a usage error (2)."""
+    f = tmp_path / "b.json"
+    f.write_bytes(export(ball(affine(3), 1)))
+    argv = [str(f) if a == "BALL" else a for a in argv]
+    if message is None:  # a flag the verb does not take at all: argparse's own exit
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith("cactuskit: error: unrecognized arguments: --n 3\n")
+    else:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_rejects_broken_graphs(capsys, tmp_path):
     wedge = tmp_path / "wedge.json"
     wedge.write_text(json.dumps(shared_wedge_graph()))
@@ -308,12 +358,29 @@ def test_embed_writes_svg(capsys, tmp_path):
 
 
 def test_disk_verbs_require_degree_three_affine(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "embed", "--n", "4", "--radius", "2", "--out", str(tmp_path / "x.svg")
+    """The disk verbs are defined for AJ_3 only, so they take no --family/--n."""
+    for argv in (
+        ("embed", "--n", "4", "--radius", "2", "--out", str(tmp_path / "x.svg")),
+        ("qi-fit", "--family", "cactus", "--radius", "3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_closure_violation_exits_1(capsys, monkeypatch, tmp_path):
+    def broken(b):
+        raise ClosureViolation("an edge misses the tiling length")
+
+    monkeypatch.setattr(cli, "embed_ball", broken)
+    code, out, err = run_cli(
+        capsys, "embed", "--radius", "2", "--out", str(tmp_path / "x.svg")
     )
-    assert code == 2 and "degree-3 affine" in err
-    code, _, err = run_cli(capsys, "qi-fit", "--family", "cactus", "--radius", "3")
-    assert code == 2
+    assert (code, out) == (1, "")
+    assert err == "verification failure: an edge misses the tiling length\n"
 
 
 def test_qi_fit_result_keys(capsys):

@@ -103,6 +103,11 @@ def test_square_normal_forms(aj3_r2):
     rep = check_square_normal_forms(aj3_r2)
     assert rep.passed and not rep.vacuous
     assert rep.items_checked == 6  # one per related unordered generator pair
+    # degree 4 has disjoint pairs too, such as 1,2 and 3,4; AJ_3 has none
+    for spec, items in ((affine(4), 30), (cactus(4), 10)):
+        rep = check_square_normal_forms(ball(spec, 2))
+        assert rep.passed and not rep.vacuous
+        assert rep.items_checked == items, spec
     small = check_square_normal_forms(ball(affine(3), 1))
     assert small.vacuous and small.passed
 
