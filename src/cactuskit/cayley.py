@@ -29,6 +29,7 @@ from .core import (
     InvalidPair,
     MalformedInput,
     PreconditionViolated,
+    SpecMismatch,
     VertexNotInBall,
     presentation,
 )
@@ -88,13 +89,16 @@ class CayleyBall:
         self._adj = adj
         self._off = off
         self._encode, self._decode = _key_codec(self._pres.G)
-        self._texts = [g.text() for g in self._pres.gens]
+        self._texts = self._pres.texts
+        self._squares: tuple[Square, ...] | None = None  # squares(self), made on first use
 
     # -- key plumbing --------------------------------------------------------
 
-    def _to_ids(self, key) -> list[int]:
+    def _to_ids(self, key) -> tuple[int, ...] | list[int]:
         if isinstance(key, Word):
-            return self._pres.ids(key.letters)
+            if key.spec is not self.spec and key.spec != self.spec:
+                raise SpecMismatch(f"{key!r} does not belong to {self.spec}")
+            return key.ids
         gid = self._pres.gid
         try:
             return [gid[pq] for pq in key]
@@ -113,7 +117,7 @@ class CayleyBall:
         return tuple(pairs[i] for i in self._decode(self._keys[vid]))
 
     def word(self, key) -> NormalForm:
-        return NormalForm(self._pres.spec, self._pres.letters(self._to_ids(key)))
+        return NormalForm._of(self._pres, self._to_ids(key))
 
     def text(self, vid: int) -> str:
         """The vertex's word in the text syntax, e.g. "1,3;2,3", or "e"."""
@@ -298,8 +302,11 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
     once, and keys are made only for the corners of the squares found.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
     has them -- that is what check_squares_embedded looks for; honest Cayley
-    balls never produce any.
+    balls never produce any.  A ball's squares are found once and kept on it,
+    so the square and wedge checks share them.
     """
+    if b._squares is not None:
+        return b._squares
     n = len(b)
     adj, off = b._adj, b._off
     by_rank = sorted(range(n), key=lambda v: b._decode(b._keys[v]))
@@ -337,7 +344,8 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
                 found.add(c)
     cycles = [tuple(by_rank[r] for r in c) for c in sorted(found)]
     keys = {v: b.key(v) for v in {v for vids in cycles for v in vids}}
-    return tuple(Square(tuple(keys[v] for v in vids), vids) for vids in cycles)
+    b._squares = tuple(Square(tuple(keys[v] for v in vids), vids) for vids in cycles)
+    return b._squares
 
 
 # -- serialization -----------------------------------------------------------
@@ -450,13 +458,13 @@ def import_ball(obj: dict) -> CayleyBall:
     radius = _field(obj, "radius", int)
     pres = presentation(spec)
     enc = _key_codec(pres.G)[0]
-    gid_of_text = {g.text(): i for i, g in enumerate(pres.gens)}
+    gid_of_text = pres.gid_of_text
 
     def blob_of(text: str) -> bytes:
         try:  # the canonical spelling, as export writes it
             return enc([gid_of_text[part] for part in text.split(";")])
         except KeyError:  # any other spelling, with parse_word's errors
-            return enc(pres.ids(parse_word(spec, text).letters))
+            return enc(parse_word(spec, text).ids)
 
     keys: list[bytes] = []
     index: dict[bytes, int] = {}
@@ -485,7 +493,9 @@ def import_ball(obj: dict) -> CayleyBall:
         except KeyError as exc:
             raise VertexNotInBall(f"edge endpoint missing: {rec!r}") from exc
         gtext = _field(rec, "generator", str)
-        gid = pres.id_of(pres.by_text.get(gtext) or parse_generator(spec, gtext))
+        gid = gid_of_text.get(gtext)
+        if gid is None:
+            gid = pres.id_of(parse_generator(spec, gtext))
         lists[u].append(v << 16 | gid)
         lists[v].append(u << 16 | gid)
     adj = array("q")

@@ -285,6 +285,10 @@ def _run_verify(args: argparse.Namespace) -> int:
             inv["radius"] = args.radius
         if check == "median":
             inv["depth"] = depth = 2 if args.depth is None else args.depth
+            if 3 * depth > b.radius:
+                radius = f"the radius of {args.input}" if args.input else "--radius"
+                raise UsageError(f"--check median needs 3 * --depth <= {radius}, "
+                                 f"got --depth {depth} and {radius} {b.radius}")
             report = check_median(b, depth)
         else:
             report = _BALL_CHECKS[check](b)

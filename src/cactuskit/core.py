@@ -34,6 +34,7 @@ r |-> p + q - r reduced into [1, n] modulo n.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -304,6 +305,8 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # starts from pair lookups, so we flatten the generator set to integer ids and
 # tabulate the relation kind and the conjugation per ordered pair.  The
 # descent tables the word problem runs on (rewriting) are made from them.
+# Text meets ids at two tables: gid_of_text maps each canonical spelling
+# "p,q" to its id, texts maps each id back to it.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
 # intervals first, then smaller start, then smaller end.  A normal form is
@@ -324,7 +327,8 @@ class Presentation:
         self.G = G
         self.pairs = tuple((g.p, g.q) for g in gens)
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
-        self.by_text = {g.text(): g for g in gens}
+        self.texts = [g.text() for g in gens]
+        self.gid_of_text = {t: i for i, t in enumerate(self.texts)}
         self.card = [len(interval_of(g)) for g in gens]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]
 
@@ -353,16 +357,53 @@ class Presentation:
         # conj[a*G + b] when a contains b, b itself otherwise), -1 when the
         # pair spans no square.  A set of letters is an int mask with bit
         # bit[g] = 1 << (kappa rank of g), so its kappa-least letter is
-        # by_rank[lowest set bit].  descent memoises one step of the right
-        # descent set, (mask, g) -> mask (rewriting._up); its masks are
-        # cliques of the link at e, so it holds at most cliques * G entries.
+        # by_rank[lowest set bit].
         self.by_rank = sorted(range(G), key=self.kappa.__getitem__)
         self.bit = [1 << self.by_rank.index(g) for g in range(G)]
         self.par = [
             -1 if not k else conj[i] if k == _REL_FIRST else i % G
             for i, k in enumerate(rel)
         ]
-        self.descent: dict[int, int] = {}
+        self._numbering = threading.Lock()
+        self.reset_states()
+
+    # -- the descent automaton ----------------------------------------------
+
+    def reset_states(self) -> None:
+        """Forget every descent state but the empty word's, state 0.
+
+        The word problem (rewriting) runs a finite automaton whose states are
+        the right descent masks of geodesics, numbered as first seen:
+        masks[s] is state s's mask and least[s] its kappa-least letter (-1
+        for state 0).  trans[s*G + g] is the state after appending g, -1
+        when g is in the mask (g cancels), or 0 until rewriting._up fills
+        it; no transition leads back to state 0.  Every mask is a clique of
+        the link at e, so there are at most cliques + 1 states (the empty
+        mask is state 0) and trans holds at most (cliques + 1) * G entries.
+        Not to be called while another thread uses the presentation.
+        """
+        self.masks: list[int] = []
+        self.least: list[int] = []
+        self.trans: list[int] = []
+        self.state_of: dict[int, int] = {}
+        self.state(0)
+
+    def state(self, mask: int) -> int:
+        """The number of a descent mask, numbering it when it is new.
+
+        Threads share the table: a new state gets its row under a lock, and
+        its number is published in state_of only once the row is there."""
+        s = self.state_of.get(mask)
+        if s is None:
+            with self._numbering:
+                s = self.state_of.get(mask)
+                if s is None:
+                    s = len(self.masks)
+                    self.masks.append(mask)
+                    self.least.append(self.by_rank[(mask & -mask).bit_length() - 1] if mask else -1)
+                    self.trans += [-1 if mask & b else 0 for b in self.bit]
+                    self.state_of[mask] = s
+        return s
 
     # -- encoding ----------------------------------------------------------
 
@@ -385,6 +426,7 @@ class Presentation:
 @lru_cache(maxsize=32)
 def presentation(spec: GroupSpec) -> Presentation:
     """The tables of one spec, kept for the 32 specs used last: O(G^2) entries
-    plus the descent memo's at most cliques * G.  An evicted spec is rebuilt
-    on its next use; words made earlier are then checked by value."""
+    plus the descent state table's at most (cliques + 1) * G.  An evicted
+    spec is rebuilt on its next use with the same generator ids, so the ids
+    that words made earlier carry stay valid."""
     return Presentation(spec)

@@ -39,6 +39,15 @@ link at e, kept as an int mask.  Appending a letter g (_geodesic):
   the letter that crosses it, delete that letter, and carry the letters it
   passed across the hyperplane.  The word gets shorter, so reduction ends.
 
+The masks are the states of a finite automaton: the presentation numbers
+each mask when it is first seen and keeps one flat transition list,
+Presentation.trans[state*G + g], that holds the next state, a cancel marker,
+or 0 until _up fills it (see Presentation.reset_states).  A link has few
+cliques (13 masks for AJ_3, 394 for J_6, counting the empty one), so the
+table stays at most (cliques + 1) * G entries, and each letter costs one
+list index.  Words carry their generator ids, so the word problem runs on
+ids from the parsed text to the printed one.
+
 So equal(u, v) reduces u followed by v reversed (the inverse of v) and asks
 for the empty word, and normalize reduces the inverse of a word and then
 takes off the kappa-least letter of its descent set, one at a time.  Every
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     BudgetExceeded,
@@ -65,50 +75,69 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Word:
     """A sequence of generators of one group.
 
-    Equality and hashing are by value (spec plus letter sequence) across all
-    Word subclasses, so a certified NormalForm compares equal to the plain
-    Word with the same letters.  parse_word, normalize, oracle_closure and
-    random_word build their words on presentation(spec).spec, one object per group that all its letters
-    carry, so the per-letter spec check passes by identity; a letter of any
-    other spec object is still checked by value.
+    A word is held as `ids`, the indices of its letters in
+    presentation(spec).gens, which the word problem runs on; `letters`, the
+    Generator objects, are made on first use.  Word(spec, letters) checks
+    every letter's spec (by value, for a spec object other than the
+    letter's) and computes the ids once.  parse_word, normalize,
+    oracle_closure and random_word make their words from ids of the spec's
+    own tables (Word._of), on presentation(spec).spec, and skip that check.
+
+    Equality and hashing are by value (spec plus letter sequence, compared
+    through the ids that name the letters) across all Word subclasses, so a
+    certified NormalForm compares equal to the plain Word with the same
+    letters.
     """
 
     spec: GroupSpec
-    letters: tuple[Generator, ...]
+    ids: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        spec = self.spec
-        for g in self.letters:
-            if g.spec is not spec and g.spec != spec:
-                raise SpecMismatch(f"letter {g!r} does not belong to {spec}")
+    def __init__(self, spec: GroupSpec, letters) -> None:
+        letters = tuple(letters)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ids", tuple(presentation(spec).ids(letters)))
+        self.__dict__["letters"] = letters
+
+    @classmethod
+    def _of(cls, pres: Presentation, ids) -> "Word":
+        """The word of pres.spec with these generator ids, made without the
+        per-letter check: the ids index pres's own tables."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "spec", pres.spec)
+        object.__setattr__(word, "ids", tuple(ids))
+        return word
+
+    @cached_property
+    def letters(self) -> tuple[Generator, ...]:
+        return presentation(self.spec).letters(self.ids)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Word):
-            return self.spec == other.spec and self.letters == other.letters
+            return self.spec == other.spec and self.ids == other.ids
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.letters))
+        return hash((self.spec, self.ids))
 
     @staticmethod
     def from_pairs(spec: GroupSpec, pairs) -> "Word":
         return Word(spec, tuple(Generator(p, q, spec) for p, q in pairs))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((g.p, g.q) for g in self.letters)
+        return tuple(map(presentation(self.spec).pairs.__getitem__, self.ids))
 
     def text(self) -> str:
-        return ";".join(g.text() for g in self.letters) if self.letters else "e"
+        return ";".join(map(presentation(self.spec).texts.__getitem__, self.ids)) or "e"
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.ids)
 
     def __repr__(self) -> str:
-        return f"word[{self.text()}]" if self.letters else "word[e]"
+        return f"word[{self.text()}]"
 
 
 class NormalForm(Word):
@@ -122,28 +151,33 @@ def identity(spec: GroupSpec) -> Word:
 def parse_word(spec: GroupSpec, text: str) -> Word:
     """Parse the semicolon-separated word syntax, e.g. "1,2;2,3;3,1".
 
-    The empty string denotes the empty word (the identity).
+    The empty string denotes the empty word (the identity).  Canonical
+    spellings map to ids through one dict; any other goes through
+    parse_generator, with its errors.
     """
+    pres = presentation(spec)
     text = text.strip()
     if not text or text == "e":
-        return Word(spec, ())
-    pres = presentation(spec)
-    spec, parts = pres.spec, text.split(";")
-    letters = tuple(map(pres.by_text.get, parts))  # the canonical spellings, parsed once
-    if not all(letters):
-        letters = tuple(g or parse_generator(spec, part) for g, part in zip(letters, parts))
-    return Word(spec, letters)
+        return Word._of(pres, ())
+    parts = text.split(";")
+    ids = list(map(pres.gid_of_text.get, parts))
+    if None in ids:
+        ids = [
+            pres.id_of(parse_generator(pres.spec, part)) if i is None else i
+            for i, part in zip(ids, parts)
+        ]
+    return Word._of(pres, ids)
 
 
 def free_reduce(word: Word) -> Word:
     """Delete adjacent equal letters until none remain (leftmost first)."""
-    out: list[Generator] = []
-    for g in word.letters:
+    out: list[int] = []
+    for g in word.ids:
         if out and out[-1] == g:
             out.pop()
         else:
             out.append(g)
-    return Word(word.spec, tuple(out))
+    return Word._of(presentation(word.spec), out)
 
 
 def _successors_all(ids: tuple[int, ...], pres: Presentation):
@@ -168,55 +202,61 @@ def _successors_all(ids: tuple[int, ...], pres: Presentation):
             yield ids[:i] + (b, conj[b * G + a]) + ids[i + 2 :]
 
 
-def _up(pres: Presentation, mask: int, g: int) -> int:
-    """The descent mask of w g, for a geodesic w of descent mask `mask` that g
-    does not shorten.  Callers look in the memo pres.descent first; this
-    fills it."""
+def _up(pres: Presentation, s: int, g: int) -> int:
+    """The state of w g, for a geodesic w in state s that g does not shorten.
+    Callers read pres.trans[s*G + g] first; this fills it when it is 0."""
     G, by_rank, bit, par = pres.G, pres.by_rank, pres.bit, pres.par
-    got, row, m = bit[g], g * G, mask
+    got, row, m = bit[g], g * G, pres.masks[s]
     while m:
         low = m & -m
         h = par[row + by_rank[low.bit_length() - 1]]
         if h >= 0:
             got |= bit[h]
         m ^= low
-    pres.descent[mask * G + g] = got
-    return got
+    t = pres.state(got)
+    pres.trans[s * G + g] = t
+    return t
 
 
-def _cancel(pres: Presentation, w: list[int], masks: list[int], g: int) -> None:
+def _cancel(pres: Presentation, w: list[int], states: list[int], g: int) -> None:
     """Reduce w g in place, for a geodesic w with g in its descent set;
-    masks[k] is the descent mask of w[:k] and is kept in step."""
-    G, par, memo = pres.G, pres.par, pres.descent
+    states[k] is the state of w[:k] and is kept in step."""
+    G, par, trans = pres.G, pres.par, pres.trans
     j, a = len(w) - 1, g
     while w[j] != a:  # carry g's hyperplane left to the letter crossing it
         a = par[w[j] * G + a]
         j -= 1
     passed = w[j + 1 :]
-    del w[j:], masks[j + 1 :]
-    m = masks[-1]
+    del w[j:], states[j + 1 :]
+    s = states[-1]
     for x in passed:  # and the letters it passed back across it
         y = par[a * G + x]
         a = par[x * G + a]
         w.append(y)
-        m = memo.get(m * G + y) or _up(pres, m, y)
-        masks.append(m)
+        s = trans[s * G + y] or _up(pres, s, y)
+        states.append(s)
 
 
 def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[int]]:
-    """A shortest word of the element `ids` spells, with its prefix masks."""
-    G, bit, memo = pres.G, pres.bit, pres.descent
+    """A shortest word of the element `ids` spells, with its prefix states."""
+    G, trans = pres.G, pres.trans
     w: list[int] = []
-    masks = [0]
-    m = 0
+    states = [0]
+    s = 0
     for g in ids:
-        if m & bit[g]:
-            _cancel(pres, w, masks, g)
-        else:
+        t = trans[s * G + g] or _up(pres, s, g)
+        if t > 0:
             w.append(g)
-            masks.append(memo.get(m * G + g) or _up(pres, m, g))
-        m = masks[-1]
-    return w, masks
+            states.append(t)
+            s = t
+            continue
+        if w[-1] == g:  # g cancels the last letter
+            w.pop()
+            states.pop()
+        else:
+            _cancel(pres, w, states, g)
+        s = states[-1]
+    return w, states
 
 
 def _normal_ids(pres: Presentation, ids) -> list[int]:
@@ -225,17 +265,16 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
     The first letter of the normal form of x is the kappa-least letter of its
     left descent set, the right descent set of x^-1; take it off and repeat.
     """
-    w, masks = _geodesic(pres, ids[::-1])
-    by_rank, out = pres.by_rank, []
+    w, states = _geodesic(pres, ids[::-1])
+    least, out = pres.least, []
     while w:
-        m = masks[-1]
-        g = by_rank[(m & -m).bit_length() - 1]
+        g = least[states[-1]]
         out.append(g)
         if w[-1] == g:
             w.pop()
-            masks.pop()
+            states.pop()
         else:
-            _cancel(pres, w, masks, g)
+            _cancel(pres, w, states, g)
     return out
 
 
@@ -273,14 +312,12 @@ def normalize(word: Word) -> NormalForm:
     longer than the input, and of the same length parity.
     """
     pres = presentation(word.spec)
-    return NormalForm(pres.spec, pres.letters(_normal_ids(pres, pres.ids(word.letters))))
+    return NormalForm._of(pres, _normal_ids(pres, word.ids))
 
 
 def is_normal(word: Word) -> bool:
     """True iff the word is its element's normal form."""
-    pres = presentation(word.spec)
-    ids = pres.ids(word.letters)
-    return _normal_ids(pres, ids) == ids
+    return _normal_ids(presentation(word.spec), word.ids) == list(word.ids)
 
 
 def equal(w1: Word, w2: Word) -> bool:
@@ -291,8 +328,7 @@ def equal(w1: Word, w2: Word) -> bool:
     """
     if w1.spec is not w2.spec and w1.spec != w2.spec:
         raise SpecMismatch("cannot compare words from different groups")
-    pres = presentation(w1.spec)
-    return not _geodesic(pres, pres.ids(w1.letters) + pres.ids(w2.letters)[::-1])[0]
+    return not _geodesic(presentation(w1.spec), w1.ids + w2.ids[::-1])[0]
 
 
 def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
@@ -304,7 +340,7 @@ def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
     rather than returning a truncated set.
     """
     pres = presentation(word.spec)
-    root = tuple(pres.ids(word.letters))
+    root = word.ids
     seen = {root}
     frontier = [root]
     while frontier:
@@ -319,11 +355,11 @@ def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
                         )
                     nxt.append(s)
         frontier = nxt
-    return frozenset(Word(pres.spec, pres.letters(ids)) for ids in seen)
+    return frozenset(Word._of(pres, ids) for ids in seen)
 
 
 def random_word(spec: GroupSpec, length: int, seed: int) -> Word:
     """A reproducible uniform random word: same (spec, length, seed), same word."""
     rng = random.Random(seed)
     pres = presentation(spec)
-    return Word(pres.spec, tuple(pres.gens[rng.randrange(pres.G)] for _ in range(length)))
+    return Word._of(pres, [rng.randrange(pres.G) for _ in range(length)])

@@ -17,6 +17,7 @@ from cactuskit import (
     InvalidPair,
     MalformedInput,
     PreconditionViolated,
+    SpecMismatch,
     VertexNotInBall,
     Word,
     affine,
@@ -31,7 +32,7 @@ from cactuskit import (
     squares,
 )
 from cactuskit.cayley import _key_codec
-from cactuskit.core import presentation
+from cactuskit.core import Family, GroupSpec, presentation
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 
@@ -186,6 +187,11 @@ def test_depth_lookup(aj3_r2):
 def test_word_accepts_word_objects(aj3_r2):
     w = parse_word(affine(3), "1,2")
     assert aj3_r2.vid(w) == aj3_r2.vid(((1, 2),))
+    fresh = Word.from_pairs(GroupSpec(Family.AFFINE, 3), [(1, 3), (2, 3)])
+    assert aj3_r2.vid(fresh) == aj3_r2.vid(((1, 3), (2, 3)))
+    assert aj3_r2.word(fresh) == fresh and fresh in aj3_r2
+    with pytest.raises(SpecMismatch):  # (1, 2) is also a pair of AJ_4
+        aj3_r2.vid(parse_word(affine(4), "1,2"))
 
 
 # ---------------------------------------------------------------------------

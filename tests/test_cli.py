@@ -193,6 +193,27 @@ def test_verify_median(capsys):
     assert env["invocation"]["depth"] == 1
 
 
+def test_verify_median_depth_errors_name_the_flags(capsys, tmp_path):
+    """A --depth the radius cannot hold is a usage error (2) that names the
+    flags, or the file whose radius it is."""
+    code, out, err = run_cli(capsys, "verify", "--check", "median", "--n", "3", "--radius", "3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --check median needs 3 * --depth <= --radius, "
+        "got --depth 2 and --radius 3\n"
+    )
+    f = tmp_path / "b.json"
+    f.write_bytes(export(ball(affine(3), 2)))
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "median", "--n", "3", "--input", str(f), "--depth", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --check median needs 3 * --depth <= the radius of {f}, "
+        f"got --depth 1 and the radius of {f} 2\n"
+    )
+
+
 def test_verify_claim_checks(capsys):
     code, env, _ = run_json(capsys, "verify", "--check", "claim-phi", "--n", "5")
     assert code == 0

@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from cactuskit import (
     BudgetExceeded,
+    IndexOutOfRange,
+    InvalidPair,
     NormalForm,
     SpecMismatch,
     Word,
@@ -92,6 +96,44 @@ def test_equal_but_distinct_spec_object_works_alike():
     # every word the module builds is on the presentation's own spec object
     assert random_word(fresh, 5, 1).spec is canon
     assert all(x.spec is canon for x in oracle_closure(word))
+
+
+def test_one_element_from_every_edge():
+    """parse_word on the canonical spelling and on other spellings,
+    Word(spec, letters) and Word.from_pairs on a fresh equal spec build one
+    word: equal, hashed alike, with the same ids and the same answers."""
+    spec = presentation(affine(4)).spec
+    fresh = GroupSpec(Family.AFFINE, 4)
+    words = [
+        parse_word(spec, "1,2;2,3"),
+        parse_word(spec, "01,2;2,3"),
+        parse_word(spec, " 1,2 ;2,3"),
+        Word(spec, (Generator(1, 2, spec), Generator(2, 3, spec))),
+        Word.from_pairs(fresh, [(1, 2), (2, 3)]),
+    ]
+    ref = words[0]
+    other = w(spec, "2,3;4,1;1,2")
+    for x in words:
+        assert x == ref and hash(x) == hash(ref)
+        assert x.ids == ref.ids and x.pairs() == ((1, 2), (2, 3))
+        assert [(g.p, g.q) for g in x.letters] == [(1, 2), (2, 3)]
+        assert x.text() == "1,2;2,3"
+        assert normalize(x) == normalize(ref)
+        assert normalize(x).text() == normalize(ref).text()
+        assert is_normal(x) == is_normal(ref)
+        assert equal(x, other) == equal(ref, other)
+        for y in words:
+            assert equal(x, y)
+    # the malformed spellings keep their error classes
+    for bad in ("1,2;;2,3", "1,1", "1,2,3", "a,b"):
+        with pytest.raises(InvalidPair):
+            parse_word(spec, bad)
+    with pytest.raises(InvalidPair):
+        parse_word(cactus(4), "2,1")
+    with pytest.raises(IndexOutOfRange):
+        parse_word(spec, "5,1")
+    with pytest.raises(SpecMismatch):
+        Word(spec, (Generator(1, 2, spec), generators(affine(3))[0]))
 
 
 def test_letter_of_another_spec_is_rejected():
@@ -384,12 +426,12 @@ def test_priority_rewriting_is_not_confluent_at_degree_four():
 
 
 def test_normalize_ignores_what_ran_before():
-    """normalize(w) is a pure function of w, whatever the descent memo held."""
+    """normalize(w) is a pure function of w, whatever the state table held."""
     spec = affine(4)
     words = [random_word(spec, length, seed) for length in (2, 3, 4, 7) for seed in range(6)]
-    presentation(spec).descent.clear()
+    presentation(spec).reset_states()
     short_first = [normalize(x).text() for x in words]
-    presentation(spec).descent.clear()
+    presentation(spec).reset_states()
     long_first = [normalize(x).text() for x in reversed(words)][::-1]
     assert short_first == long_first
     for x, nf in zip(words, short_first):
@@ -548,44 +590,105 @@ def _cliques(pres):
     return set(out)
 
 
+def _members(pres, mask):
+    return [g for g in range(pres.G) if mask & pres.bit[g]]
+
+
 def test_sinks_memo_is_bounded():
-    """The descent memo holds (mask, g) steps of cliques only: at most
-    cliques * G entries, however many words run; clearing it changes no
-    answer, and the presentation cache keeps a fixed number of specs."""
+    """The descent state table numbers cliques only: every state's mask is a
+    clique of the link at e, so however many words run the table holds at
+    most (cliques + 1) * G entries (_cliques counts the empty mask, state 0,
+    among its cliques).  Every filled transition is the _up of its source,
+    or a cancel exactly when the letter is in the mask; resetting the table
+    changes no answer, and the presentation cache keeps a fixed number of
+    specs."""
     assert presentation.cache_info().maxsize == 32
     for spec in (cactus(5), affine(4)):
         pres = presentation(spec)
+        G, bit, par = pres.G, pres.bit, pres.par
         cliques = _cliques(pres)
         words = [random_word(spec, length, seed) for length in (3, 8, 20, 40) for seed in range(25)]
         want = [normalize(x) for x in words]
-        pres.descent.clear()
+        pres.reset_states()
+        assert (pres.masks, pres.least, pres.trans) == ([0], [-1], [0] * G)
         for x, nf in zip(words, want):
             assert normalize(x) == nf
             assert equal(x, nf)
-        assert 0 < len(pres.descent) <= len(cliques) * pres.G
-        for key, mask in pres.descent.items():
-            assert key // pres.G in cliques
-            assert mask in cliques
-            assert mask & pres.bit[key % pres.G]
+        states = len(pres.masks)
+        assert 1 < states <= len(cliques)
+        assert len(pres.trans) == states * G <= len(cliques) * G
+        assert set(pres.masks) <= cliques
+        assert pres.state_of == {mask: s for s, mask in enumerate(pres.masks)}
+        reached = set()
+        for s, mask in enumerate(pres.masks):
+            members = _members(pres, mask)
+            assert pres.least[s] == (min(members, key=pres.kappa.__getitem__) if mask else -1)
+            for g in range(G):
+                t = pres.trans[s * G + g]
+                if mask & bit[g]:
+                    assert t == -1  # g cancels
+                    continue
+                assert t >= 0
+                if t:  # the mask of w g: g, and each h of w's mask carried across g
+                    up = bit[g]
+                    for h in members:
+                        if par[g * G + h] >= 0:
+                            up |= bit[par[g * G + h]]
+                    assert pres.masks[t] == up
+                    reached.add(t)
+        assert reached == set(range(1, states))  # each made by the step that filled it
 
 
 def test_sinks_memo_is_kept_per_rule_set():
-    """Each group keeps its own descent memo: filling one never touches
-    another, and an equal spec object shares its presentation's memo."""
+    """Each group keeps its own state table: filling one never touches
+    another, and an equal spec object shares its presentation's table."""
     c4, a4 = presentation(cactus(4)), presentation(affine(4))
-    assert c4.descent is not a4.descent
-    c4.descent.clear()
-    a4.descent.clear()
+    assert c4.trans is not a4.trans and c4.masks is not a4.masks
+    c4.reset_states()
+    a4.reset_states()
     normalize(w(cactus(4), "3,4;1,2;1,3;2,4"))
-    assert c4.descent and not a4.descent
-    assert all(key < (1 << c4.G) * c4.G for key in c4.descent)
+    assert len(c4.masks) > 1 and any(c4.trans)
+    assert (a4.masks, a4.trans) == ([0], [0] * a4.G)
+    assert all(mask < (1 << c4.G) for mask in c4.masks)
     normalize(w(affine(4), "3,4;1,2;4,1;2,4"))
-    assert a4.descent
+    assert len(a4.masks) > 1
     fresh = GroupSpec(Family.CACTUS, 4)
     assert presentation(fresh) is c4
-    before = dict(c4.descent)
+    before = (list(c4.masks), list(c4.trans))
     normalize(w(fresh, "3,4;1,2;1,3;2,4"))
-    assert c4.descent == before  # the same steps, already memoised
+    assert (c4.masks, c4.trans) == before  # the same steps, already filled
+
+
+def test_state_table_is_shared_by_threads():
+    """Threads that number new states at once get the one-thread answers,
+    and the table stays one row per numbered mask."""
+    spec = affine(5)
+    pres = presentation(spec)
+    words = [random_word(spec, 40, seed) for seed in range(40)]
+    want = [normalize(x).text() for x in words]
+
+    def work(k):
+        order = words[k * 10 :] + words[: k * 10]
+        results[k] = [normalize(x).text() for x in order]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):  # each round numbers every state afresh
+            pres.reset_states()
+            results = [None] * 4
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for k in range(4):
+                assert results[k] == want[k * 10 :] + want[: k * 10]
+            assert pres.state_of == {mask: s for s, mask in enumerate(pres.masks)}
+            assert len(pres.trans) == len(pres.masks) * pres.G == len(pres.least) * pres.G
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_random_word_is_reproducible():
