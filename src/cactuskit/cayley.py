@@ -8,8 +8,10 @@ graph is undirected and simple).
 
 Internally a ball is flat arrays: vertex keys are byte-encoded generator-id
 sequences, adjacency is one packed integer (neighbor_vid << 16 | gid) per
-directed edge, grouped per vertex.  The public API speaks in tuples of index
-pairs, e.g. ((1, 4), (1, 2), (3, 4)).
+directed edge, grouped per vertex.  The kernels work on these arrays and
+make no word per vertex (ball completes squares, and text is made from key
+ids at the export).  The public API speaks in tuples of index pairs, e.g.
+((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice, repeat
+from itertools import accumulate, chain, combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
 
@@ -34,7 +36,7 @@ from .core import (
     presentation,
 )
 from .core import parse_generator
-from .rewriting import NormalForm, Word, _insert_ids, parse_word
+from .rewriting import NormalForm, Word, _up, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
 
@@ -211,69 +213,85 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     """BFS ball of the given radius around the identity, vertices numbered
     in discovery order: by parent, then by generator id.
 
-    A vertex's down-edges are its right descent set, each stored by the
-    parent that found it, so a vertex is expanded along its other letters
-    only (rewriting._insert_ids).  A vertex inside the radius has all G
-    neighbours, a row of G slots by generator id; one at the radius keeps
-    its down-edges only (every relator has even length, so edges join
-    consecutive spheres), read off the sphere below in generator order.
-    Raises BudgetExceeded past `max_vertices`.
+    A vertex's down-edges are its right descent set, which spans a cube
+    since the complex is CAT(0) (Sageev 1995, Niblo-Reeves 1998).  So when
+    u expands along a letter g its row leaves empty, v = u*g is new and each
+    other parent v*h is u*a*b, two filled edges away, for a down letter a of
+    u with h = par[g*G + a], b = par[a*G + g].  All of v's down-edges are
+    written then, and v's key is the kappa-least parent's key plus its
+    letter (normal forms are prefix-closed): no word is normalized.  A
+    vertex inside the radius has a row of G slots by generator id and a
+    descent state (Presentation.reset_states) for its down letters; one at
+    the radius keeps its down-edges only, in generator order (relators have
+    even length, so edges join consecutive spheres).  Raises BudgetExceeded
+    past `max_vertices`.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
     if max_vertices < 1:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     pres = presentation(spec)
-    G = pres.G
+    G, par, trans, masks, by_rank = pres.G, pres.par, pres.trans, pres.masks, pres.by_rank
     enc, dec = _key_codec(G)
+    letter = [enc([g]) for g in range(G)]
+    rank = [b.bit_length() - 1 for b in pres.bit]  # kappa rank per generator id
+    if G > 255:
+        kappa = lambda hw: [rank[i] for i in dec(keys[hw[1]])]  # noqa: E731
+    else:
+        table = bytes(rank) + bytes(256 - G)
+        kappa = lambda hw: keys[hw[1]].translate(table)  # noqa: E731
     empty_row = array("q", [-1]) * G
 
     keys: list[bytes] = [enc([])]
     index: dict[bytes, int] = {keys[0]: 0}
     depth = array("i", [0])
+    state = [0]  # descent state per vid inside the radius (Presentation.reset_states)
+    down: dict[int, list[int]] = {}  # state -> the letters of its mask
     adj = array("q", empty_row if radius else ())
+    ends = array("q", () if radius else (0,))  # len(adj) after each radius vertex
 
     u = 0
     while u < len(keys) and depth[u] < radius:
-        inner = depth[u] + 1 < radius  # children get rows of their own
-        base, row = dec(keys[u]), u * G
+        d = depth[u] + 1
+        inner = d < radius  # children get rows of their own
+        su, row = state[u], u * G
+        du = down.get(su)
+        if du is None:
+            du = down[su] = [by_rank[i] for i in range(G) if masks[su] >> i & 1]
         for g in range(G):
             if adj[row + g] >= 0:
-                continue  # a down-edge, stored by the parent
-            blob = enc(_insert_ids(pres, base, g))
-            vid = index.get(blob)
-            if vid is None:
-                vid = len(keys)
-                if vid >= max_vertices:
-                    raise BudgetExceeded(
-                        f"ball({spec}, {radius}) exceeded {max_vertices} vertices"
-                    )
-                index[blob] = vid
-                keys.append(blob)
-                depth.append(depth[u] + 1)
-                if inner:
-                    adj.extend(empty_row)
-            adj[row + g] = vid << 16 | g
+                continue  # a down-edge, or one an earlier parent of u*g filled
+            # v = u*g is new; each other parent v*h is u*a*b (see above)
+            gG, v = g * G, len(keys)
+            parents = [(h, adj[(adj[row + a] >> 16) * G + par[a * G + g]] >> 16)
+                       for a in du if (h := par[gG + a]) >= 0]
+            if parents:  # normal forms are prefix-closed: the kappa-least parent's, plus h
+                parents.append((g, u))
+                h, w = min(parents, key=kappa)
+                blob = keys[w] + letter[h]
+            else:
+                blob = keys[u] + letter[g]
+            index[blob] = v
+            keys.append(blob)
+            depth.append(d)
+            adj[row + g] = v << 16 | g
+            for h, w in parents:
+                adj[w * G + h] = v << 16 | h
             if inner:
-                adj[vid * G + g] = u << 16 | g
+                state.append(trans[su * G + g] or _up(pres, su, g))
+                adj.extend(empty_row)
+                adj[v * G + g] = u << 16 | g
+                for h, w in parents:
+                    adj[v * G + h] = w << 16 | h
+            else:
+                adj.extend([w << 16 | h for h, w in sorted(parents)] if parents else [u << 16 | g])
+                ends.append(len(adj))
+        if len(keys) > max_vertices:
+            raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
         u += 1
 
-    # rows of the sphere at the radius, vids u.., from the vids lo..u below
-    lo = bisect_left(depth, radius - 1, 0, u)
-    fill = array("q", [0]) * (len(keys) - u)
-    for e in islice(adj, lo * G, None):
-        if e >> 16 >= u:
-            fill[(e >> 16) - u] += 1
-    off = array("q", range(0, u * G, G))
-    off.extend(accumulate(fill, initial=u * G))
-    fill = off[u:-1]
-    adj.extend(repeat(0, off[-1] - u * G))
-    for g in range(G):
-        for p in range(lo, u):
-            v = adj[p * G + g] >> 16
-            if v >= u:
-                adj[fill[v - u]] = p << 16 | g
-                fill[v - u] += 1
+    off = array("q", range(0, (len(keys) - len(ends)) * G + 1, G))
+    off.extend(ends)
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
 
 
@@ -295,7 +313,8 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 
     An edge is its two ends plus its label, read from the stored entries,
     which hold every edge both ways (see CayleyBall).  The search runs on
-    key ranks (a vid's position in key order, taken on decoded id lists)
+    key ranks (a vid's position in key order: id-list order, which is the
+    key bytes' own order while a key holds one byte per letter, G <= 255)
     over packed entries, and looks for each square only from its
     least-ranked corner: pairs of two-step walks u -> x -> z that
     meet at z and never step below u's rank.  Each square appears exactly
@@ -307,22 +326,24 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
     """
     if b._squares is not None:
         return b._squares
-    n = len(b)
+    n, keys = len(b), b._keys
     adj, off = b._adj, b._off
-    by_rank = sorted(range(n), key=lambda v: b._decode(b._keys[v]))
-    rank = [0] * n
+    wide = b._pres.G > 255  # two bytes per letter: decode to compare
+    by_rank = sorted(range(n), key=(lambda v: b._decode(keys[v])) if wide else keys.__getitem__)
+    # row r holds the entries of the rank-r vertex as rank_nb << 16 | gid, in
+    # rank order: each entry v -> nb is written as nb's entry back to v
+    into: list[list[int]] = [[] for _ in range(n)]
     for r, v in enumerate(by_rank):
-        rank[v] = r
-    # row r holds the entries of the rank-r vertex as rank_nb << 16 | gid, sorted
-    rows = [
-        sorted(rank[e >> 16] << 16 | e & 0xFFFF for e in adj[off[v]:off[v + 1]])
-        for v in by_rank
-    ]
+        for e in adj[off[v]:off[v + 1]]:
+            into[e >> 16].append(r << 16 | e & 0xFFFF)
+    rows = [into[v] for v in by_rank]
     found: set[tuple[int, int, int, int]] = set()
     for u in range(n):
         low = u << 16  # entries at or above this reach ranks >= u
-        # two-step non-backtracking walks u -> x -> z, grouped by endpoint z
-        paths: dict[int, list[tuple[int, int, int]]] = {}
+        # two-step non-backtracking walks u -> x -> z: the first to reach
+        # each z, and all walks to the ends reached more than once
+        first: dict[int, tuple[int, int, int]] = {}
+        more: dict[int, list[tuple[int, int, int]]] = {}
         row = rows[u]
         for e1 in row[bisect_left(row, low):]:
             x = e1 >> 16
@@ -330,9 +351,13 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
             xrow = rows[x]
             for e2 in xrow[bisect_left(xrow, low):]:
                 if e2 != back:
-                    paths.setdefault(e2 >> 16, []).append((x, e1, e2))
-        for z, plist in paths.items():
-            for (x1, e1, e2), (x2, e3, e4) in combinations(plist, 2):
+                    z = e2 >> 16
+                    if z in first:
+                        more.setdefault(z, [first[z]]).append((x, e1, e2))
+                    else:
+                        first[z] = (x, e1, e2)
+        for z, walks in more.items():
+            for (x1, e1, e2), (x2, e3, e4) in combinations(walks, 2):
                 # the two walks must not share either of their edges
                 if x1 == x2 and (e1 == e3 or e2 == e4):
                     continue
@@ -342,9 +367,9 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
                 if len(set(c)) < 4:
                     c = min(s[r:] + s[:r] for s in (c, c[::-1]) for r in range(4))
                 found.add(c)
-    cycles = [tuple(by_rank[r] for r in c) for c in sorted(found)]
-    keys = {v: b.key(v) for v in {v for vids in cycles for v in vids}}
-    b._squares = tuple(Square(tuple(keys[v] for v in vids), vids) for vids in cycles)
+    cycles = [tuple(map(by_rank.__getitem__, c)) for c in sorted(found)]
+    corners = {v: b.key(v) for v in {v for vids in cycles for v in vids}}
+    b._squares = tuple(Square(tuple(map(corners.__getitem__, vids)), vids) for vids in cycles)
     return b._squares
 
 
@@ -358,25 +383,22 @@ def _export_rows(b: CayleyBall) -> tuple[list[tuple[int, str]], list[tuple[str, 
     `from` end sorts first (words are unique per vertex), so each stored
     edge appears once.
     """
-    n = len(b)
-    texts = [b.text(vid) for vid in range(n)]
-    depth = b._depth
-    order = sorted(range(n), key=lambda v: (depth[v], texts[v]))
+    n, gtexts = len(b), b._texts
+    # a key of one byte per letter (G <= 255) iterates as its generator ids
+    seqs = b._keys if b._pres.G <= 255 else map(b._decode, b._keys)
+    texts = [";".join([gtexts[i] for i in ids]) or "e" for ids in seqs]
+    ranked = sorted(zip(b._depth, texts, range(n)))  # words are unique per vertex
     pos = [0] * n
-    for i, v in enumerate(order):
+    for i, (_, _, v) in enumerate(ranked):
         pos[v] = i
-    gtexts = b._texts
     adj, off = b._adj, b._off
-    erows = []
-    for u in range(n):
-        pu, tu = pos[u], texts[u]
-        for k in range(off[u], off[u + 1]):
-            e = adj[k]
-            nb = e >> 16
-            if pu < pos[nb]:
-                erows.append((tu, texts[nb], gtexts[e & 0xFFFF]))
-    erows.sort()
-    return [(depth[v], texts[v]) for v in order], erows
+    erows = sorted([
+        (texts[u], texts[e >> 16], gtexts[e & 0xFFFF])
+        for u in range(n)
+        for e in adj[off[u]:off[u + 1]]
+        if pos[u] < pos[e >> 16]
+    ])
+    return [(d, t) for d, t, _ in ranked], erows
 
 
 def export_obj(b: CayleyBall) -> dict:
@@ -471,7 +493,9 @@ def import_ball(obj: dict) -> CayleyBall:
     vid_of_text: dict[str, int] = {}  # each vertex's own spelling, parsed once
     depth = array("i")
     for rec in _field(obj, "vertices", list):
-        word, d = _field(rec, "word", str), _field(rec, "depth", int)
+        if not (type(rec) is dict and type(word := rec.get("word")) is str
+                and type(d := rec.get("depth")) is int):
+            word, d = _field(rec, "word", str), _field(rec, "depth", int)
         if not 0 <= d <= radius:
             raise MalformedInput(f"vertex {word!r} has depth {d} outside 0..{radius}")
         blob = blob_of(word)
@@ -485,8 +509,8 @@ def import_ball(obj: dict) -> CayleyBall:
         vid = vid_of_text.get(text)
         return index[blob_of(text)] if vid is None else vid
 
-    lists: list[list[int]] = [[] for _ in keys]
-    for rec in _field(obj, "edges", list):
+    def edge(rec) -> tuple[int, int, int]:
+        """(from, to, gid) of an edge record, each field checked."""
         try:
             u = vid_of(_field(rec, "from", str))
             v = vid_of(_field(rec, "to", str))
@@ -494,13 +518,19 @@ def import_ball(obj: dict) -> CayleyBall:
             raise VertexNotInBall(f"edge endpoint missing: {rec!r}") from exc
         gtext = _field(rec, "generator", str)
         gid = gid_of_text.get(gtext)
-        if gid is None:
-            gid = pres.id_of(parse_generator(spec, gtext))
+        return u, v, pres.id_of(parse_generator(spec, gtext)) if gid is None else gid
+
+    lists: list[list[int]] = [[] for _ in keys]
+    for rec in _field(obj, "edges", list):
+        try:  # the spellings export writes
+            u, v = vid_of_text[rec["from"]], vid_of_text[rec["to"]]
+            gid = gid_of_text[rec["generator"]]
+        except (KeyError, TypeError):
+            u = -1
+        if u < 0 or type(rec) is not dict:
+            u, v, gid = edge(rec)
         lists[u].append(v << 16 | gid)
         lists[v].append(u << 16 | gid)
-    adj = array("q")
-    off = array("q", [0])
-    for entries in lists:
-        adj.extend(entries)
-        off.append(len(adj))
+    adj = array("q", chain.from_iterable(lists))
+    off = array("q", accumulate(map(len, lists), initial=0))
     return CayleyBall(pres.spec, radius, keys, index, depth, adj, off)

@@ -260,6 +260,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--check {check} needs --radius (or --input)")
     if args.depth is not None and check != "median":
         raise UsageError(f"--depth does not apply to --check {check}")
+    if args.depth is not None and args.depth < 0:
+        raise UsageError(f"--depth must be >= 0, got {args.depth}")
     if args.budget is not None and claim:
         raise UsageError(f"--budget does not apply to --check {check}")
     if args.budget is not None and args.input:

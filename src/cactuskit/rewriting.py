@@ -278,33 +278,6 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
     return out
 
 
-def _insert_ids(pres: Presentation, u: list[int], g: int) -> list[int]:
-    """The normal form of u g, for a normal form u that g does not shorten.
-
-    The new hyperplane can be carried left while its label spans a square
-    with the letter it meets.  Where it reaches a position whose letter it
-    beats in kappa, the normal form leads with it there (the leftmost such
-    position wins), followed by the letters it passed, carried across it and
-    normalized; if there is none, u g is already normal.
-    """
-    G, par, bit = pres.G, pres.par, pres.bit
-    i, a, at, lead = len(u), g, -1, -1
-    while i:
-        a = par[u[i - 1] * G + a]
-        if a < 0:
-            break
-        i -= 1
-        if bit[a] < bit[u[i]]:
-            at, lead = i, a
-    if at < 0:
-        return u + [g]
-    a, rest = lead, []
-    for x in u[at:]:
-        rest.append(par[a * G + x])
-        a = par[x * G + a]
-    return u[:at] + [lead] + _normal_ids(pres, rest)
-
-
 def normalize(word: Word) -> NormalForm:
     """The normal form of the word: its element's kappa-shortlex-least word.
 

@@ -1,6 +1,8 @@
 """Cayley-ball construction, metric queries, squares, and serialization."""
 
 import json
+from collections import OrderedDict
+from types import MappingProxyType
 
 import pytest
 
@@ -111,6 +113,58 @@ def test_ball_matches_closure_reference():
         assert got == _reference_ball(spec, radius), (spec, radius)
 
 
+def _insertion_reference(spec, radius):
+    """ball()'s arrays from a plain BFS: u's neighbour along g is
+    normalize(u's word + g), and a vertex is numbered when first found, by
+    parent and then by generator id.  A vertex inside the radius gets a row of
+    G entries by generator id; one at the radius gets its edges, all to the
+    sphere below, in generator order."""
+    pres = presentation(spec)
+    G = pres.G
+    words, depth, rows = [()], [0], []
+    vid = {(): 0}
+    while len(rows) < len(words) and depth[len(rows)] < radius:
+        u = len(rows)
+        row = []
+        for g in range(G):
+            w = normalize(Word(pres.spec, pres.letters(words[u] + (g,)))).ids
+            if w not in vid:
+                vid[w] = len(words)
+                words.append(w)
+                depth.append(depth[u] + 1)
+            row.append(vid[w] << 16 | g)
+        rows.append(row)
+    inner = len(rows)
+    outer = [[] for _ in range(len(words) - inner)]
+    for p, row in enumerate(rows):
+        for e in row:
+            if e >> 16 >= inner:
+                outer[(e >> 16) - inner].append(p << 16 | e & 0xFFFF)
+    adj, off = [], [0]
+    for entries in rows + [sorted(r, key=lambda e: e & 0xFFFF) for r in outer]:
+        adj += entries
+        off.append(len(adj))
+    enc = _key_codec(G)[0]
+    return [enc(w) for w in words], depth, adj, off
+
+
+def test_ball_matches_insertion_reference():
+    """Array for array: vertex numbering, keys, depths and the order of every
+    vertex's entries.  J_24 (G = 276 > 255, two-byte keys) has vertices with
+    two parents at radius 2."""
+    for spec, radius in (
+        (affine(3), 6), (cactus(4), 6), (affine(4), 4), (cactus(5), 4), (cactus(6), 3),
+        (cactus(24), 2),
+    ):
+        b = ball(spec, radius)
+        keys, depth, adj, off = _insertion_reference(spec, radius)
+        assert b._keys == keys, (spec, radius)
+        assert b._index == {k: v for v, k in enumerate(keys)}, (spec, radius)
+        assert list(b._depth) == depth, (spec, radius)
+        assert list(b._adj) == adj, (spec, radius)
+        assert list(b._off) == off, (spec, radius)
+
+
 def test_radius_zero_and_validation():
     b = ball(affine(3), 0)
     assert len(b) == 1
@@ -126,6 +180,10 @@ def test_vertex_budget():
         with pytest.raises(PreconditionViolated):
             ball(affine(3), 0, max_vertices=budget)
     assert len(ball(affine(3), 0, max_vertices=1)) == 1
+    # the budget is exact: 31 vertices fit a budget of 31, not of 30
+    assert len(ball(affine(3), 2, max_vertices=31)) == 31
+    with pytest.raises(BudgetExceeded, match=r"exceeded 30 vertices$"):
+        ball(affine(3), 2, max_vertices=30)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +581,19 @@ def test_import_rejects_bad_input(aj3_r2):
             import_ball(dict(obj, edges=[bad_edge]))
     with pytest.raises(IndexOutOfRange):
         import_ball(dict(obj, edges=[{"from": "e", "to": "1,2", "generator": "4,1"}]))
+    # a record is a dict (a subclass will do) whose fields have the schema's
+    # types, on the canonical-spelling path too
+    for bad in (
+        dict(obj, vertices=[MappingProxyType(obj["vertices"][0])]),
+        dict(obj, vertices=[{"word": "e", "depth": True}]),
+        dict(obj, edges=[MappingProxyType(obj["edges"][0])]),
+        dict(obj, edges=[{**obj["edges"][0], "from": [obj["edges"][0]["from"]]}]),
+    ):
+        with pytest.raises(MalformedInput):
+            import_ball(bad)
+    ordered = dict(obj, vertices=[OrderedDict(r) for r in obj["vertices"]],
+                   edges=[OrderedDict(r) for r in obj["edges"]])
+    assert export(import_ball(ordered)) == export(aj3_r2)
 
 
 def test_import_reads_other_spellings(aj3_r2):

@@ -1,5 +1,6 @@
 """Command-line verbs: envelopes, exit codes, determinism, file outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -518,3 +519,36 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# sha256 of each verb's stdout and of the files it writes, as written when
+# ball() still normalized every parent word plus a letter: a speed-up must
+# not change an output byte
+_PINNED = (
+    (("ball", "--n", "4", "--radius", "3", "--out", "ball.json"),
+     "fa2282ac042f52a0e4ba93a1459bc7bcca90fc5348d2619bd4b503e06eb602ce",
+     {"ball.json": "45d882f42ec7ce6128dc758ab276b21ba9fa17b0bf5f1cd4eb0bc6fc980cb370"}),
+    (("verify", "--check", "edges", "--n", "4", "--input", "ball.json"),
+     "877f638f36f1f4bfc8a3a2efafa1e32cf01f10d27b88e2f8a236c468e64ef53e", {}),
+    (("ball", "--family", "cactus", "--n", "5", "--radius", "3", "--format", "dot",
+      "--out", "ball.dot"),
+     "f8c3218a9c6182eac9dcc2394af21cf0bb41086c4d128e9c3ba5d5d48a34901e",
+     {"ball.dot": "9d36263d3ecb489d84dd1d875f441e8a71e84e2a6c08a152decc07d7ededf83a"}),
+    (("ball", "--n", "3", "--radius", "3"),
+     "12fd101bb2d695bf2f4d26494dd7c5c5daed4eda9e36ea02e1e7697ec6a199c6", {}),
+    (("growth", "--family", "cactus", "--n", "4", "--radius", "4"),
+     "ebbff063ab340a3b74e36e187142993fb9ed35438c158d7c5a2e8b65524efe04", {}),
+    (("verify", "--check", "squares", "--family", "cactus", "--n", "4", "--radius", "3"),
+     "7941a72161a7beb101744d614f3a8ce122fa8ece6558057f2fce5359e01f5d79", {}),
+)
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """In this order: the edges check reads the JSON file the first verb wrote."""
+    monkeypatch.chdir(tmp_path)
+    for argv, stdout_sha, files in _PINNED:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
+        for name, sha in files.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (argv, name)

@@ -182,9 +182,12 @@ def test_median_precondition(aj3_r3, capsys):
     # a negative depth is refused as negative, not as too deep for the radius
     with pytest.raises(PreconditionViolated, match=r"^test_depth must be >= 0, got -1$"):
         check_median(aj3_r3, -1)
-    code = main(["verify", "--check", "median", "--n", "3", "--radius", "2", "--depth", "-1"])
+    # at the CLI it is a usage error that names the flag, raised before the
+    # ball is built (a one-vertex budget would stop the build)
+    code = main(["verify", "--check", "median", "--n", "3", "--radius", "2", "--budget", "1",
+                 "--depth", "-1"])
     assert code == 2
-    assert "test_depth must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --depth must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------
