@@ -147,11 +147,17 @@ class CayleyBall:
     def depth_at(self, vid: int) -> int:
         return self._depth[vid]
 
+    def row(self, vid: int) -> array:
+        """One vertex's packed entries, neighbor_vid << 16 | gid, as stored."""
+        return self._adj[self._off[vid]:self._off[vid + 1]]
+
+    def edge_count(self) -> int:
+        """The number of edges: each is stored once at each of its ends."""
+        return len(self._adj) // 2
+
     def adj_entries(self, vid: int):
         """(neighbor_vid, gid) pairs for one vertex."""
-        adj = self._adj
-        for k in range(self._off[vid], self._off[vid + 1]):
-            e = adj[k]
+        for e in self.row(vid):
             yield e >> 16, e & 0xFFFF
 
     def step(self, vid: int, gid: int) -> int:
@@ -176,10 +182,10 @@ class CayleyBall:
 
     # -- metric --------------------------------------------------------------
 
-    def distances_from(self, vid: int, limit: int = -1) -> array:
+    def distances_from(self, vid: int, limit: int = -1) -> list[int]:
         """BFS distances (within the ball) from one vertex; -1 = unreachable,
         or farther than `limit` when that is >= 0 (the search stops there)."""
-        dist = array("i", [-1] * len(self._keys))
+        dist = [-1] * len(self._keys)
         dist[vid] = 0
         frontier = [vid]
         adj, off = self._adj, self._off
@@ -188,8 +194,8 @@ class CayleyBall:
             d += 1
             nxt = []
             for u in frontier:
-                for k in range(off[u], off[u + 1]):
-                    nb = adj[k] >> 16
+                for e in adj[off[u]:off[u + 1]]:
+                    nb = e >> 16
                     if dist[nb] < 0:
                         dist[nb] = d
                         nxt.append(nb)

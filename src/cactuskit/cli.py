@@ -304,14 +304,13 @@ def _run_embed(args: argparse.Namespace) -> int:
     svg = render_svg(emb)
     with open(args.out, "wb") as fh:
         fh.write(svg)
-    edge_count = sum(1 for v in range(len(b)) for nb, _ in b.adj_entries(v) if nb > v)
     _emit(
         {"verb": "embed", "family": "affine", "n": 3, "radius": args.radius,
          "out": args.out},
         {
             "svg_path": args.out,
             "vertices": len(b),
-            "edges": edge_count,
+            "edges": b.edge_count(),
             "edge_length": emb.edge_length,
         },
     )

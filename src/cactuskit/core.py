@@ -329,26 +329,29 @@ class Presentation:
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
         self.texts = [g.text() for g in gens]
         self.gid_of_text = {t: i for i, t in enumerate(self.texts)}
-        self.card = [len(interval_of(g)) for g in gens]
+        members = [interval_of(g).members for g in gens]
+        self.card = [len(m) for m in members]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]
 
-        kind_of = {
-            RelationKind.NONE: _REL_NONE,
-            RelationKind.DISJOINT: _REL_DISJOINT,
-            RelationKind.FIRST_CONTAINS_SECOND: _REL_FIRST,
-            RelationKind.SECOND_CONTAINS_FIRST: _REL_SECOND,
-        }
-        rel = [0] * (G * G)
+        # The tables classify and conjugate_nested give, made from ints: an
+        # interval as a bitmask of its members, containment by _arc_contains,
+        # and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b).
+        n, card, gid = spec.degree, self.card, self.gid
+        mask = [sum(1 << r for r in m) for m in members]
+        rel = [_REL_NONE] * (G * G)
         conj = [-1] * (G * G)
-        for a, ga in enumerate(gens):
-            for b, gb in enumerate(gens):
+        for a, (pa, qa) in enumerate(self.pairs):
+            ma, ca, row = mask[a], card[a], a * G
+            for b, (pb, qb) in enumerate(self.pairs):
                 if a == b:
                     continue
-                k = classify(ga, gb)
-                rel[a * G + b] = kind_of[k]
-                if k is RelationKind.FIRST_CONTAINS_SECOND:
-                    img = conjugate_nested(ga, gb)
-                    conj[a * G + b] = self.gid[(img.p, img.q)]
+                if not ma & mask[b]:
+                    rel[row + b] = _REL_DISJOINT
+                elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
+                    rel[row + b] = _REL_FIRST
+                    conj[row + b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
+                elif card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
+                    rel[row + b] = _REL_SECOND
         self.rel = rel
         self.conj = conj
 

@@ -36,6 +36,12 @@ stop at distance radius: a trusted pair u, v is joined through the identity
 by a path of length depth(u) + depth(v) <= radius.  The four-point defect
 needs no basepoint: twice it is (largest − middle) of the three
 opposite-side distance sums of the quadruple.
+
+The inner loops read each vertex's stored entries as one slice
+(``CayleyBall.row``) and write the disk maths out in place: the two
+isometries of ``embed_ball``, and ``qi_fit``'s distance in the float
+expression of ``_disk_distance``.  ``render_svg`` formats each vertex's
+canvas point once.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ _DIRECTIONS: tuple[tuple[int, int], ...] = (
 )
 
 _CLOSURE_TOL = 1e-6
+# d(z, p) = 2 atanh(|z - p| / |1 - conj(z) p|) and tanh is increasing, so
+# d(z, p) > _CLOSURE_TOL exactly when |z - p| > _CLOSURE_TANH |1 - conj(z) p|
+_CLOSURE_TANH = math.tanh(_CLOSURE_TOL / 2.0)
 
 
 @dataclass(frozen=True)
@@ -88,16 +97,6 @@ def _disk_distance(z1: complex, z2: complex) -> float:
 
 def hyperbolic_distance(p1: HPoint, p2: HPoint) -> float:
     return _disk_distance(p1.z, p2.z)
-
-
-def _translate(c: complex, z: complex) -> complex:
-    """Disk isometry sending 0 to c with no rotation at the origin."""
-    return (z + c) / (1.0 + c.conjugate() * z)
-
-
-def _to_origin(c: complex, z: complex) -> complex:
-    """Disk isometry sending c to 0; angle-preserving at c."""
-    return (z - c) / (1.0 - c.conjugate() * z)
 
 
 def tiling_edge_length() -> float:
@@ -136,9 +135,12 @@ def embed_ball(b: CayleyBall) -> Embedding:
 
     The identity sits at the origin with its six edges at angles k·π/3 in
     the fixed label order; every further vertex is forced by frame
-    propagation.  Raises ClosureViolation if two paths disagree about any
-    position by more than 1e-6 (hyperbolic), which would mean the graph is
-    not locally the tiling.
+    propagation, reading the vertices' rows as slices in vid order.  Raises
+    ClosureViolation if two paths disagree about any position by more than
+    1e-6 (hyperbolic), which would mean the graph is not locally the tiling.
+    The test runs in tanh space: d(z, p) = 2 atanh(|z - p| / |1 - conj(z) p|)
+    exceeds 1e-6 exactly when |z - p| > tanh(5e-7) |1 - conj(z) p|, so no
+    atanh is taken unless a placement fails.
     """
     if b.spec.family is not Family.AFFINE or b.spec.degree != 3:
         raise NotAJ3(f"embedding is defined for the degree-3 affine group, got {b.spec}")
@@ -163,22 +165,26 @@ def embed_ball(b: CayleyBall) -> Embedding:
         z_v = pos[vid]
         if z_v is None:  # pragma: no cover - BFS order guarantees placement
             raise ClosureViolation(f"vertex {vid} reached before any parent placed it")
-        for nb, gid in b.adj_entries(vid):
+        zc_v = z_v.conjugate()
+        for e in b.row(vid):
+            nb, gid = e >> 16, e & 0xFFFF
             k = dir_of_gid[gid]
             phi = base[vid] + orient[vid] * k * third
-            z_nb = _translate(z_v, step_r * complex(math.cos(phi), math.sin(phi)))
-            if pos[nb] is None:
+            w = step_r * complex(math.cos(phi), math.sin(phi))
+            # the disk isometry sending 0 to z_v with no rotation there
+            z_nb = (w + z_v) / (1.0 + zc_v * w)
+            p = pos[nb]
+            if p is None:
                 pos[nb] = z_nb
                 orient[nb] = orient[vid] * eps[gid]
-                back = _to_origin(z_nb, z_v)
+                # z_v seen from z_nb: the isometry sending z_nb to 0
+                back = (z_v - z_nb) / (1.0 - z_nb.conjugate() * z_v)
                 base[nb] = math.atan2(back.imag, back.real) - orient[nb] * k * third
-            else:
-                gap = _disk_distance(z_nb, pos[nb])
-                if gap > _CLOSURE_TOL:
-                    raise ClosureViolation(
-                        f"vertex {b.text(nb)!r} placed {gap:.3e} apart "
-                        f"along different paths (tolerance {_CLOSURE_TOL:.0e})"
-                    )
+            elif abs(z_nb - p) > _CLOSURE_TANH * abs(1.0 - z_nb.conjugate() * p):
+                raise ClosureViolation(
+                    f"vertex {b.text(nb)!r} placed {_disk_distance(z_nb, p):.3e} apart "
+                    f"along different paths (tolerance {_CLOSURE_TOL:.0e})"
+                )
 
     return Embedding(ball=b, points=pos, edge_length=a)
 
@@ -222,13 +228,16 @@ def qi_fit(e: Embedding) -> QIFit:
     by_depth = [[v for v, dv in enumerate(depth) if dv == d] for d in range(radius + 1)]
     lam = 1.0
     pairs = 0
+    atanh = math.atanh
     for u, du in enumerate(depth):
         zu = points[u]
+        zc = zu.conjugate()
         row = table.get(u)
         for bucket in by_depth[:radius - du + 1]:
             for v in bucket[bisect_right(bucket, u):]:
                 d_g = row[v] if row is not None else table[v][u]
-                d_h = _disk_distance(zu, points[v])
+                zv = points[v]
+                d_h = 2.0 * atanh(abs(zu - zv) / abs(1.0 - zc * zv))  # as _disk_distance
                 ratio = d_h / d_g if d_h > d_g else d_g / d_h
                 if ratio > lam:
                     lam = ratio
@@ -333,13 +342,12 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
-def _arc_path(z1: complex, z2: complex) -> str:
-    """SVG path for the disk geodesic from z1 to z2 (canvas coordinates)."""
-    x1, y1 = _canvas_xy(z1)
-    x2, y2 = _canvas_xy(z2)
+def _arc_to(z1: complex, z2: complex, end: str) -> str:
+    """SVG path command drawing the disk geodesic from z1 to z2, whose canvas
+    point is `end` ("x y")."""
     cross = (z1.conjugate() * z2).imag
     if abs(cross) < 1e-9:  # through the origin: the geodesic is a diameter
-        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
+        return f"L {end}"
     # Center c of the circle through z1, z2 orthogonal to the unit circle:
     # 2·(c·z) = 1 + |z|² for both points, a linear system in (cx, cy).
     r1 = 1.0 + abs(z1) ** 2
@@ -347,14 +355,11 @@ def _arc_path(z1: complex, z2: complex) -> str:
     det = 2.0 * (z1.real * z2.imag - z2.real * z1.imag)
     cx = (r1 * z2.imag - r2 * z1.imag) / det
     cy = (r2 * z1.real - r1 * z2.real) / det
-    rad = math.sqrt(cx * cx + cy * cy - 1.0) * _SCALE
+    rad = _fmt(math.sqrt(cx * cx + cy * cy - 1.0) * _SCALE)
     # Sweep: canvas y points down, so the rotational sense flips.
     ccw = ((z1.real - cx) * (z2.imag - cy) - (z1.imag - cy) * (z2.real - cx)) > 0
     sweep = 0 if ccw else 1
-    return (
-        f"M {_fmt(x1)} {_fmt(y1)} "
-        f"A {_fmt(rad)} {_fmt(rad)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
-    )
+    return f"A {rad} {rad} 0 0 {sweep} {end}"
 
 
 def render_svg(
@@ -363,25 +368,27 @@ def render_svg(
 ) -> bytes:
     """Deterministic SVG: boundary circle plus one geodesic arc per edge.
 
-    With ``highlight=(u, v)`` two additional paths are drawn: the graph
-    geodesic from u to v as a polyline through the embedded vertices, and
-    the single hyperbolic geodesic between the endpoints, so the two can be
-    compared visually.
+    Each vertex's canvas point is formatted once.  With ``highlight=(u, v)``
+    two additional paths are drawn: the graph geodesic from u to v as a
+    polyline through the embedded vertices, and the single hyperbolic
+    geodesic between the endpoints, so the two can be compared visually.
     """
     b = e.ball
     pts = e.points
+    xy = [f"{_fmt(x)} {_fmt(y)}" for x, y in map(_canvas_xy, pts)]
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
         'viewBox="0 0 1000 1000">',
         f'<circle cx="{_fmt(_SCALE)}" cy="{_fmt(_SCALE)}" r="{_fmt(_SCALE)}" '
         'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
-    edges = ((u, nb) for u in range(len(b)) for nb, _gid in b.adj_entries(u) if nb > u)
-    for vid, nb in sorted(edges):
-        lines.append(
-            f'<path d="{_arc_path(pts[vid], pts[nb])}" fill="none" '
-            'stroke="#1a1a1a" stroke-width="1.5"/>'
-        )
+    for u in range(len(b)):
+        zu, head = pts[u], f'<path d="M {xy[u]} '
+        for nb in sorted(x >> 16 for x in b.row(u) if x >> 16 > u):
+            lines.append(
+                f'{head}{_arc_to(zu, pts[nb], xy[nb])}" fill="none" '
+                'stroke="#1a1a1a" stroke-width="1.5"/>'
+            )
     if highlight is not None:
         u, v = highlight
         path_vids = _graph_geodesic(b, b.vid(u), b.vid(v))
@@ -391,8 +398,9 @@ def render_svg(
         lines.append(
             f'<polyline points="{poly}" fill="none" stroke="#d62728" stroke-width="3"/>'
         )
+        s, t = path_vids[0], path_vids[-1]
         lines.append(
-            f'<path d="{_arc_path(pts[path_vids[0]], pts[path_vids[-1]])}" fill="none" '
+            f'<path d="M {xy[s]} {_arc_to(pts[s], pts[t], xy[t])}" fill="none" '
             'stroke="#1f77b4" stroke-width="3" stroke-dasharray="8 4"/>'
         )
     lines.append("</svg>")

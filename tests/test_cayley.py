@@ -8,8 +8,12 @@ import pytest
 
 from graphs import (
     doubled_edge_graph,
+    many_medians_graph,
     missing_cube_corner_graph,
+    missing_spoke_graph,
     one_way_entries,
+    open_face_graph,
+    phantom_eighth_corner_graph,
     shared_wedge_graph,
 )
 
@@ -330,6 +334,43 @@ def test_distances_from_matches_depth(aj3_r3):
     b = aj3_r3
     dist = b.distances_from(0)
     assert all(dist[v] == b.depth_at(v) for v in range(len(b)))
+
+
+def _reference_distances(b, src, limit):
+    """Breadth-first search over adj_entries; -1 past `limit` when it is >= 0."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for nb, _ in b.adj_entries(u):
+                if nb not in dist:
+                    dist[nb] = dist[u] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return [
+        d if limit < 0 or d <= limit else -1
+        for d in (dist.get(v, -1) for v in range(len(b)))
+    ]
+
+
+def test_distances_from_matches_reference_bfs(aj3_r4, aj4_r3):
+    balls = [aj3_r4, import_ball(export_obj(aj4_r3))] + [
+        import_ball(make()) for make in (
+            shared_wedge_graph, doubled_edge_graph, many_medians_graph,
+            missing_cube_corner_graph, missing_spoke_graph, open_face_graph,
+            phantom_eighth_corner_graph,
+        )
+    ]
+    for b in balls:
+        by_depth = {}
+        for v in range(len(b)):
+            by_depth.setdefault(b.depth_at(v), []).append(v)
+        # the first and the last vertex of each depth
+        for src in sorted({v for vs in by_depth.values() for v in (vs[0], vs[-1])}):
+            for limit in range(-1, b.radius + 2):
+                got = list(b.distances_from(src, limit))
+                assert got == _reference_distances(b, src, limit), (b.spec, src, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -522,8 +522,9 @@ def test_version_flag():
 
 
 # sha256 of each verb's stdout and of the files it writes, as written when
-# ball() still normalized every parent word plus a letter: a speed-up must
-# not change an output byte
+# ball() still normalized every parent word plus a letter (and, for the disk
+# verbs, before embed_ball, qi_fit and render_svg wrote the disk maths
+# inline): a speed-up must not change an output byte
 _PINNED = (
     (("ball", "--n", "4", "--radius", "3", "--out", "ball.json"),
      "fa2282ac042f52a0e4ba93a1459bc7bcca90fc5348d2619bd4b503e06eb602ce",
@@ -540,6 +541,13 @@ _PINNED = (
      "ebbff063ab340a3b74e36e187142993fb9ed35438c158d7c5a2e8b65524efe04", {}),
     (("verify", "--check", "squares", "--family", "cactus", "--n", "4", "--radius", "3"),
      "7941a72161a7beb101744d614f3a8ce122fa8ece6558057f2fce5359e01f5d79", {}),
+    (("delta", "--radius", "3"),
+     "5aa2634aa1698122f98bcb879aab7ec3227c4741711c0a295a056ffb73b2a74b", {}),
+    (("qi-fit", "--radius", "4"),
+     "c90d31e81f8df178efc460855e6d2c7ac0896dcf2ea8850b456883a1f3b093d6", {}),
+    (("embed", "--radius", "4", "--out", "disk.svg"),
+     "6a58e4f6f692371e2db7f006eb6cd54c8f485ea8d29708cda69da08a109f8b44",
+     {"disk.svg": "5bd1ca16f807132a0105a1b5a2f8d0caf12a7a1bc50eeac1bfcdea8b6cae2e54"}),
 )
 
 

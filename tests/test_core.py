@@ -23,6 +23,7 @@ from cactuskit import (
     parse_generator,
     s_reflect,
 )
+from cactuskit.core import presentation
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,32 @@ def test_classify_errors():
     g = parse_generator(affine(3), "1,2")
     with pytest.raises(InvalidPair):
         classify(g, g)
+
+
+@pytest.mark.parametrize("family", (cactus, affine))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relation_tables_match_classify(family, n):
+    """Presentation builds rel/conj from ints; every ordered pair agrees with
+    classify and conjugate_nested on Generator objects."""
+    pres = presentation(family(n))
+    gens, G = pres.gens, pres.G
+    code = {
+        RelationKind.NONE: 0,
+        RelationKind.DISJOINT: 1,
+        RelationKind.FIRST_CONTAINS_SECOND: 2,
+        RelationKind.SECOND_CONTAINS_FIRST: 3,
+    }
+    for a, ga in enumerate(gens):
+        assert (pres.rel[a * G + a], pres.conj[a * G + a]) == (0, -1)
+        for b, gb in enumerate(gens):
+            if a == b:
+                continue
+            kind = classify(ga, gb)
+            assert pres.rel[a * G + b] == code[kind], (ga, gb)
+            want = -1
+            if kind is RelationKind.FIRST_CONTAINS_SECOND:
+                want = pres.id_of(conjugate_nested(ga, gb))
+            assert pres.conj[a * G + b] == want, (ga, gb)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 
 from cactuskit import (
+    ClosureViolation,
     FourPointDelta,
     HPoint,
     NotAJ3,
@@ -26,8 +27,10 @@ from cactuskit import (
     ball,
     cactus,
     embed_ball,
+    export_obj,
     four_point_delta,
     hyperbolic_distance,
+    import_ball,
     qi_fit,
     render_svg,
     squares,
@@ -108,6 +111,18 @@ def test_embedding_rejects_other_groups():
         embed_ball(ball(affine(4), 1))
     with pytest.raises(NotAJ3):
         embed_ball(ball(cactus(3), 1))
+
+
+def test_embedding_rejects_a_relabelled_edge():
+    """Negative control for the closure check: relabel the edge 1,2 -- 1,2;2,1
+    from 2,1 to 3,1 in the radius-3 ball, and two paths place 1,2;2,1;3,1
+    2.292 apart."""
+    obj = export_obj(ball(affine(3), 3))
+    (rec,) = [r for r in obj["edges"] if (r["from"], r["to"]) == ("1,2", "1,2;2,1")]
+    assert rec["generator"] == "2,1"
+    rec["generator"] = "3,1"
+    with pytest.raises(ClosureViolation, match=r"^vertex '1,2;2,1;3,1' placed 2\.292e\+00 apart"):
+        embed_ball(import_ball(obj))
 
 
 def test_first_ring_geometry():
