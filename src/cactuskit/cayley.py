@@ -10,8 +10,9 @@ Internally a ball is flat arrays: vertex keys are byte-encoded generator-id
 sequences, adjacency is one packed integer (neighbor_vid << 16 | gid) per
 directed edge, grouped per vertex.  The kernels work on these arrays and
 make no word per vertex (ball completes squares, and text is made from key
-ids at the export).  The public API speaks in tuples of index pairs, e.g.
-((1, 4), (1, 2), (3, 4)).
+ids at the export).  One writer, `_json_text`, writes the ball's JSON, both
+for `export(b, "json")` and for the CLI's `ball` to stdout.  The public API
+speaks in tuples of index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     BudgetExceeded,
@@ -382,29 +384,33 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 # -- serialization -----------------------------------------------------------
 
 
-def _export_rows(b: CayleyBall) -> tuple[list[tuple[int, str]], list[tuple[str, str, str]]]:
+def _export_rows(
+    b: CayleyBall, quote: Callable[[str], str] | None = None
+) -> tuple[list[tuple[int, str]], list[tuple[str, str, str]]]:
     """(depth, word) per vertex and (from, to, generator) per edge, sorted.
 
     Vertices sort on (depth, word); an edge is kept from the entry whose
     `from` end sorts first (words are unique per vertex), so each stored
-    edge appears once.
+    edge appears once.  With `quote`, each word and generator text is
+    quote(text), made once.  The JSON writer quotes with json's escaper,
+    which only wraps these texts in '"': that sorts below every character
+    they hold (digits, ',', ';' and 'e'), so the rows keep their order.
     """
     n, gtexts = len(b), b._texts
     # a key of one byte per letter (G <= 255) iterates as its generator ids
     seqs = b._keys if b._pres.G <= 255 else map(b._decode, b._keys)
     texts = [";".join([gtexts[i] for i in ids]) or "e" for ids in seqs]
-    ranked = sorted(zip(b._depth, texts, range(n)))  # words are unique per vertex
-    pos = [0] * n
-    for i, (_, _, v) in enumerate(ranked):
-        pos[v] = i
-    adj, off = b._adj, b._off
+    if quote is not None:
+        texts, gtexts = list(map(quote, texts)), list(map(quote, gtexts))
+    vrows = list(zip(b._depth, texts))  # by vid
+    adj, off = b._adj, b._off.tolist()
     erows = sorted([
         (texts[u], texts[e >> 16], gtexts[e & 0xFFFF])
         for u in range(n)
         for e in adj[off[u]:off[u + 1]]
-        if pos[u] < pos[e >> 16]
+        if vrows[u] < vrows[e >> 16]
     ])
-    return [(d, t) for d, t, _ in ranked], erows
+    return sorted(vrows), erows
 
 
 def export_obj(b: CayleyBall) -> dict:
@@ -418,39 +424,53 @@ def export_obj(b: CayleyBall) -> dict:
     }
 
 
-def _json_list(items: list[str], indent: str = " ") -> str:
-    """Records already indented, as a JSON list whose key sits at `indent`."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _json_text(b: CayleyBall, indent: int, sort_keys: bool, depth: int) -> str:
+    """json.dumps(export_obj(b), indent=indent, sort_keys=sort_keys) as it
+    reads nested `depth` levels deep (each line after the first indented
+    depth * indent spaces more): the one writer of the ball's JSON, for
+    `export` and for the CLI's stdout envelope.
 
+    json's indenting encoder is pure Python, so each list of records is one
+    % call, on a format string made from the field names.  Each word and
+    generator text goes through json's own escaper once (_export_rows), ints
+    through %s.
+    """
+    vrows, erows = _export_rows(b, encode_basestring_ascii)
+    order = sorted if sort_keys else list
+    nl = ["\n" + " " * (indent * (depth + k)) for k in range(4)]  # a line k levels in
 
-def _export_json(b: CayleyBall) -> str:
-    """export_obj(b) as json.dumps(indent=1, sort_keys=True) writes it, plus a
-    newline: strings go through json's own escaper, ints through %d."""
-    vrows, erows = _export_rows(b)
-    esc = encode_basestring_ascii
-    edges = [
-        '  {\n   "from": %s,\n   "generator": %s,\n   "to": %s\n  }' % (esc(f), esc(g), esc(t))
-        for f, t, g in erows
-    ]
-    vertices = ['  {\n   "depth": %d,\n   "word": %s\n  }' % (d, esc(w)) for d, w in vrows]
-    return (
-        '{\n "edges": %s,\n "radius": %d,\n "spec": {\n  "family": %s,\n  "n": %d\n },'
-        '\n "vertices": %s\n}\n'
-        % (
-            _json_list(edges),
-            b.radius,
-            esc(b.spec.family.value),
-            b.spec.degree,
-            _json_list(vertices),
-        )
-    )
+    def obj(level: int, members: dict) -> str:
+        """An object at `level` whose member values are JSON text already."""
+        inner = nl[level + 1]
+        body = ("," + inner).join([f'"{k}": {members[k]}' for k in order(members)])
+        return "{%s%s%s}" % (inner, body, nl[level])
+
+    def records(fields: dict, rows: list[tuple]) -> str:
+        """A top-level member's list of records; `fields` maps each field
+        name, in schema order, to its place in a row."""
+        if not rows:
+            return "[]"
+        names = order(fields)
+        places = list(map(fields.get, names))
+        values = rows if places == sorted(places) else map(itemgetter(*places), rows)
+        fmt = ("," + nl[2]).join([obj(2, dict.fromkeys(names, "%s"))] * len(rows))
+        return "[%s%s%s]" % (nl[2], fmt % tuple(chain.from_iterable(values)), nl[1])
+
+    return obj(0, {
+        "spec": obj(1, {"family": encode_basestring_ascii(b.spec.family.value), "n": b.spec.degree}),
+        "radius": b.radius,
+        "vertices": records({"word": 1, "depth": 0}, vrows),
+        "edges": records({"from": 0, "to": 1, "generator": 2}, erows),
+    })
 
 
 def export(b: CayleyBall, format: str = "json") -> bytes:
     """Deterministic serialization; identical balls give identical bytes."""
     fmt = format.lower()
     if fmt == "json":
-        return _export_json(b).encode()
+        text = _json_text(b, 1, True, 0)
+        text += "\n"  # in place where the interpreter can: text has no other reference
+        return text.encode()
     if fmt == "dot":
         vrows, erows = _export_rows(b)
         lines = [f'graph "{b.spec.family.value}_{b.spec.degree}_r{b.radius}" {{']

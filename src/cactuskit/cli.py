@@ -11,12 +11,14 @@ One executable, eight verbs:
   constants, four-point hyperbolicity defect.
 
 Every JSON-producing verb wraps its payload in the envelope
-``{tool_version, invocation, result}``.  Identical argv produces
-byte-identical stdout.  The argument parser is built once per process, by
-the first `run`/`main` call, and reused by every later call; parsing keeps
-no state between calls.  Every flag a verb takes is one it reads: the disk
-verbs take no ``--family``/``--n`` (they are defined for AJ_3 only), and a
-``verify`` flag that the chosen check would not read is a usage error.
+``{tool_version, invocation, result}``.  ``ball`` to stdout writes the ball
+with cayley's one JSON writer (``_json_text``, as ``export`` does) and keeps
+no record layout of its own.  Identical argv produces byte-identical stdout.
+The argument parser is built once per process, by the first `run`/`main`
+call, and reused by every later call; parsing keeps no state between calls.
+Every flag a verb takes is one it reads: the disk verbs take no
+``--family``/``--n`` (they are defined for AJ_3 only), and a ``verify`` flag
+that the chosen check would not read is a usage error.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 budget
 or I/O error.  Diagnostics go to stderr only.
 """
@@ -26,10 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
+from itertools import accumulate
 
 from . import __version__
-from .cayley import CayleyBall, _export_rows, _json_list, ball, export, import_ball
+from .cayley import CayleyBall, _json_text, ball, export, import_ball
 from .core import (
     BudgetExceeded,
     CactusError,
@@ -82,35 +84,11 @@ def _emit(invocation: dict, result: dict) -> None:
 
 
 def _emit_ball(invocation: dict, b: CayleyBall) -> None:
-    """`_emit(invocation, export_obj(b))`, byte for byte, with one format
-    string per vertex record and one per edge record: json's indenting
-    encoder is pure Python.  Strings go through json's own escaper, ints
-    through %d; the head is the dump of the envelope without its result, up
-    to its closing brace."""
-    vrows, erows = _export_rows(b)
-    esc = encode_basestring_ascii
-    vertices = [
-        '      {\n        "word": %s,\n        "depth": %d\n      }' % (esc(w), d)
-        for d, w in vrows
-    ]
-    edges = [
-        '      {\n        "from": %s,\n        "to": %s,\n        "generator": %s\n      }'
-        % (esc(f), esc(t), esc(g))
-        for f, t, g in erows
-    ]
+    """`_emit(invocation, export_obj(b))`, byte for byte: the head is the
+    dump of the envelope without its result, up to its closing brace, and
+    the result is written by cayley's one JSON writer."""
     head = json.dumps({"tool_version": __version__, "invocation": invocation}, indent=2)
-    sys.stdout.write(
-        '%s,\n  "result": {\n    "spec": {\n      "family": %s,\n      "n": %d\n    },'
-        '\n    "radius": %d,\n    "vertices": %s,\n    "edges": %s\n  }\n}\n'
-        % (
-            head[:-2],
-            esc(b.spec.family.value),
-            b.spec.degree,
-            b.radius,
-            _json_list(vertices, "    "),
-            _json_list(edges, "    "),
-        )
-    )
+    sys.stdout.write('%s,\n  "result": %s\n}\n' % (head[:-2], _json_text(b, 2, False, 1)))
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -236,12 +214,9 @@ def _run_ball(args: argparse.Namespace) -> int:
 def _run_growth(args: argparse.Namespace) -> int:
     b = ball(_spec_of(args), args.radius, max_vertices=args.budget)
     sizes = b.sphere_sizes()
-    totals = []
-    for s in sizes:
-        totals.append((totals[-1] if totals else 0) + s)
     _emit(
         {"verb": "growth", "family": args.family, "n": args.n, "radius": args.radius},
-        {"sphere_sizes": sizes, "ball_sizes": totals},
+        {"sphere_sizes": sizes, "ball_sizes": list(accumulate(sizes))},
     )
     return EXIT_PASS
 

@@ -24,7 +24,7 @@ verification that they carry interval configurations back and forth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .core import (
     Family,
@@ -35,6 +35,7 @@ from .core import (
     WrongFamily,
     _REL_DISJOINT,
     _REL_FIRST,
+    _REL_NONE,
     _REL_SECOND,
     _wrap,
     affine,
@@ -348,22 +349,6 @@ def verify_phi_psi_roundtrip(n: int) -> VerificationReport:
     return rep
 
 
-# The four interval configurations a cube corner can realize, as predicates
-# over the relation codes of the ordered label triple (first is the one whose
-# start index drives the shift).
-_CONFIGS = (
-    ("chain", lambda r12, r13, r23: r12 == _REL_FIRST and r23 == _REL_FIRST),
-    ("nested-plus-disjoint",
-     lambda r12, r13, r23: r12 == _REL_FIRST and r13 == _REL_DISJOINT),
-    ("common-outer",
-     lambda r12, r13, r23: r12 == _REL_FIRST and r13 == _REL_FIRST
-     and r23 == _REL_DISJOINT),
-    ("pairwise-disjoint",
-     lambda r12, r13, r23: r12 == _REL_DISJOINT and r13 == _REL_DISJOINT
-     and r23 == _REL_DISJOINT),
-)
-
-
 def _plain_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
     return outer[0] <= inner[0] and inner[1] <= outer[1]
 
@@ -372,26 +357,48 @@ def _plain_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[1] < b[0] or b[1] < a[0]
 
 
+# The four interval configurations a cube corner can realize, as constraints
+# (label pair, relation code) on the ordered label triple 1, 2, 3, where 1 is
+# the label whose start index drives the shift.  _REL_FIRST on (i, j): label
+# i contains label j; _REL_DISJOINT: the two are disjoint.
+_CONFIGS = (
+    ("chain", (((1, 2), _REL_FIRST), ((2, 3), _REL_FIRST))),
+    ("nested-plus-disjoint", (((1, 2), _REL_FIRST), ((1, 3), _REL_DISJOINT))),
+    ("common-outer",
+     (((1, 2), _REL_FIRST), ((1, 3), _REL_FIRST), ((2, 3), _REL_DISJOINT))),
+    ("pairwise-disjoint",
+     (((1, 2), _REL_DISJOINT), ((1, 3), _REL_DISJOINT), ((2, 3), _REL_DISJOINT))),
+)
+# what each relation code of a constraint says of the plain (shifted) pairs
+_PLAIN_RELATIONS = {
+    _REL_FIRST: ("containment", _plain_contains),
+    _REL_DISJOINT: ("disjointness", _plain_disjoint),
+}
+_TRIPLE_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
 def _configured_triples(n: int):
-    """Ordered distinct generator triples of AJ_n realizing each configuration."""
+    """(name, constraints, label pairs) for each ordered triple of distinct
+    generators of AJ_n realizing a configuration of _CONFIGS."""
     pres = presentation(affine(n))
-    G, rel = pres.G, pres.rel
-    pairs = pres.pairs
-    for a in range(G):
-        for bb in range(G):
-            if bb == a:
-                continue
-            r12 = rel[a * G + bb]
-            if r12 not in (_REL_FIRST, _REL_DISJOINT):
-                continue
-            for c in range(G):
-                if c == a or c == bb:
-                    continue
-                r13 = rel[a * G + c]
-                r23 = rel[bb * G + c]
-                for name, pred in _CONFIGS:
-                    if pred(r12, r13, r23):
-                        yield name, pairs[a], pairs[bb], pairs[c]
+    G, rel, pairs = pres.G, pres.rel, pres.pairs
+    # the configurations that the relation codes (r12, r13, r23) of a label
+    # triple realize, read off _CONFIGS
+    by_codes: dict[tuple[int, ...], list] = {}
+    for codes in product((_REL_NONE, _REL_DISJOINT, _REL_FIRST, _REL_SECOND), repeat=3):
+        have = dict(zip(_TRIPLE_PAIRS, codes))
+        for name, constraints in _CONFIGS:
+            if all(have[ij] == r for ij, r in constraints):
+                by_codes.setdefault(codes, []).append((name, constraints))
+    leads = {codes[0] for codes in by_codes}  # the r12 codes that some configuration allows
+    for a, b in permutations(range(G), 2):
+        r12 = rel[a * G + b]
+        if r12 not in leads:
+            continue
+        for c in range(G):
+            if c != a and c != b:
+                for name, constraints in by_codes.get((r12, rel[a * G + c], rel[b * G + c]), ()):
+                    yield name, constraints, (pairs[a], pairs[b], pairs[c])
 
 
 def verify_claim_phi(n: int) -> VerificationReport:
@@ -405,39 +412,26 @@ def verify_claim_phi(n: int) -> VerificationReport:
     if n < 3:
         raise PreconditionViolated("configurations need n >= 3")
     rep = VerificationReport("claim-phi", affine(n), {"n": n}, 0, 0)
-    for name, pq1, pq2, pq3 in _configured_triples(n):
+    for name, constraints, labels in _configured_triples(n):
         rep.items_checked += 1
-        i = pq1[0]
-        t1 = phi_pair(i, pq1, n)
-        t2 = phi_pair(i, pq2, n)
-        t3 = phi_pair(i, pq3, n)
+        i = labels[0][0]
+        images = [phi_pair(i, pq, n) for pq in labels]
 
         def expect(cond: bool, what: str) -> None:
             if not cond:
                 rep.note_failure({
                     "configuration": name,
-                    "tuple": [list(pq1), list(pq2), list(pq3)],
+                    "tuple": [list(pq) for pq in labels],
                     "shift": i,
-                    "images": [list(t1), list(t2), list(t3)],
+                    "images": [list(t) for t in images],
                     "violated": what,
                 })
 
-        expect(t1[0] == 1, "shifted outer interval starts at 1")
-        expect(t1[0] < t1[1] and t2[0] < t2[1] and t3[0] < t3[1],
-               "images are increasing pairs")
-        if name == "chain":
-            expect(_plain_contains(t1, t2) and _plain_contains(t2, t3),
-                   "containment chain transfers")
-        elif name == "nested-plus-disjoint":
-            expect(_plain_contains(t1, t2), "containment transfers")
-            expect(_plain_disjoint(t1, t3), "disjointness transfers")
-        elif name == "common-outer":
-            expect(_plain_contains(t1, t2) and _plain_contains(t1, t3),
-                   "both containments transfer")
-            expect(_plain_disjoint(t2, t3), "inner disjointness transfers")
-        else:  # pairwise-disjoint
-            expect(_plain_disjoint(t1, t2) and _plain_disjoint(t1, t3)
-                   and _plain_disjoint(t2, t3), "pairwise disjointness transfers")
+        expect(images[0][0] == 1, "shifted outer interval starts at 1")
+        expect(all(p < q for p, q in images), "images are increasing pairs")
+        for (x, y), r in constraints:
+            what, holds = _PLAIN_RELATIONS[r]
+            expect(holds(images[x - 1], images[y - 1]), f"{what} of labels {x} and {y} transfers")
     return rep
 
 
@@ -456,24 +450,24 @@ def verify_claim_psi(n: int) -> VerificationReport:
     rep = VerificationReport(
         "claim-psi", affine(n), {"n": n, "wrapped_ordering_instances": 0}, 0, 0
     )
-    for name, pq1, pq2, pq3 in _configured_triples(n):
+    for name, constraints, labels in _configured_triples(n):
         rep.items_checked += 1
-        i = pq1[0]
-        images = [phi_pair(i, pq, n) for pq in (pq1, pq2, pq3)]
-        back = [psi_pair(i, t, n) for t in images]
-        if back != [pq1, pq2, pq3]:
+        i = labels[0][0]
+        images = [phi_pair(i, pq, n) for pq in labels]
+        back = tuple(psi_pair(i, t, n) for t in images)
+        if back != labels:
             rep.note_failure({
                 "configuration": name,
-                "tuple": [list(pq1), list(pq2), list(pq3)],
+                "tuple": [list(pq) for pq in labels],
                 "shift": i,
                 "returned": [list(t) for t in back],
             })
             continue
         # the ordering where both arcs wrap: k < l < j < i with
         # [i,j] containing [k,l]; every shifted index gains n before reduction
-        j = pq1[1]
-        k, l = pq2
-        if name in ("chain", "nested-plus-disjoint", "common-outer") and k < l < j < i:
+        j = labels[0][1]
+        k, l = labels[1]
+        if ((1, 2), _REL_FIRST) in constraints and k < l < j < i:
             rep.params["wrapped_ordering_instances"] += 1
             ip, jp = images[0]
             kp, lp = images[1]
@@ -491,7 +485,7 @@ def verify_claim_psi(n: int) -> VerificationReport:
             if not ok:
                 rep.note_failure({
                     "configuration": name,
-                    "tuple": [list(pq1), list(pq2), list(pq3)],
+                    "tuple": [list(pq) for pq in labels],
                     "shift": i,
                     "violated": "closed-form values of the doubly-wrapped ordering",
                 })

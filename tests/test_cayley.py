@@ -562,9 +562,21 @@ def test_export_json_matches_json_dumps(family, n):
 
 
 def test_export_json_matches_json_dumps_beyond_the_builder():
-    graphs = (shared_wedge_graph, doubled_edge_graph, missing_cube_corner_graph)
-    for b in (ball(cactus(4), 6), *(import_ball(g()) for g in graphs)):
+    """Also past 255 generators, where a key is two bytes per letter:
+    J_24 has 276 generators and AJ_17 has 272."""
+    graphs = (shared_wedge_graph, doubled_edge_graph, missing_cube_corner_graph, _aj17_square_graph)
+    for b in (ball(cactus(4), 6), ball(cactus(24), 1), *(import_ball(g()) for g in graphs)):
         assert export(b, "json") == _json_reference(b)
+
+
+def test_export_keeps_two_byte_words():
+    """Past 255 generators each word is read off its two-byte key: the
+    export gives back the imported graph's own records."""
+    g = _aj17_square_graph()
+    out = export_obj(import_ball(g))
+    records = lambda recs: sorted(tuple(sorted(r.items())) for r in recs)  # noqa: E731
+    assert records(out["vertices"]) == records(g["vertices"])
+    assert records(out["edges"]) == records(g["edges"])
 
 
 def test_export_dot(aj3_r2):

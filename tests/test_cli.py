@@ -90,21 +90,24 @@ def test_ball_json_stdout(capsys):
 @pytest.mark.parametrize("family", ["affine", "cactus"])
 def test_ball_stdout_is_json_dumps_byte_for_byte(capsys, family):
     """The direct envelope writer prints exactly what json.dumps(indent=2)
-    prints, down to radius 0 and its empty edge list."""
+    prints, down to radius 0 and its empty edge list, and past 255
+    generators."""
     make = affine if family == "affine" else cactus
-    for n in range(2, 6):
-        for radius in range(4):
-            code, out, err = run_cli(
-                capsys, "ball", "--family", family, "--n", str(n), "--radius", str(radius)
-            )
-            envelope = {
-                "tool_version": __version__,
-                "invocation": {"verb": "ball", "family": family, "n": n,
-                               "radius": radius, "format": "json"},
-                "result": export_obj(ball(make(n), radius)),
-            }
-            assert (code, err) == (0, "")
-            assert out == json.dumps(envelope, indent=2) + "\n", (n, radius)
+    cases = [(n, radius) for n in range(2, 6) for radius in range(4)]
+    if family == "cactus":
+        cases.append((24, 1))  # 276 generators: two-byte keys
+    for n, radius in cases:
+        code, out, err = run_cli(
+            capsys, "ball", "--family", family, "--n", str(n), "--radius", str(radius)
+        )
+        envelope = {
+            "tool_version": __version__,
+            "invocation": {"verb": "ball", "family": family, "n": n,
+                           "radius": radius, "format": "json"},
+            "result": export_obj(ball(make(n), radius)),
+        }
+        assert (code, err) == (0, "")
+        assert out == json.dumps(envelope, indent=2) + "\n", (n, radius)
 
 
 def test_ball_stdout_fresh_interpreter_parity(capsys):

@@ -41,6 +41,7 @@ from cactuskit import (
     verify_claim_psi,
     verify_phi_psi_roundtrip,
 )
+from cactuskit import verify
 from cactuskit.cli import main
 from cactuskit.verify import _related_triples
 
@@ -359,3 +360,24 @@ def test_claim_preconditions():
         verify_claim_phi(2)
     with pytest.raises(PreconditionViolated):
         verify_claim_psi(2)
+
+
+@pytest.mark.parametrize(
+    "name, check, shifted",
+    [("phi_pair", verify_claim_phi, phi_pair), ("psi_pair", verify_claim_psi, psi_pair)],
+)
+def test_claims_fail_on_a_shift_one_too_far(monkeypatch, capsys, name, check, shifted):
+    """Negative control: with the shift map moved one index too far, both
+    the report and the CLI verb fail, with witnesses naming the tuple."""
+    monkeypatch.setattr(verify, name, lambda i, pair, n: shifted(i + 1, pair, n))
+    rep = check(5)
+    assert not rep.passed
+    assert rep.items_checked == 170
+    assert rep.failure_count > 0
+    for witness in rep.failures:
+        assert {"configuration", "tuple", "shift"} <= set(witness)
+        assert witness["configuration"] in {"chain", "nested-plus-disjoint", "common-outer",
+                                            "pairwise-disjoint"}
+        assert len(witness["tuple"]) == 3
+    assert main(["verify", "--check", rep.check_name, "--n", "5"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
