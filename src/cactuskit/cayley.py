@@ -6,13 +6,14 @@ Sageev 1995 and Niblo-Reeves 1998), so a ball is the exact Cayley ball.
 Edges join g to g*sigma for every generator sigma (involutions, so the
 graph is undirected and simple).
 
-Internally a ball is flat arrays: vertex keys are byte-encoded generator-id
-sequences, adjacency is one packed integer (neighbor_vid << 16 | gid) per
-directed edge, grouped per vertex.  The kernels work on these arrays and
-make no word per vertex (ball completes squares, and text is made from key
-ids at the export).  One writer, `_json_text`, writes the ball's JSON, both
-for `export(b, "json")` and for the CLI's `ball` to stdout.  The public API
-speaks in tuples of index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
+Internally a ball is flat arrays: a vertex key is the str whose code points
+are its generator ids (so keys sort like their id lists), adjacency is one
+packed integer (neighbor_vid << 16 | gid) per directed edge, grouped per
+vertex.  The kernels work on these arrays and make no word per vertex (ball
+completes squares, and text is made from keys at the export).  One writer,
+`_json_text`, writes the ball's JSON, both for `export(b, "json")` and for
+the CLI's `ball` to stdout.  The public API speaks in tuples of index
+pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
@@ -43,15 +44,9 @@ from .rewriting import NormalForm, Word, _up, parse_word
 VertexKey = tuple[tuple[int, int], ...]
 
 
-def _key_codec(G: int):
-    """(encode, decode) between a generator-id list and a vertex key.
-
-    One byte per letter while every id fits in a byte (G <= 255), so a key is
-    bytes(ids); two bytes per letter (array "H") beyond that.
-    """
-    if G > 255:
-        return (lambda ids: array("H", ids).tobytes()), (lambda blob: list(array("H", blob)))
-    return bytes, list
+def _key(ids) -> str:
+    """The vertex key of a generator-id sequence: one code point per letter."""
+    return "".join(map(chr, ids))
 
 
 class BallDistance(NamedTuple):
@@ -78,8 +73,8 @@ class CayleyBall:
         self,
         spec: GroupSpec,
         radius: int,
-        keys: list[bytes],
-        index: dict[bytes, int],
+        keys: list[str],
+        index: dict[str, int],
         depth: array,
         adj: array,
         off: array,
@@ -92,8 +87,8 @@ class CayleyBall:
         self._depth = depth
         self._adj = adj
         self._off = off
-        self._encode, self._decode = _key_codec(self._pres.G)
         self._texts = self._pres.texts
+        self._spelled = [t + ";" for t in self._texts]  # translate table: id -> "p,q;"
         self._squares: tuple[Square, ...] | None = None  # squares(self), made on first use
 
     # -- key plumbing --------------------------------------------------------
@@ -110,22 +105,21 @@ class CayleyBall:
             raise InvalidPair(f"bad vertex key {key!r}") from exc
 
     def vid(self, key) -> int:
-        blob = self._encode(self._to_ids(key))
-        got = self._index.get(blob)
+        got = self._index.get(_key(self._to_ids(key)))
         if got is None:
             raise VertexNotInBall(f"{key!r} not in this radius-{self.radius} ball")
         return got
 
     def key(self, vid: int) -> VertexKey:
         pairs = self._pres.pairs
-        return tuple(pairs[i] for i in self._decode(self._keys[vid]))
+        return tuple(pairs[ord(c)] for c in self._keys[vid])
 
     def word(self, key) -> NormalForm:
         return NormalForm._of(self._pres, self._to_ids(key))
 
     def text(self, vid: int) -> str:
         """The vertex's word in the text syntax, e.g. "1,3;2,3", or "e"."""
-        return ";".join(self._texts[i] for i in self._decode(self._keys[vid])) or "e"
+        return self._keys[vid].translate(self._spelled)[:-1] or "e"
 
     # -- graph views ---------------------------------------------------------
 
@@ -134,7 +128,7 @@ class CayleyBall:
 
     def __contains__(self, key) -> bool:
         try:
-            return self._encode(self._to_ids(key)) in self._index
+            return _key(self._to_ids(key)) in self._index
         except InvalidPair:
             return False
 
@@ -240,18 +234,12 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     pres = presentation(spec)
     G, par, trans, masks, by_rank = pres.G, pres.par, pres.trans, pres.masks, pres.by_rank
-    enc, dec = _key_codec(G)
-    letter = [enc([g]) for g in range(G)]
-    rank = [b.bit_length() - 1 for b in pres.bit]  # kappa rank per generator id
-    if G > 255:
-        kappa = lambda hw: [rank[i] for i in dec(keys[hw[1]])]  # noqa: E731
-    else:
-        table = bytes(rank) + bytes(256 - G)
-        kappa = lambda hw: keys[hw[1]].translate(table)  # noqa: E731
+    rank_table = _key(b.bit_length() - 1 for b in pres.bit)  # id -> chr(kappa rank)
+    kappa = lambda hw: keys[hw[1]].translate(rank_table)  # noqa: E731
     empty_row = array("q", [-1]) * G
 
-    keys: list[bytes] = [enc([])]
-    index: dict[bytes, int] = {keys[0]: 0}
+    keys: list[str] = [""]
+    index: dict[str, int] = {"": 0}
     depth = array("i", [0])
     state = [0]  # descent state per vid inside the radius (Presentation.reset_states)
     down: dict[int, list[int]] = {}  # state -> the letters of its mask
@@ -276,11 +264,11 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
             if parents:  # normal forms are prefix-closed: the kappa-least parent's, plus h
                 parents.append((g, u))
                 h, w = min(parents, key=kappa)
-                blob = keys[w] + letter[h]
+                key = keys[w] + chr(h)
             else:
-                blob = keys[u] + letter[g]
-            index[blob] = v
-            keys.append(blob)
+                key = keys[u] + chr(g)
+            index[key] = v
+            keys.append(key)
             depth.append(d)
             adj[row + g] = v << 16 | g
             for h, w in parents:
@@ -321,9 +309,8 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
 
     An edge is its two ends plus its label, read from the stored entries,
     which hold every edge both ways (see CayleyBall).  The search runs on
-    key ranks (a vid's position in key order: id-list order, which is the
-    key bytes' own order while a key holds one byte per letter, G <= 255)
-    over packed entries, and looks for each square only from its
+    key ranks (a vid's position in key order, which is id-list order) over
+    packed entries, and looks for each square only from its
     least-ranked corner: pairs of two-step walks u -> x -> z that
     meet at z and never step below u's rank.  Each square appears exactly
     once, and keys are made only for the corners of the squares found.
@@ -336,8 +323,7 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
         return b._squares
     n, keys = len(b), b._keys
     adj, off = b._adj, b._off
-    wide = b._pres.G > 255  # two bytes per letter: decode to compare
-    by_rank = sorted(range(n), key=(lambda v: b._decode(keys[v])) if wide else keys.__getitem__)
+    by_rank = sorted(range(n), key=keys.__getitem__)
     # row r holds the entries of the rank-r vertex as rank_nb << 16 | gid, in
     # rank order: each entry v -> nb is written as nb's entry back to v
     into: list[list[int]] = [[] for _ in range(n)]
@@ -390,26 +376,30 @@ def _export_rows(
     """(depth, word) per vertex and (from, to, generator) per edge, sorted.
 
     Vertices sort on (depth, word); an edge is kept from the entry whose
-    `from` end sorts first (words are unique per vertex), so each stored
-    edge appears once.  With `quote`, each word and generator text is
+    `from` end sorts first (words are unique per vertex), and a self-loop,
+    stored twice in its vertex's row, from half of those entries, so each
+    stored edge appears once.  With `quote`, each word and generator text is
     quote(text), made once.  The JSON writer quotes with json's escaper,
     which only wraps these texts in '"': that sorts below every character
     they hold (digits, ',', ';' and 'e'), so the rows keep their order.
     """
-    n, gtexts = len(b), b._texts
-    # a key of one byte per letter (G <= 255) iterates as its generator ids
-    seqs = b._keys if b._pres.G <= 255 else map(b._decode, b._keys)
-    texts = [";".join([gtexts[i] for i in ids]) or "e" for ids in seqs]
+    n, gtexts, spelled = len(b), b._texts, b._spelled
+    texts = [key.translate(spelled)[:-1] or "e" for key in b._keys]
     if quote is not None:
         texts, gtexts = list(map(quote, texts)), list(map(quote, gtexts))
     vrows = list(zip(b._depth, texts))  # by vid
     adj, off = b._adj, b._off.tolist()
-    erows = sorted([
+    erows = [
         (texts[u], texts[e >> 16], gtexts[e & 0xFFFF])
         for u in range(n)
         for e in adj[off[u]:off[u + 1]]
         if vrows[u] < vrows[e >> 16]
-    ])
+    ]
+    if 2 * len(erows) < len(adj):  # entries left over: self-loops
+        loops = sorted((u, e & 0xFFFF) for u in range(n)
+                       for e in adj[off[u]:off[u + 1]] if e >> 16 == u)
+        erows += [(texts[u], texts[u], gtexts[g]) for u, g in loops[::2]]
+    erows.sort()
     return sorted(vrows), erows
 
 
@@ -505,17 +495,17 @@ def import_ball(obj: dict) -> CayleyBall:
     spec = GroupSpec(Family(_field(spec_rec, "family", str)), _field(spec_rec, "n", int))
     radius = _field(obj, "radius", int)
     pres = presentation(spec)
-    enc = _key_codec(pres.G)[0]
     gid_of_text = pres.gid_of_text
+    letter = {t: _key([g]) for t, g in gid_of_text.items()}  # one-letter keys
 
-    def blob_of(text: str) -> bytes:
+    def key_of(text: str) -> str:
         try:  # the canonical spelling, as export writes it
-            return enc([gid_of_text[part] for part in text.split(";")])
+            return "".join([letter[part] for part in text.split(";")])
         except KeyError:  # any other spelling, with parse_word's errors
-            return enc(parse_word(spec, text).ids)
+            return _key(parse_word(spec, text).ids)
 
-    keys: list[bytes] = []
-    index: dict[bytes, int] = {}
+    keys: list[str] = []
+    index: dict[str, int] = {}
     vid_of_text: dict[str, int] = {}  # each vertex's own spelling, parsed once
     depth = array("i")
     for rec in _field(obj, "vertices", list):
@@ -524,16 +514,16 @@ def import_ball(obj: dict) -> CayleyBall:
             word, d = _field(rec, "word", str), _field(rec, "depth", int)
         if not 0 <= d <= radius:
             raise MalformedInput(f"vertex {word!r} has depth {d} outside 0..{radius}")
-        blob = blob_of(word)
-        if blob in index:
+        key = key_of(word)
+        if key in index:
             raise InvalidPair(f"duplicate vertex {word!r}")
-        index[blob] = vid_of_text[word] = len(keys)
-        keys.append(blob)
+        index[key] = vid_of_text[word] = len(keys)
+        keys.append(key)
         depth.append(d)
 
     def vid_of(text: str) -> int:
         vid = vid_of_text.get(text)
-        return index[blob_of(text)] if vid is None else vid
+        return index[key_of(text)] if vid is None else vid
 
     def edge(rec) -> tuple[int, int, int]:
         """(from, to, gid) of an edge record, each field checked."""

@@ -159,7 +159,7 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
     the unique common graph-neighbor of the three face corners.
     """
     pres = presentation(b.spec)
-    G, rel, conj, card, gens = pres.G, pres.rel, pres.conj, pres.card, pres.gens
+    G, par, card, gens = pres.G, pres.par, pres.card, pres.gens
     triples = _related_triples(b.spec)
     eligible = [v for v in range(len(b)) if b.depth_at(v) <= b.radius - 3]
     rep = VerificationReport(
@@ -173,13 +173,9 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
         return -1 if w < 0 else b.step(w, c)
 
     def far_corner(v: int, a: int, c: int) -> tuple[int, int]:
-        """The corner opposite v on the face with labels {a, c}, both routes."""
-        k = rel[a * G + c]
-        if k == _REL_FIRST:  # a contains c
-            return two_step(v, c, a), two_step(v, a, conj[a * G + c])
-        if k == _REL_SECOND:
-            return two_step(v, a, c), two_step(v, c, conj[c * G + a])
-        return two_step(v, a, c), two_step(v, c, a)
+        """The corner opposite v on the face with labels {a, c}, both routes:
+        each first letter, then the other's label across the face (par)."""
+        return two_step(v, a, par[a * G + c]), two_step(v, c, par[c * G + a])
 
     def defect(v: int, x: int, y: int, z: int) -> dict | None:
         """Why the cube at v on labels x, y, z does not span, or None."""

@@ -37,7 +37,7 @@ from cactuskit import (
     parse_word,
     squares,
 )
-from cactuskit.cayley import _key_codec
+from cactuskit.cayley import _key
 from cactuskit.core import Family, GroupSpec, presentation
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
@@ -148,14 +148,13 @@ def _insertion_reference(spec, radius):
     for entries in rows + [sorted(r, key=lambda e: e & 0xFFFF) for r in outer]:
         adj += entries
         off.append(len(adj))
-    enc = _key_codec(G)[0]
-    return [enc(w) for w in words], depth, adj, off
+    return [_key(w) for w in words], depth, adj, off
 
 
 def test_ball_matches_insertion_reference():
     """Array for array: vertex numbering, keys, depths and the order of every
-    vertex's entries.  J_24 (G = 276 > 255, two-byte keys) has vertices with
-    two parents at radius 2."""
+    vertex's entries.  J_24 (G = 276, keys with code points past 255) has
+    vertices with two parents at radius 2."""
     for spec, radius in (
         (affine(3), 6), (cactus(4), 6), (affine(4), 4), (cactus(5), 4), (cactus(6), 3),
         (cactus(24), 2),
@@ -208,16 +207,14 @@ def test_vid_key_word_round_trip(aj3_r2):
     assert b.text(0) == "e"
 
 
-def test_key_codec_one_and_two_bytes():
-    """Keys are bytes(ids) while ids fit a byte, two bytes a letter past 255."""
-    enc, dec = _key_codec(30)
-    assert enc([0, 7, 29]) == bytes([0, 7, 29])
-    assert dec(enc([0, 7, 29])) == [0, 7, 29]
-    enc, dec = _key_codec(300)
-    ids = [0, 255, 256, 299]
-    assert len(enc(ids)) == 2 * len(ids)
-    assert dec(enc(ids)) == ids
-    assert dec(enc([])) == []
+def test_key_is_one_code_point_per_letter():
+    """A key is the str of its generator ids as code points, at every G, so
+    keys sort like their id lists, also across 255."""
+    for ids in ([0, 7, 29], [0, 255, 256, 299], []):
+        assert list(map(ord, _key(ids))) == ids
+    assert _key([17]) < _key([256]) and _key([255]) < _key([256, 0]) < _key([256, 1])
+    lists = [[], [0], [0, 300], [17], [17, 256], [255, 2], [256], [256, 0], [299, 17]]
+    assert sorted(lists[::-1], key=_key) == sorted(lists) == lists
 
 
 def test_vertices_iteration_depth_monotone(aj3_r3):
@@ -388,8 +385,7 @@ def test_square_counts(aj3_r2, aj3_r3, aj4_r3):
 def _aj17_square_graph() -> dict:
     """The one square e, 2,3, 2,3;17,1, 17,1 of AJ_17 (272 generators).
 
-    Past 255 generators a key is two bytes per letter, and the ids of 2,3
-    (17) and 17,1 (256) encode to bytes that sort opposite to the keys.
+    The id of 17,1 (256) is past 255, so its key's code point is too.
     """
     return {
         "spec": {"family": "affine", "n": 17},
@@ -411,8 +407,6 @@ def _aj17_square_graph() -> dict:
 
 def test_squares_have_canonical_cycles(aj3_r2):
     wide = import_ball(_aj17_square_graph())
-    encode = _key_codec(272)[0]
-    assert encode([17]) > encode([256])  # while ((2, 3),) < ((17, 1),)
     for b in (aj3_r2, wide):
         for s in squares(b):
             assert len(s.cycle) == 4
@@ -562,7 +556,7 @@ def test_export_json_matches_json_dumps(family, n):
 
 
 def test_export_json_matches_json_dumps_beyond_the_builder():
-    """Also past 255 generators, where a key is two bytes per letter:
+    """Also past 255 generators, where keys hold code points past 255:
     J_24 has 276 generators and AJ_17 has 272."""
     graphs = (shared_wedge_graph, doubled_edge_graph, missing_cube_corner_graph, _aj17_square_graph)
     for b in (ball(cactus(4), 6), ball(cactus(24), 1), *(import_ball(g()) for g in graphs)):
@@ -570,13 +564,52 @@ def test_export_json_matches_json_dumps_beyond_the_builder():
 
 
 def test_export_keeps_two_byte_words():
-    """Past 255 generators each word is read off its two-byte key: the
-    export gives back the imported graph's own records."""
+    """Past 255 generators each word is read off a key with code points
+    past 255: the export gives back the imported graph's own records."""
     g = _aj17_square_graph()
     out = export_obj(import_ball(g))
     records = lambda recs: sorted(tuple(sorted(r.items())) for r in recs)  # noqa: E731
     assert records(out["vertices"]) == records(g["vertices"])
     assert records(out["edges"]) == records(g["edges"])
+
+
+def test_export_lists_self_loops():
+    """A self-loop is stored twice in its vertex's row and exported once:
+    JSON, DOT and export_obj list edge_count() edges, and export, import and
+    export again gives the same bytes.  Honest balls have no loops."""
+    loop = {
+        "spec": {"family": "affine", "n": 3},
+        "radius": 1,
+        "vertices": [{"word": "e", "depth": 0}, {"word": "1,2", "depth": 1}],
+        "edges": [
+            {"from": "e", "to": "1,2", "generator": "1,2"},
+            {"from": "1,2", "to": "1,2", "generator": "1,3"},
+        ],
+    }
+    loops = {
+        **loop,
+        "edges": [
+            {"from": "e", "to": "e", "generator": "1,2"},
+            {"from": "e", "to": "e", "generator": "1,2"},
+            {"from": "e", "to": "e", "generator": "1,3"},
+            {"from": "1,2", "to": "1,2", "generator": "2,3"},
+            {"from": "e", "to": "1,2", "generator": "1,2"},
+        ],
+    }
+    for g in (loop, loops):
+        b = import_ball(g)
+        assert b.edge_count() == len(g["edges"])
+        assert len(export_obj(b)["edges"]) == b.edge_count()
+        assert export(b, "json") == _json_reference(b)
+        assert len(json.loads(export(b, "json"))["edges"]) == b.edge_count()
+        assert export(b, "dot").count(b" -- ") == b.edge_count()
+        again = import_ball(json.loads(export(b, "json")))
+        assert export(again, "json") == export(b, "json")
+        assert export(again, "dot") == export(b, "dot")
+    assert export_obj(import_ball(loop))["edges"] == [
+        {"from": "1,2", "to": "1,2", "generator": "1,3"},
+        {"from": "e", "to": "1,2", "generator": "1,2"},
+    ]
 
 
 def test_export_dot(aj3_r2):

@@ -95,7 +95,7 @@ def test_ball_stdout_is_json_dumps_byte_for_byte(capsys, family):
     make = affine if family == "affine" else cactus
     cases = [(n, radius) for n in range(2, 6) for radius in range(4)]
     if family == "cactus":
-        cases.append((24, 1))  # 276 generators: two-byte keys
+        cases.append((24, 1))  # 276 generators: code points past 255
     for n, radius in cases:
         code, out, err = run_cli(
             capsys, "ball", "--family", family, "--n", str(n), "--radius", str(radius)

@@ -381,3 +381,26 @@ def test_claims_fail_on_a_shift_one_too_far(monkeypatch, capsys, name, check, sh
         assert len(witness["tuple"]) == 3
     assert main(["verify", "--check", rep.check_name, "--n", "5"]) == 1
     assert '"passed": false' in capsys.readouterr().out
+
+
+def test_claim_phi_fails_on_one_broken_containment(monkeypatch, capsys):
+    """Negative control for a single constraint: a shift whose images still
+    start at 1 and still increase, but cut every interval not starting at 1
+    down to its first two points.  That breaks the one constraint a cut
+    cannot keep, a chain's second containment, and claim-phi names it."""
+
+    def cut(i, pair, n):
+        p, q = phi_pair(i, pair, n)
+        return (p, q) if p == 1 else (p, p + 1)
+
+    monkeypatch.setattr(verify, "phi_pair", cut)
+    rep = verify_claim_phi(5)
+    assert rep.items_checked == 170
+    assert rep.failure_count > 0
+    for witness in rep.failures:
+        assert witness["configuration"] == "chain"
+        assert witness["violated"] == "containment of labels 2 and 3 transfers"
+        _, (p2, _), (p3, _) = witness["images"]
+        assert p2 < p3  # so [p3, p3 + 1] is not inside [p2, p2 + 1]
+    assert main(["verify", "--check", "claim-phi", "--n", "5"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
