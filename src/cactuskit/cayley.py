@@ -9,11 +9,12 @@ graph is undirected and simple).
 Internally a ball is flat arrays: a vertex key is the str whose code points
 are its generator ids (so keys sort like their id lists), adjacency is one
 packed integer (neighbor_vid << 16 | gid) per directed edge, grouped per
-vertex.  The kernels work on these arrays and make no word per vertex (ball
-completes squares, and text is made from keys at the export).  One writer,
-`_json_text`, writes the ball's JSON, both for `export(b, "json")` and for
-the CLI's `ball` to stdout.  The public API speaks in tuples of index
-pairs, e.g. ((1, 4), (1, 2), (3, 4)).
+vertex.  The kernels work on these arrays and make no word per vertex: ball
+completes squares off its own rows, reading only par of the word problem's
+tables, one BFS gives both spheres and distances, and text is made from
+keys at the export.  One writer, `_json_text`, writes the ball's JSON, both
+for `export(b, "json")` and for the CLI's `ball` to stdout.  The public API
+speaks in tuples of index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .core import (
     PreconditionViolated,
     SpecMismatch,
     VertexNotInBall,
+    parse_generator,
     presentation,
 )
-from .core import parse_generator
-from .rewriting import NormalForm, Word, _up, parse_word
+from .rewriting import NormalForm, Word, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
 
@@ -178,37 +179,44 @@ class CayleyBall:
 
     # -- metric --------------------------------------------------------------
 
+    def _bfs(self, vid: int, limit: int, dist) -> list[list[int]]:
+        """The spheres of spheres_from, writing each reached vertex's distance
+        into `dist` (ints, -1 for a vertex not reached yet) as it goes."""
+        dist[vid] = 0
+        spheres = [[vid]]
+        adj, off = self._adj, self._off
+        while len(spheres) - 1 != limit:
+            d, nxt = len(spheres), []
+            for u in spheres[-1]:
+                for e in adj[off[u]:off[u + 1]]:
+                    if dist[nb := e >> 16] < 0:
+                        dist[nb] = d
+                        nxt.append(nb)
+            if not nxt:
+                break
+            spheres.append(nxt)
+        return spheres
+
+    def spheres_from(self, vid: int, limit: int = -1) -> list[list[int]]:
+        """BFS spheres (within the ball) around one vertex: the vids at
+        distance 0, 1, ... in discovery order, out to the farthest vertex
+        reached, or to `limit` when that is >= 0 (the search stops there)."""
+        return self._bfs(vid, limit, array("i", [-1]) * len(self._keys))
+
     def distances_from(self, vid: int, limit: int = -1) -> list[int]:
         """BFS distances (within the ball) from one vertex; -1 = unreachable,
         or farther than `limit` when that is >= 0 (the search stops there)."""
         dist = [-1] * len(self._keys)
-        dist[vid] = 0
-        frontier = [vid]
-        adj, off = self._adj, self._off
-        d = 0
-        while frontier and d != limit:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for e in adj[off[u]:off[u + 1]]:
-                    nb = e >> 16
-                    if dist[nb] < 0:
-                        dist[nb] = d
-                        nxt.append(nb)
-            frontier = nxt
+        self._bfs(vid, limit, dist)
         return dist
 
     def distance(self, u, v) -> BallDistance:
         """Shortest-path length inside the ball, flagged per the trust rule."""
         uv, vv = self.vid(u), self.vid(v)
-        trusted = self._depth[uv] + self._depth[vv] <= self.radius
-        if uv == vv:
-            return BallDistance(0, trusted)
-        dist = self.distances_from(uv)
-        d = dist[vv]
+        d = self.distances_from(uv)[vv]
         if d < 0:
             raise VertexNotInBall(f"{v!r} unreachable from {u!r} inside the ball")
-        return BallDistance(d, trusted)
+        return BallDistance(d, self._depth[uv] + self._depth[vv] <= self.radius)
 
 
 def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
@@ -222,18 +230,19 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     u with h = par[g*G + a], b = par[a*G + g].  All of v's down-edges are
     written then, and v's key is the kappa-least parent's key plus its
     letter (normal forms are prefix-closed): no word is normalized.  A
-    vertex inside the radius has a row of G slots by generator id and a
-    descent state (Presentation.reset_states) for its down letters; one at
-    the radius keeps its down-edges only, in generator order (relators have
-    even length, so edges join consecutive spheres).  Raises BudgetExceeded
-    past `max_vertices`.
+    vertex inside the radius has a row of G slots by generator id, and vids
+    go by depth, so its down letters are the slots that hold smaller vids:
+    the ball reads no descent state.  One at the radius keeps its
+    down-edges only, in generator order (relators have even length, so
+    edges join consecutive spheres).  Raises BudgetExceeded past
+    `max_vertices`.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
     if max_vertices < 1:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     pres = presentation(spec)
-    G, par, trans, masks, by_rank = pres.G, pres.par, pres.trans, pres.masks, pres.by_rank
+    G, par = pres.G, pres.par
     rank_table = _key(b.bit_length() - 1 for b in pres.bit)  # id -> chr(kappa rank)
     kappa = lambda hw: keys[hw[1]].translate(rank_table)  # noqa: E731
     empty_row = array("q", [-1]) * G
@@ -241,8 +250,6 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     keys: list[str] = [""]
     index: dict[str, int] = {"": 0}
     depth = array("i", [0])
-    state = [0]  # descent state per vid inside the radius (Presentation.reset_states)
-    down: dict[int, list[int]] = {}  # state -> the letters of its mask
     adj = array("q", empty_row if radius else ())
     ends = array("q", () if radius else (0,))  # len(adj) after each radius vertex
 
@@ -250,12 +257,11 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     while u < len(keys) and depth[u] < radius:
         d = depth[u] + 1
         inner = d < radius  # children get rows of their own
-        su, row = state[u], u * G
-        du = down.get(su)
-        if du is None:
-            du = down[su] = [by_rank[i] for i in range(G) if masks[su] >> i & 1]
-        for g in range(G):
-            if adj[row + g] >= 0:
+        row, low = u * G, u << 16
+        slots = adj[row:row + G]  # expanding u writes no other slot of its row
+        du = [a for a, e in enumerate(slots) if 0 <= e < low]  # down letters
+        for g, e in enumerate(slots):
+            if e >= 0:
                 continue  # a down-edge, or one an earlier parent of u*g filled
             # v = u*g is new; each other parent v*h is u*a*b (see above)
             gG, v = g * G, len(keys)
@@ -274,7 +280,6 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
             for h, w in parents:
                 adj[w * G + h] = v << 16 | h
             if inner:
-                state.append(trans[su * G + g] or _up(pres, su, g))
                 adj.extend(empty_row)
                 adj[v * G + g] = u << 16 | g
                 for h, w in parents:

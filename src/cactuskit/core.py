@@ -303,8 +303,9 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 #
 # Everything downstream (normalization, ball construction, verification)
 # starts from pair lookups, so we flatten the generator set to integer ids and
-# tabulate the relation kind and the conjugation per ordered pair.  The
-# descent tables the word problem runs on (rewriting) are made from them.
+# tabulate, per ordered pair, the relation kind (rel) and the label each
+# letter takes across the square the pair spans (par).  The word problem
+# (rewriting) and the ball builder (cayley) run on par.
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.
 #
@@ -336,37 +337,32 @@ class Presentation:
         # The tables classify and conjugate_nested give, made from ints: an
         # interval as a bitmask of its members, containment by _arc_contains,
         # and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b).
+        # par[a*G + b] is the label b takes across the square it spans with a:
+        # that mirror when a contains b, b itself when they are disjoint or b
+        # contains a, -1 when they span none; (a, b) = (par[a*G + b], par[b*G + a]).
         n, card, gid = spec.degree, self.card, self.gid
         mask = [sum(1 << r for r in m) for m in members]
         rel = [_REL_NONE] * (G * G)
-        conj = [-1] * (G * G)
+        par = [-1] * (G * G)
         for a, (pa, qa) in enumerate(self.pairs):
             ma, ca, row = mask[a], card[a], a * G
             for b, (pb, qb) in enumerate(self.pairs):
                 if a == b:
                     continue
                 if not ma & mask[b]:
-                    rel[row + b] = _REL_DISJOINT
+                    rel[row + b], par[row + b] = _REL_DISJOINT, b
                 elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
                     rel[row + b] = _REL_FIRST
-                    conj[row + b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
+                    par[row + b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
                 elif card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
-                    rel[row + b] = _REL_SECOND
-        self.rel = rel
-        self.conj = conj
+                    rel[row + b], par[row + b] = _REL_SECOND, b
+        self.rel, self.par = rel, par
 
-        # Descent tables.  par[a*G + b] is the label b takes when its edge is
-        # carried across the defining square it spans with a (the image
-        # conj[a*G + b] when a contains b, b itself otherwise), -1 when the
-        # pair spans no square.  A set of letters is an int mask with bit
+        # Descent tables.  A set of letters is an int mask with bit
         # bit[g] = 1 << (kappa rank of g), so its kappa-least letter is
         # by_rank[lowest set bit].
         self.by_rank = sorted(range(G), key=self.kappa.__getitem__)
         self.bit = [1 << self.by_rank.index(g) for g in range(G)]
-        self.par = [
-            -1 if not k else conj[i] if k == _REL_FIRST else i % G
-            for i, k in enumerate(rel)
-        ]
         self._numbering = threading.Lock()
         self.reset_states()
 

@@ -67,9 +67,6 @@ from .core import (
     GroupSpec,
     Presentation,
     SpecMismatch,
-    _REL_DISJOINT,
-    _REL_FIRST,
-    _REL_SECOND,
     parse_generator,
     presentation,
 )
@@ -183,23 +180,18 @@ def free_reduce(word: Word) -> Word:
 def _successors_all(ids: tuple[int, ...], pres: Presentation):
     """Every length-2 relation move at every position, in both directions.
 
-    The free cancellation, the commuting swap or the nested flip of each
-    adjacent pair: the one list of the presentation's moves, which generates
-    oracle_closure's length-capped classes.
+    The free cancellation of an equal pair, or the defining square
+    (a, b) = (par[a*G + b], par[b*G + a]) of a pair that spans one (a
+    commuting swap or a nested flip): the one list of the presentation's
+    moves, which generates oracle_closure's length-capped classes.
     """
-    G, rel, conj = pres.G, pres.rel, pres.conj
+    G, par = pres.G, pres.par
     for i in range(len(ids) - 1):
         a, b = ids[i], ids[i + 1]
         if a == b:
             yield ids[:i] + ids[i + 2 :]
-            continue
-        r = rel[a * G + b]
-        if r == _REL_DISJOINT:
-            yield ids[:i] + (b, a) + ids[i + 2 :]
-        elif r == _REL_FIRST:
-            yield ids[:i] + (conj[a * G + b], a) + ids[i + 2 :]
-        elif r == _REL_SECOND:
-            yield ids[:i] + (b, conj[b * G + a]) + ids[i + 2 :]
+        elif par[a * G + b] >= 0:
+            yield ids[:i] + (par[a * G + b], par[b * G + a]) + ids[i + 2 :]
 
 
 def _up(pres: Presentation, s: int, g: int) -> int:

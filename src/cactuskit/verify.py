@@ -242,18 +242,11 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
     sources = [v for v in range(len(b)) if b.depth_at(v) <= t]
     cutoff = 2 * t
 
-    # truncated BFS per source: level sets out to 2t, always 2t + 1 of them
+    # level sets per source out to 2t, always 2t + 1 of them, so l2[d12 - a] is in range
     levels_of: dict[int, list[set[int]]] = {}
     for s in sources:
-        seen = {s}
-        levels = [{s}] + [set() for _ in range(cutoff)]
-        for d in range(1, cutoff + 1):
-            for u in levels[d - 1]:
-                for nb, _ in b.adj_entries(u):
-                    if nb not in seen:
-                        seen.add(nb)
-                        levels[d].add(nb)
-        levels_of[s] = levels
+        levels = list(map(set, b.spheres_from(s, cutoff)))
+        levels_of[s] = levels + [set()] * (cutoff + 1 - len(levels))
 
     # the interval of each source pair, once: vertices at distance a from s1
     # and d12 - a from s2, where d12 is the distance from s1 to s2 (none if

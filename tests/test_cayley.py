@@ -35,6 +35,7 @@ from cactuskit import (
     normalize,
     oracle_closure,
     parse_word,
+    random_word,
     squares,
 )
 from cactuskit.cayley import _key
@@ -166,6 +167,20 @@ def test_ball_matches_insertion_reference():
         assert list(b._depth) == depth, (spec, radius)
         assert list(b._adj) == adj, (spec, radius)
         assert list(b._off) == off, (spec, radius)
+
+
+def test_ball_leaves_the_descent_table_alone():
+    """A ball reads its down letters off its own rows: building one numbers
+    no descent state, and the word problem answers as before."""
+    for spec, radius in ((affine(4), 4), (cactus(24), 2)):
+        pres = presentation(spec)
+        words = [random_word(spec, 8, seed) for seed in range(20)]
+        want = [normalize(x) for x in words]
+        pres.reset_states()
+        ball(spec, radius)
+        assert pres.masks == [0], spec
+        assert pres.trans == [0] * pres.G, spec
+        assert [normalize(x) for x in words] == want, spec
 
 
 def test_radius_zero_and_validation():
@@ -366,8 +381,15 @@ def test_distances_from_matches_reference_bfs(aj3_r4, aj4_r3):
         # the first and the last vertex of each depth
         for src in sorted({v for vs in by_depth.values() for v in (vs[0], vs[-1])}):
             for limit in range(-1, b.radius + 2):
-                got = list(b.distances_from(src, limit))
-                assert got == _reference_distances(b, src, limit), (b.spec, src, limit)
+                want = _reference_distances(b, src, limit)
+                assert list(b.distances_from(src, limit)) == want, (b.spec, src, limit)
+                # the spheres are the reference's distance classes
+                classes = [[] for _ in range(max(want) + 1)]
+                for v, d in enumerate(want):
+                    if d >= 0:
+                        classes[d].append(v)
+                got = [sorted(sphere) for sphere in b.spheres_from(src, limit)]
+                assert got == classes, (b.spec, src, limit)
 
 
 # ---------------------------------------------------------------------------

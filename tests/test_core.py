@@ -210,8 +210,10 @@ def test_classify_errors():
 @pytest.mark.parametrize("family", (cactus, affine))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_relation_tables_match_classify(family, n):
-    """Presentation builds rel/conj from ints; every ordered pair agrees with
-    classify and conjugate_nested on Generator objects."""
+    """Presentation builds rel/par from ints; every ordered pair agrees with
+    classify and conjugate_nested on Generator objects: par[a*G + b] is the
+    image of b nested in a, b itself for a disjoint pair or one where b
+    contains a, and -1 when the pair spans no square."""
     pres = presentation(family(n))
     gens, G = pres.gens, pres.G
     code = {
@@ -221,16 +223,18 @@ def test_relation_tables_match_classify(family, n):
         RelationKind.SECOND_CONTAINS_FIRST: 3,
     }
     for a, ga in enumerate(gens):
-        assert (pres.rel[a * G + a], pres.conj[a * G + a]) == (0, -1)
+        assert (pres.rel[a * G + a], pres.par[a * G + a]) == (0, -1)
         for b, gb in enumerate(gens):
             if a == b:
                 continue
             kind = classify(ga, gb)
             assert pres.rel[a * G + b] == code[kind], (ga, gb)
-            want = -1
+            want = b
             if kind is RelationKind.FIRST_CONTAINS_SECOND:
                 want = pres.id_of(conjugate_nested(ga, gb))
-            assert pres.conj[a * G + b] == want, (ga, gb)
+            elif kind is RelationKind.NONE:
+                want = -1
+            assert pres.par[a * G + b] == want, (ga, gb)
 
 
 # ---------------------------------------------------------------------------

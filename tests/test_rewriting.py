@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import threading
+from functools import lru_cache
 
 import pytest
 
@@ -12,10 +13,13 @@ from cactuskit import (
     IndexOutOfRange,
     InvalidPair,
     NormalForm,
+    RelationKind,
     SpecMismatch,
     Word,
     affine,
     cactus,
+    classify,
+    conjugate_nested,
     equal,
     free_reduce,
     generators,
@@ -505,6 +509,18 @@ def test_completions_nest():
             assert spheres == [1, 12, 102, 812, 6402]
 
 
+@lru_cache(maxsize=None)
+def _conj_table(spec):
+    """conj[a*G + b]: conjugate_nested(a, b) as an id when a contains b, else
+    -1; made from Generator objects, apart from the presentation's par."""
+    pres = presentation(spec)
+    return [
+        pres.id_of(conjugate_nested(ga, gb))
+        if ga is not gb and classify(ga, gb) is RelationKind.FIRST_CONTAINS_SECOND else -1
+        for ga in pres.gens for gb in pres.gens
+    ]
+
+
 def _naive_geodesic(ids, pres):
     """Leftmost reduction by plain relation moves (test reference).
 
@@ -512,7 +528,7 @@ def _naive_geodesic(ids, pres):
     at a time, while it spans a square with the letter before it; if it meets
     an equal letter the two cancel, and the scan starts again.
     """
-    G, rel, conj = pres.G, pres.rel, pres.conj
+    G, rel, conj = pres.G, pres.rel, _conj_table(pres.spec)
     w = list(ids)
     j = 1
     while j < len(w):

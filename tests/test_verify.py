@@ -287,6 +287,21 @@ def test_broken_median_is_reported():
     assert witness["median_count"] == 0
 
 
+def test_isolated_source_has_no_medians():
+    """A depth-1 source with no edges: every triple through it and another
+    vertex has no median (its level sets past 0 are empty), and none raises."""
+    from cactuskit import export_obj
+
+    obj = export_obj(ball(affine(3), 3))
+    cut = dict(obj, edges=[r for r in obj["edges"] if "1,2" not in (r["from"], r["to"])])
+    rep = check_median(import_ball(cut), 1)
+    assert rep.items_checked == 84
+    assert rep.failure_count == 27  # the triples through 1,2 but (1,2, 1,2, 1,2)
+    for w in rep.failures:
+        assert "1,2" in w["triple"] and set(w["triple"]) != {"1,2"}
+        assert (w["median_count"], w["medians"]) == (0, [])
+
+
 # ---------------------------------------------------------------------------
 # the index-shift correspondence
 # ---------------------------------------------------------------------------
