@@ -11,17 +11,17 @@ are its generator ids (so keys sort like their id lists), adjacency is one
 packed integer (neighbor_vid << 16 | gid) per directed edge, grouped per
 vertex.  The kernels work on these arrays and make no word per vertex: ball
 completes squares off its own rows, reading only par of the word problem's
-tables, one BFS gives both spheres and distances, and text is made from
-keys at the export.  One writer, `_json_text`, writes the ball's JSON, both
-for `export(b, "json")` and for the CLI's `ball` to stdout.  The public API
-speaks in tuples of index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
+tables, one BFS gives both spheres and distances, squares searches the rows
+in vid order and makes a square's corner keys only when its cycle is read,
+and text is made from keys at the export.  One writer, `_json_text`, writes
+the ball's JSON, both for `export(b, "json")` and for the CLI's `ball` to
+stdout.  The public API speaks in tuples of index pairs, e.g.
+((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -296,29 +296,45 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
 
 
-@dataclass(frozen=True)
 class Square:
-    """An embedded-or-not 4-cycle, stored as its canonical corner cycle.
+    """An embedded-or-not 4-cycle, stored as its canonical corner vids.
 
-    Canonical form: rotated so the lexicographically smallest corner key is
-    first, then oriented toward its smaller cycle-neighbor.  `vids` holds
-    the same corners, in the same order, as vertex ids.
+    Canonical form: rotated so the corner with the smallest key is first,
+    then oriented toward its smaller cycle-neighbor.  `cycle` spells the same
+    corners as vertex keys when it is read; a square holds the ball's key
+    list and pair table, not the ball.  Equal cycles and vids: equal squares.
     """
 
-    cycle: tuple[VertexKey, VertexKey, VertexKey, VertexKey]
-    vids: tuple[int, int, int, int]
+    __slots__ = ("vids", "_keys", "_pairs")
+
+    def __init__(self, vids: tuple[int, int, int, int], keys: list[str], pairs: tuple) -> None:
+        self.vids, self._keys, self._pairs = vids, keys, pairs
+
+    @property
+    def cycle(self) -> tuple[VertexKey, VertexKey, VertexKey, VertexKey]:
+        return tuple(tuple(self._pairs[ord(c)] for c in self._keys[v]) for v in self.vids)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Square) and (self.cycle, self.vids) == (other.cycle, other.vids)
+
+    def __hash__(self) -> int:
+        return hash((self.cycle, self.vids))
+
+    def __repr__(self) -> str:
+        return f"Square(cycle={self.cycle!r}, vids={self.vids!r})"
 
 
 def squares(b: CayleyBall) -> tuple[Square, ...]:
     """All 4-cycles (closed non-backtracking 4-walks) of the ball's graph.
 
     An edge is its two ends plus its label, read from the stored entries,
-    which hold every edge both ways (see CayleyBall).  The search runs on
-    key ranks (a vid's position in key order, which is id-list order) over
-    packed entries, and looks for each square only from its
-    least-ranked corner: pairs of two-step walks u -> x -> z that
-    meet at z and never step below u's rank.  Each square appears exactly
-    once, and keys are made only for the corners of the squares found.
+    which hold every edge both ways (see CayleyBall).  The search runs over
+    the ball's own rows in vid order and looks for each square only from
+    its least vid u: pairs of two-step walks u -> x -> z that meet at z and
+    never step below u.  Each cycle found is put in canonical form on key
+    ranks (key order is id-list order): the least rank first, toward its
+    smaller neighbor, or the least of the eight rotations when corners
+    repeat; the cycles are sorted on those ranks.  Each square appears once.
     Degenerate cycles (repeated corners) are *kept* when the underlying graph
     has them -- that is what check_squares_embedded looks for; honest Cayley
     balls never produce any.  A ball's squares are found once and kept on it,
@@ -327,29 +343,22 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
     if b._squares is not None:
         return b._squares
     n, keys = len(b), b._keys
-    adj, off = b._adj, b._off
+    adj, off = b._adj.tolist(), b._off.tolist()  # list slices hold ints already made
     by_rank = sorted(range(n), key=keys.__getitem__)
-    # row r holds the entries of the rank-r vertex as rank_nb << 16 | gid, in
-    # rank order: each entry v -> nb is written as nb's entry back to v
-    into: list[list[int]] = [[] for _ in range(n)]
-    for r, v in enumerate(by_rank):
-        for e in adj[off[v]:off[v + 1]]:
-            into[e >> 16].append(r << 16 | e & 0xFFFF)
-    rows = [into[v] for v in by_rank]
+    rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse: vid -> rank
     found: set[tuple[int, int, int, int]] = set()
     for u in range(n):
-        low = u << 16  # entries at or above this reach ranks >= u
+        low = u << 16  # entries at or above this reach vids >= u
         # two-step non-backtracking walks u -> x -> z: the first to reach
         # each z, and all walks to the ends reached more than once
         first: dict[int, tuple[int, int, int]] = {}
         more: dict[int, list[tuple[int, int, int]]] = {}
-        row = rows[u]
-        for e1 in row[bisect_left(row, low):]:
-            x = e1 >> 16
-            back = low | e1 & 0xFFFF
-            xrow = rows[x]
-            for e2 in xrow[bisect_left(xrow, low):]:
-                if e2 != back:
+        for e1 in adj[off[u]:off[u + 1]]:
+            if e1 < low:
+                continue
+            x, back = e1 >> 16, low | e1 & 0xFFFF
+            for e2 in adj[off[x]:off[x + 1]]:
+                if e2 >= low and e2 != back:
                     z = e2 >> 16
                     if z in first:
                         more.setdefault(z, [first[z]]).append((x, e1, e2))
@@ -360,15 +369,18 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
                 # the two walks must not share either of their edges
                 if x1 == x2 and (e1 == e3 or e2 == e4):
                     continue
-                # walks are listed in rank order of x, so x1 <= x2: four
-                # distinct corners are canonical as they stand
-                c = (u, x1, z, x2)
+                c = (rank[u], rank[x1], rank[z], rank[x2])
                 if len(set(c)) < 4:
                     c = min(s[r:] + s[:r] for s in (c, c[::-1]) for r in range(4))
+                else:
+                    r = c.index(min(c))
+                    c = c[r:] + c[:r]
+                    if c[1] > c[3]:
+                        c = (c[0], c[3], c[2], c[1])
                 found.add(c)
-    cycles = [tuple(map(by_rank.__getitem__, c)) for c in sorted(found)]
-    corners = {v: b.key(v) for v in {v for vids in cycles for v in vids}}
-    b._squares = tuple(Square(tuple(map(corners.__getitem__, vids)), vids) for vids in cycles)
+    pairs = b._pres.pairs
+    b._squares = tuple(Square(tuple(map(by_rank.__getitem__, c)), keys, pairs)
+                       for c in sorted(found))
     return b._squares
 
 

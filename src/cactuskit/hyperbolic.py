@@ -342,16 +342,14 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
-def _arc_to(z1: complex, z2: complex, end: str) -> str:
+def _arc_to(z1: complex, z2: complex, r1: float, r2: float, end: str) -> str:
     """SVG path command drawing the disk geodesic from z1 to z2, whose canvas
-    point is `end` ("x y")."""
+    point is `end` ("x y"); r1 and r2 are 1 + |z|² of z1 and z2."""
     cross = (z1.conjugate() * z2).imag
     if abs(cross) < 1e-9:  # through the origin: the geodesic is a diameter
         return f"L {end}"
     # Center c of the circle through z1, z2 orthogonal to the unit circle:
     # 2·(c·z) = 1 + |z|² for both points, a linear system in (cx, cy).
-    r1 = 1.0 + abs(z1) ** 2
-    r2 = 1.0 + abs(z2) ** 2
     det = 2.0 * (z1.real * z2.imag - z2.real * z1.imag)
     cx = (r1 * z2.imag - r2 * z1.imag) / det
     cy = (r2 * z1.real - r1 * z2.real) / det
@@ -368,7 +366,8 @@ def render_svg(
 ) -> bytes:
     """Deterministic SVG: boundary circle plus one geodesic arc per edge.
 
-    Each vertex's canvas point is formatted once.  With ``highlight=(u, v)``
+    Each vertex's canvas point is formatted once, and its 1 + |z|² (which
+    every arc through it reads) is computed once.  With ``highlight=(u, v)``
     two additional paths are drawn: the graph geodesic from u to v as a
     polyline through the embedded vertices, and the single hyperbolic
     geodesic between the endpoints, so the two can be compared visually.
@@ -376,6 +375,7 @@ def render_svg(
     b = e.ball
     pts = e.points
     xy = [f"{_fmt(x)} {_fmt(y)}" for x, y in map(_canvas_xy, pts)]
+    lift = [1.0 + abs(z) ** 2 for z in pts]
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
         'viewBox="0 0 1000 1000">',
@@ -383,10 +383,10 @@ def render_svg(
         'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
     for u in range(len(b)):
-        zu, head = pts[u], f'<path d="M {xy[u]} '
+        zu, ru, head = pts[u], lift[u], f'<path d="M {xy[u]} '
         for nb in sorted(x >> 16 for x in b.row(u) if x >> 16 > u):
             lines.append(
-                f'{head}{_arc_to(zu, pts[nb], xy[nb])}" fill="none" '
+                f'{head}{_arc_to(zu, pts[nb], ru, lift[nb], xy[nb])}" fill="none" '
                 'stroke="#1a1a1a" stroke-width="1.5"/>'
             )
     if highlight is not None:
@@ -400,7 +400,7 @@ def render_svg(
         )
         s, t = path_vids[0], path_vids[-1]
         lines.append(
-            f'<path d="M {xy[s]} {_arc_to(pts[s], pts[t], xy[t])}" fill="none" '
+            f'<path d="M {xy[s]} {_arc_to(pts[s], pts[t], lift[s], lift[t], xy[t])}" fill="none" '
             'stroke="#1f77b4" stroke-width="3" stroke-dasharray="8 4"/>'
         )
     lines.append("</svg>")

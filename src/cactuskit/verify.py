@@ -116,25 +116,28 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
 
     Item space: every (corner, unordered pair of incident square-edges) that
     occurs in some square; each must belong to exactly one square.  Items are
-    keyed on vids as (corner, smaller, larger neighbor).
+    keyed on vids as (corner, smaller, larger neighbor); which squares hold
+    an item is worked out only when some item occurs twice.
     """
     sqs = squares(b)
-    seen: dict[tuple[int, int, int], list[int]] = {}
-    for idx, s in enumerate(sqs):
-        c = s.vids
-        for k in range(4):
-            a, z = c[k - 1], c[(k + 1) % 4]
-            seen.setdefault((c[k], a, z) if a < z else (c[k], z, a), []).append(idx)
+    wedges = [(c[k], a, z) if a < z else (c[k], z, a)  # four per square, in turn
+              for c in (s.vids for s in sqs) for k in range(4)
+              for a, z in ((c[k - 1], c[(k + 1) % 4]),)]
+    items = len(set(wedges))
     rep = VerificationReport(
         "no-shared-consecutive-edges", b.spec, {"radius": b.radius},
-        len(seen), 0, vacuous=not sqs,
+        items, 0, vacuous=not sqs,
     )
-    for (corner, _, _), members in seen.items():
-        if len(members) > 1:
-            rep.note_failure({
-                "corner": b.text(corner),
-                "squares": [[b.text(v) for v in sqs[m].vids] for m in members],
-            })
+    if items < len(wedges):  # some item is in two squares: list each one's squares
+        seen: dict[tuple[int, int, int], list[int]] = {}
+        for i, w in enumerate(wedges):
+            seen.setdefault(w, []).append(i >> 2)
+        for (corner, _, _), members in seen.items():
+            if len(members) > 1:
+                rep.note_failure({
+                    "corner": b.text(corner),
+                    "squares": [[b.text(v) for v in sqs[m].vids] for m in members],
+                })
     return rep
 
 

@@ -3,15 +3,60 @@
 Each builder returns a dict that import_ball() accepts at face value; the
 graphs are deliberately *not* Cayley balls, so specific structure checks must
 reject them with witnesses.  one_way_entries counts what a Cayley ball must
-never hold.
+never hold, and brute_force_cycles and brute_force_wedges are the reference
+that the square and wedge checks are held to.
 """
+
+from collections import Counter
 
 from cactuskit import affine, ball, export_obj
 
 
 def one_way_entries(b) -> int:
     """Adjacency entries u -g-> v of the ball with no entry v -g-> u."""
-    return sum(b.step(nb, g) != u for u in range(len(b)) for nb, g in b.adj_entries(u))
+    adj, off = b._adj, b._off
+    return sum(
+        (u << 16 | e & 0xFFFF) not in adj[off[e >> 16]:off[(e >> 16) + 1]]
+        for u in range(len(b)) for e in adj[off[u]:off[u + 1]]
+    )
+
+
+def brute_force_cycles(b) -> list:
+    """Every closed 4-walk that never steps straight back along the edge it
+    came in on (cyclically, so also not from its last edge into its first),
+    each canonicalised on its corner keys and listed once, sorted.
+
+    An edge is (its two ends, its label), so two edges joining the same
+    vertices under different labels are different edges.  A walk follows
+    the stored entries, which hold every edge both ways.
+    """
+    edges = [sorted(b.adj_entries(u)) for u in range(len(b))]
+    found = set()
+    for w0 in range(len(b)):
+        walks = [((w0,), ())]
+        for _ in range(4):
+            walks = [
+                (vs + (nb,), ls + (g,))
+                for vs, ls in walks
+                for nb, g in edges[vs[-1]]
+                if not (len(vs) > 1 and nb == vs[-2] and g == ls[-1])
+            ]
+        for vs, ls in walks:
+            if vs[4] != w0 or (vs[3] == vs[1] and ls[3] == ls[0]):
+                continue
+            keys = tuple(b.key(v) for v in vs[:4])
+            found.add(min(
+                seq[r:] + seq[:r] for seq in (keys, keys[::-1]) for r in range(4)
+            ))
+    return sorted(found)
+
+
+def brute_force_wedges(cycles) -> Counter:
+    """How often each (corner key, set of its two cycle-neighbor keys)
+    occurs, over the four corners of every cycle in `cycles`."""
+    return Counter(
+        (c[k], frozenset((c[k - 1], c[(k + 1) % 4]))) for c in cycles for k in range(4)
+    )
 
 
 def shared_wedge_graph() -> dict:
@@ -53,6 +98,22 @@ def doubled_edge_graph() -> dict:
         "edges": [
             {"from": "e", "to": "1,2", "generator": "1,2"},
             {"from": "e", "to": "1,2", "generator": "1,3"},
+        ],
+    }
+
+
+def self_loop_graph() -> dict:
+    """Self-loops at e (labels 1,2 and 1,3) and at 1,2 (label 2,3), and the
+    edge e -- 1,2: degenerate 4-cycles with one and with two corners."""
+    return {
+        "spec": {"family": "affine", "n": 3},
+        "radius": 1,
+        "vertices": [{"word": "e", "depth": 0}, {"word": "1,2", "depth": 1}],
+        "edges": [
+            {"from": "e", "to": "e", "generator": "1,2"},
+            {"from": "e", "to": "e", "generator": "1,3"},
+            {"from": "1,2", "to": "1,2", "generator": "2,3"},
+            {"from": "e", "to": "1,2", "generator": "1,2"},
         ],
     }
 

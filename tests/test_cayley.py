@@ -1,12 +1,16 @@
 """Cayley-ball construction, metric queries, squares, and serialization."""
 
+import gc
 import json
+import weakref
 from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
 
 from graphs import (
+    brute_force_cycles,
+    brute_force_wedges,
     doubled_edge_graph,
     many_medians_graph,
     missing_cube_corner_graph,
@@ -14,6 +18,7 @@ from graphs import (
     one_way_entries,
     open_face_graph,
     phantom_eighth_corner_graph,
+    self_loop_graph,
     shared_wedge_graph,
 )
 
@@ -441,36 +446,6 @@ def test_squares_have_canonical_cycles(aj3_r2):
     assert sq.cycle[1] == ((2, 3),)
 
 
-def _brute_force_cycles(b) -> list:
-    """Every closed 4-walk that never steps straight back along the edge it
-    came in on (cyclically, so also not from its last edge into its first),
-    each canonicalised on its corner keys and listed once, sorted.
-
-    An edge is (its two ends, its label), so two edges joining the same
-    vertices under different labels are different edges.  A walk follows
-    the stored entries, which hold every edge both ways.
-    """
-    edges = [sorted(b.adj_entries(u)) for u in range(len(b))]
-    found = set()
-    for w0 in range(len(b)):
-        walks = [((w0,), ())]
-        for _ in range(4):
-            walks = [
-                (vs + (nb,), ls + (g,))
-                for vs, ls in walks
-                for nb, g in edges[vs[-1]]
-                if not (len(vs) > 1 and nb == vs[-2] and g == ls[-1])
-            ]
-        for vs, ls in walks:
-            if vs[4] != w0 or (vs[3] == vs[1] and ls[3] == ls[0]):
-                continue
-            keys = tuple(b.key(v) for v in vs[:4])
-            found.add(min(
-                seq[r:] + seq[:r] for seq in (keys, keys[::-1]) for r in range(4)
-            ))
-    return sorted(found)
-
-
 def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
     doubled = import_ball(doubled_edge_graph())
     # the exact J_4 balls: 607 and 1,602 vertices are the sums of the exact
@@ -480,28 +455,18 @@ def test_squares_match_brute_force_cycles(aj3_r3, j4_r3):
     assert (len(j4_r6), one_way_entries(j4_r6)) == (1602, 0)
     for b in (aj3_r3, j4_r3, doubled, j4_r5, j4_r6):
         sqs = squares(b)
-        assert [s.cycle for s in sqs] == _brute_force_cycles(b)
+        assert [s.cycle for s in sqs] == brute_force_cycles(b)
         assert all(s.cycle == tuple(map(b.key, s.vids)) for s in sqs)
-    assert len(_brute_force_cycles(doubled)) == 1
-    assert len(_brute_force_cycles(j4_r5)) == 450
-    assert len(_brute_force_cycles(j4_r6)) == 1210
+    assert len(brute_force_cycles(doubled)) == 1
+    assert len(brute_force_cycles(j4_r5)) == 450
+    assert len(brute_force_cycles(j4_r6)) == 1210
 
 
 def test_squares_keep_self_loop_cycles():
     """Degenerate cycles through self-loops are listed, as the reference lists them."""
-    b = import_ball({
-        "spec": {"family": "affine", "n": 3},
-        "radius": 1,
-        "vertices": [{"word": "e", "depth": 0}, {"word": "1,2", "depth": 1}],
-        "edges": [
-            {"from": "e", "to": "e", "generator": "1,2"},
-            {"from": "e", "to": "e", "generator": "1,3"},
-            {"from": "1,2", "to": "1,2", "generator": "2,3"},
-            {"from": "e", "to": "1,2", "generator": "1,2"},
-        ],
-    })
+    b = import_ball(self_loop_graph())
     sqs = squares(b)
-    assert [s.cycle for s in sqs] == _brute_force_cycles(b)
+    assert [s.cycle for s in sqs] == brute_force_cycles(b)
     assert [s.vids for s in sqs] == [(0, 0, 0, 0), (0, 0, 1, 1)]
 
 
@@ -509,18 +474,14 @@ def test_square_checks_count_brute_force_cycles():
     """Both square checks' item and failure counts, made from the reference."""
     b = ball(cactus(4), 6)
     assert one_way_entries(b) == 0
-    cycles = _brute_force_cycles(b)
-    wedges: dict = {}
-    for c in cycles:
-        for k in range(4):
-            wedge = (c[k], frozenset((c[k - 1], c[(k + 1) % 4])))
-            wedges.setdefault(wedge, set()).add(c)
+    cycles = brute_force_cycles(b)
+    wedges = brute_force_wedges(cycles)
     embedded = check_squares_embedded(b)
     assert embedded.items_checked == len(cycles)
     assert embedded.failure_count == sum(len(set(c)) != 4 for c in cycles)
     edges = check_no_shared_consecutive_edges(b)
     assert edges.items_checked == len(wedges) == 4840
-    assert edges.failure_count == sum(len(m) > 1 for m in wedges.values()) == 0
+    assert edges.failure_count == sum(m > 1 for m in wedges.values()) == 0
 
 
 def test_squares_at_identity(aj3_r2):
@@ -530,6 +491,25 @@ def test_squares_at_identity(aj3_r2):
 
 def test_no_squares_in_tiny_ball():
     assert squares(ball(affine(3), 1)) == ()
+
+
+def test_squares_are_values_that_outlive_their_ball():
+    """A ball keeps its squares, and a square holds no reference back to the
+    ball: with the cyclic collector off, dropping the ball frees it, and its
+    squares still spell their corners and compare by value."""
+    sqs = squares(ball(affine(3), 3))
+    b = ball(affine(3), 3)
+    want = [(s.cycle, s.vids) for s in squares(b)]
+    ref = weakref.ref(b)
+    gc.disable()
+    try:
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert [(s.cycle, s.vids) for s in sqs] == want
+    assert squares(ball(affine(3), 3)) == sqs
+    assert len(set(sqs) | set(squares(ball(affine(3), 3)))) == len(sqs) == 30
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from graphs import missing_cube_corner_graph, shared_wedge_graph
+from graphs import (
+    doubled_edge_graph,
+    missing_cube_corner_graph,
+    self_loop_graph,
+    shared_wedge_graph,
+)
 
 import cactuskit
 from cactuskit import (
@@ -563,3 +568,33 @@ def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
         for name, sha in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (argv, name)
+
+
+# sha256 of the square and wedge checks' stdout on graphs that break them,
+# as written when squares searched each vertex's rows in key-rank order: the
+# order in which squares are found must not reorder a witness
+_PINNED_WITNESSES = (
+    (shared_wedge_graph, "squares", 0,
+     "73b8e0612bbb90a6355d37bad4d23ddf52c04e34d8a3cf30c7b0c90bfc5b517d"),
+    (shared_wedge_graph, "edges", 1,
+     "8bdc91ccc05ca222a107eeed8b8c9a94d98da7e70b4854833ca3273d18630308"),
+    (doubled_edge_graph, "squares", 1,
+     "49d94b04be98c0a6e17ed2583ae0e1cc04dabc212b6bf69ea1efe8c086a1b4e2"),
+    (doubled_edge_graph, "edges", 1,
+     "88d9e9a27984b2fc2b22cc570c63da3ed09f143d85591feaf7dd51c165970428"),
+    (self_loop_graph, "squares", 1,
+     "155f065b814971ba94cb10666662e5a56b62a4c3964da1bd2007284fb32c2645"),
+    (self_loop_graph, "edges", 1,
+     "decc5865da585641cf3c0e55a791e8dd592aa4fafbe6c76da79b225fea81a1f0"),
+)
+
+
+def test_witness_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """Each graph is written to graph.json, so the invocation echoes one name."""
+    monkeypatch.chdir(tmp_path)
+    for make, check, want_code, stdout_sha in _PINNED_WITNESSES:
+        (tmp_path / "graph.json").write_text(json.dumps(make()))
+        argv = ("verify", "--check", check, "--n", "3", "--input", "graph.json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (want_code, ""), (make.__name__, check)
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, (make.__name__, check)

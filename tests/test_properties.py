@@ -1,5 +1,5 @@
-"""Property tests: the export/import round trip, the word text syntax and the
-word problem."""
+"""Property tests: the export/import round trip, the word text syntax, the
+word problem, and squares against a brute-force search."""
 
 import json
 from functools import lru_cache
@@ -8,6 +8,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
+
+from graphs import brute_force_cycles, brute_force_wedges
 
 from cactuskit import (
     RelationKind,
@@ -23,7 +25,9 @@ from cactuskit import (
     import_ball,
     normalize,
     parse_word,
+    squares,
 )
+from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 FAMILIES = {"affine": affine, "cactus": cactus}
 
@@ -97,3 +101,46 @@ def test_inserting_a_relator_keeps_the_element(data, w):
     longer = Word(w.spec, w.letters[:at] + r + w.letters[at:])
     assert equal(w, longer) and equal(longer, w)
     assert normalize(longer) == normalize(w)
+
+
+_AJ3_TEXTS = [g.text() for g in generators(affine(3))]
+_AJ3_WORDS = ["e", *_AJ3_TEXTS, *(f"{a};{b}" for a in _AJ3_TEXTS for b in _AJ3_TEXTS)]
+
+
+@st.composite
+def multigraphs(draw):
+    """A small labelled multigraph in the export schema over AJ_3's words of
+    length <= 2: vertices listed in any order, a cycle through up to four
+    of them, edges between random vertex pairs with random labels (so
+    doubled edges and two edges with one label at a vertex occur), and at
+    most one self-loop."""
+    words = draw(st.lists(st.sampled_from(_AJ3_WORDS), min_size=2, max_size=6, unique=True))
+    labels = st.sampled_from(_AJ3_TEXTS)
+    ring = draw(st.permutations(words))[:4]
+    links = st.sampled_from([(u, v) for u in words for v in words if u != v])
+    edges = [(link, draw(labels)) for link in zip(ring, ring[1:] + ring[:1])]
+    edges += draw(st.lists(st.tuples(links, labels), max_size=6))
+    loops = draw(st.lists(st.tuples(st.sampled_from(words), labels), max_size=1))
+    return {
+        "spec": {"family": "affine", "n": 3},
+        "radius": 2,
+        "vertices": [{"word": w, "depth": 0 if w == "e" else w.count(";") + 1} for w in words],
+        "edges": [{"from": u, "to": v, "generator": g} for (u, v), g in edges]
+        + [{"from": u, "to": u, "generator": g} for u, g in loops],
+    }
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(g=multigraphs())
+def test_squares_match_brute_force_on_multigraphs(g):
+    b = import_ball(g)
+    cycles = brute_force_cycles(b)
+    sqs = squares(b)
+    assert [s.cycle for s in sqs] == cycles
+    assert all(s.cycle == tuple(map(b.key, s.vids)) for s in sqs)
+    wedges = brute_force_wedges(cycles)
+    embedded, edges = check_squares_embedded(b), check_no_shared_consecutive_edges(b)
+    assert (embedded.items_checked, embedded.failure_count) == (
+        len(cycles), sum(len(set(c)) < 4 for c in cycles))
+    assert (edges.items_checked, edges.failure_count) == (
+        len(wedges), sum(n > 1 for n in wedges.values()))
