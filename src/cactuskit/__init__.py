@@ -15,6 +15,7 @@ from .cayley import (
     export,
     export_obj,
     import_ball,
+    sphere_sizes,
     squares,
 )
 from .core import (

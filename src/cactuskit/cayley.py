@@ -13,10 +13,11 @@ vertex.  The kernels work on these arrays and make no word per vertex: ball
 completes squares off its own rows, reading only par of the word problem's
 tables, one BFS gives both spheres and distances, squares searches the rows
 in vid order and makes a square's corner keys only when its cycle is read,
-and text is made from keys at the export.  One writer, `_json_text`, writes
-the ball's JSON, both for `export(b, "json")` and for the CLI's `ball` to
-stdout.  The public API speaks in tuples of index pairs, e.g.
-((1, 4), (1, 2), (3, 4)).
+and text is made from keys at the export.  `sphere_sizes` counts a ball's
+spheres over the word problem's descent states and builds no ball.  One
+writer, `_json_text`, writes the ball's JSON, both for `export(b, "json")`
+and for the CLI's `ball` to stdout.  The public API speaks in tuples of
+index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     BudgetExceeded,
+    ClosureViolation,
     Family,
     Generator,
     GroupSpec,
@@ -40,7 +42,7 @@ from .core import (
     parse_generator,
     presentation,
 )
-from .rewriting import NormalForm, Word, parse_word
+from .rewriting import NormalForm, Word, _up, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
 
@@ -219,6 +221,13 @@ class CayleyBall:
         return BallDistance(d, self._depth[uv] + self._depth[vv] <= self.radius)
 
 
+def _check_ball_args(radius: int, max_vertices: int) -> None:
+    if radius < 0:
+        raise PreconditionViolated(f"radius must be >= 0, got {radius}")
+    if max_vertices < 1:
+        raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
+
+
 def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     """BFS ball of the given radius around the identity, vertices numbered
     in discovery order: by parent, then by generator id.
@@ -237,10 +246,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     edges join consecutive spheres).  Raises BudgetExceeded past
     `max_vertices`.
     """
-    if radius < 0:
-        raise PreconditionViolated(f"radius must be >= 0, got {radius}")
-    if max_vertices < 1:
-        raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
+    _check_ball_args(radius, max_vertices)
     pres = presentation(spec)
     G, par = pres.G, pres.par
     rank_table = _key(b.bit_length() - 1 for b in pres.bit)  # id -> chr(kappa rank)
@@ -294,6 +300,60 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     off = array("q", range(0, (len(keys) - len(ends)) * G + 1, G))
     off.extend(ends)
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
+
+
+def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> list[int]:
+    """ball(spec, radius, max_vertices).sphere_sizes(), counted over the
+    descent states of the word problem without building the ball.
+
+    A vertex v != e at distance r+1 has exactly |t| parents at distance r,
+    one per letter of its right descent set t, and the state of u*g depends
+    only on u's state s and g (rewriting._up).  So, with c_r[s] the number
+    of vertices at distance r in state s,
+
+        c_{r+1}[t] = (sum_s c_r[s] * #{g not in s : trans(s, g) = t}) / |t|.
+
+    Each division must be exact; one that is not means the tables break the
+    CAT(0) theorem, and raises ClosureViolation.  The last sphere needs only
+    each |t|, which is 1 + #{h in s spanning a square with g} because
+    par[g*G + .] is one-to-one on those h and never gives g: its sums are
+    divided per size, and no state is numbered for it.  Raises
+    BudgetExceeded, with ball()'s message, once the running total passes
+    `max_vertices`.
+    """
+    _check_ball_args(radius, max_vertices)
+    pres = presentation(spec)
+    G, par, bit, masks, trans = pres.G, pres.par, pres.bit, pres.masks, pres.trans
+
+    def exact(count: int, size: int) -> int:
+        q, rem = divmod(count, size)
+        if rem:
+            raise ClosureViolation(f"sphere {len(sizes)} of {spec}: {count} parent edges "
+                                   f"into {size}-letter descent sets do not divide by {size}")
+        return q
+
+    sizes, cur = [1], {0: 1}  # cur: state -> vertices, or size -> vertices at the last sphere
+    for r in range(1, radius + 1):
+        got: dict[int, int] = {}
+        if r < radius:
+            for s, c in cur.items():
+                for g, t in enumerate(trans[s * G:s * G + G]):
+                    t = t or _up(pres, s, g)
+                    if t > 0:
+                        got[t] = got.get(t, 0) + c
+            cur = {t: exact(c, masks[t].bit_count()) for t, c in got.items()}
+        else:
+            span = [sum(b for b, h in zip(bit, par[g * G:g * G + G]) if h >= 0) for g in range(G)]
+            for s, c in cur.items():
+                m = masks[s]
+                ks = [(m & sp).bit_count() + 1 for b, sp in zip(bit, span) if not m & b]
+                for k in set(ks):
+                    got[k] = got.get(k, 0) + c * ks.count(k)
+            cur = {k: exact(c, k) for k, c in got.items()}
+        sizes.append(sum(cur.values()))
+        if sum(sizes) > max_vertices:
+            raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
+    return sizes
 
 
 class Square:

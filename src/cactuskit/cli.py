@@ -3,8 +3,8 @@
 One executable, eight verbs:
 
 * ``normalize`` / ``equal`` — the word problem, word syntax in and out;
-* ``ball`` / ``growth`` — Cayley-ball construction, JSON/DOT export, sphere
-  counts;
+* ``ball`` / ``growth`` — Cayley-ball construction and JSON/DOT export;
+  sphere counts, counted over descent states without building a ball;
 * ``verify`` — the mechanical condition checks, optionally on a serialized
   graph (``--input``) instead of a freshly built ball;
 * ``embed`` / ``qi-fit`` / ``delta`` — disk embedding, metric-comparison
@@ -31,7 +31,7 @@ import sys
 from itertools import accumulate
 
 from . import __version__
-from .cayley import CayleyBall, _json_text, ball, export, import_ball
+from .cayley import CayleyBall, _json_text, ball, export, import_ball, sphere_sizes
 from .core import (
     BudgetExceeded,
     CactusError,
@@ -212,8 +212,7 @@ def _run_ball(args: argparse.Namespace) -> int:
 
 
 def _run_growth(args: argparse.Namespace) -> int:
-    b = ball(_spec_of(args), args.radius, max_vertices=args.budget)
-    sizes = b.sphere_sizes()
+    sizes = sphere_sizes(_spec_of(args), args.radius, max_vertices=args.budget)
     _emit(
         {"verb": "growth", "family": args.family, "n": args.n, "radius": args.radius},
         {"sphere_sizes": sizes, "ball_sizes": list(accumulate(sizes))},

@@ -88,7 +88,8 @@ class PreconditionViolated(CactusError, ValueError):
 
 
 class ClosureViolation(CactusError, RuntimeError):
-    """Developing the tessellation around a cycle failed to close up."""
+    """Developing the tessellation around a cycle failed to close up, or a
+    sphere count over descent states did not divide exactly."""
 
 
 class TooSmall(CactusError, ValueError):

@@ -53,6 +53,11 @@ for the empty word, and normalize reduces the inverse of a word and then
 takes off the kappa-least letter of its descent set, one at a time.  Every
 step is a defining relation, so answers are sound whatever the degree; that
 they are exact (one normal form per element) is the CAT(0) theorem.
+
+equal checks parity first.  Every relator (g g and each square) has even
+length, so a word's length mod 2 is a homomorphism onto Z/2: a word of odd
+length cannot reduce to the empty word, and an odd |u| + |v| answers False
+with no reduction.  That False is exact, whatever the degree.
 """
 
 from __future__ import annotations
@@ -288,11 +293,14 @@ def is_normal(word: Word) -> bool:
 def equal(w1: Word, w2: Word) -> bool:
     """Word problem: do the two words spell the same group element?
 
-    w1 w2^-1 is reduced to a shortest word, which is empty iff the two are
-    equal; w2^-1 is w2 reversed, every generator being an involution.
+    An odd total length answers False at once (see the module docstring).
+    Otherwise w1 w2^-1 is reduced to a shortest word, which is empty iff the
+    two are equal; w2^-1 is w2 reversed, every generator being an involution.
     """
     if w1.spec is not w2.spec and w1.spec != w2.spec:
         raise SpecMismatch("cannot compare words from different groups")
+    if (len(w1.ids) + len(w2.ids)) & 1:
+        return False
     return not _geodesic(presentation(w1.spec), w1.ids + w2.ids[::-1])[0]
 
 

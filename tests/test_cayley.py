@@ -24,6 +24,7 @@ from graphs import (
 
 from cactuskit import (
     BudgetExceeded,
+    ClosureViolation,
     IndexOutOfRange,
     InvalidPair,
     MalformedInput,
@@ -43,8 +44,9 @@ from cactuskit import (
     random_word,
     squares,
 )
-from cactuskit.cayley import _key
-from cactuskit.core import Family, GroupSpec, presentation
+from cactuskit import cayley
+from cactuskit.cayley import _key, sphere_sizes
+from cactuskit.core import Family, GroupSpec, Presentation, presentation
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 
@@ -71,12 +73,85 @@ def test_sphere_sizes_other_specs():
 def test_exact_spheres_past_radius_three():
     """Sphere goldens from counts that share no code with the package:
     perfbench/gen.py's J4_EXACT_SPHERES and J5_EXACT_SPHERES, and the AJ_4
-    radius-6 list of ROADMAP item 1, which criterion 4 checks on its ball."""
+    radius-6 list of ROADMAP item 1, which criterion 4 checks on its ball.
+    The ball and the count over descent states both give them."""
     j4 = ball(cactus(4), 7)
-    assert j4.sphere_sizes() == [1, 6, 20, 55, 145, 380, 995, 2605]
+    assert j4.sphere_sizes() == sphere_sizes(cactus(4), 7) == [1, 6, 20, 55, 145, 380, 995, 2605]
     j5 = ball(cactus(5), 6)
-    assert j5.sphere_sizes() == [1, 10, 60, 305, 1481, 7116, 34115]
+    assert j5.sphere_sizes() == sphere_sizes(cactus(5), 6) == [1, 10, 60, 305, 1481, 7116, 34115]
     assert one_way_entries(j4) == one_way_entries(j5) == 0
+
+
+def test_counted_spheres_match_the_ball():
+    """sphere_sizes counts what ball() builds, wherever the suite builds a
+    ball past radius 1 (J_4 r7, J_5 r6 and AJ_4 r6 are checked above and in
+    criterion 4)."""
+    for spec, radius in ((affine(3), 7), (affine(5), 4), (cactus(6), 5),
+                         (affine(17), 2), (cactus(24), 2)):
+        assert sphere_sizes(spec, radius) == ball(spec, radius).sphere_sizes(), (spec, radius)
+
+
+def test_counted_spheres_follow_the_growth_series():
+    """To radius 40, against (1+x)^2/(1-4x+x^2) for AJ_3 and
+    (1+x)^3/(1-9x+9x^2-x^3) for AJ_4 (ROADMAP item 2(b)): past the
+    numerator's degree these are c_r = 4c_{r-1} - c_{r-2} and
+    c_r = 9c_{r-1} - 9c_{r-2} + c_{r-3}."""
+    aj3 = sphere_sizes(affine(3), 40, max_vertices=10**60)
+    aj4 = sphere_sizes(affine(4), 40, max_vertices=10**60)
+    assert aj3[:3] == [1, 6, 24] and aj4[:4] == [1, 12, 102, 812]
+    assert all(aj3[r] == 4 * aj3[r - 1] - aj3[r - 2] for r in range(3, 41))
+    assert all(aj4[r] == 9 * aj4[r - 1] - 9 * aj4[r - 2] + aj4[r - 3] for r in range(4, 41))
+
+
+def test_sphere_count_budget_and_validation():
+    """ball()'s rules and messages: J_4 r4 has 227 vertices."""
+    assert sum(sphere_sizes(cactus(4), 4, max_vertices=227)) == 227
+    with pytest.raises(BudgetExceeded) as exc:
+        sphere_sizes(cactus(4), 4, max_vertices=226)
+    with pytest.raises(BudgetExceeded) as want:
+        ball(cactus(4), 4, max_vertices=226)
+    assert str(exc.value) == str(want.value) == f"ball({cactus(4)}, 4) exceeded 226 vertices"
+    assert sphere_sizes(affine(3), 0, max_vertices=1) == [1]
+    for radius, budget in ((-1, 10), (0, 0), (0, -5)):
+        with pytest.raises(PreconditionViolated) as exc:
+            sphere_sizes(affine(3), radius, max_vertices=budget)
+        with pytest.raises(PreconditionViolated) as want:
+            ball(affine(3), radius, max_vertices=budget)
+        assert str(exc.value) == str(want.value)
+
+
+def test_a_doctored_transition_breaks_the_sphere_count(monkeypatch):
+    """Send the empty word's first letter to a two-letter descent state, on
+    a private copy of the tables: sphere 1 then has one parent edge into a
+    state whose vertices need two, and the count refuses to divide."""
+    pres = Presentation(affine(3))
+    monkeypatch.setattr(cayley, "presentation", lambda spec: pres)
+    assert sphere_sizes(affine(3), 3) == [1, 6, 24, 90]
+    pres.trans[0] = next(t for t, m in enumerate(pres.masks) if m.bit_count() == 2)
+    with pytest.raises(ClosureViolation, match="do not divide by 2"):
+        sphere_sizes(affine(3), 2)
+    assert presentation(affine(3)).trans[0] != pres.trans[0]
+
+
+def test_square_images_are_one_to_one():
+    """The last sphere's count reads |t| as 1 + the letters of s that span a
+    square with g: that needs par[g*G + .] to be one-to-one on those letters
+    and never to give g."""
+    for spec in (*map(cactus, range(3, 10)), *map(affine, range(3, 9)), cactus(24), affine(17)):
+        pres = presentation(spec)
+        G = pres.G
+        for g in range(G):
+            images = [h for h in pres.par[g * G:g * G + G] if h >= 0]
+            assert len(set(images)) == len(images) and g not in images, (spec, g)
+
+
+def test_sphere_count_numbers_no_state_for_the_last_sphere():
+    """Only inner spheres need numbered states: after sphere_sizes(J_24, 2)
+    the table holds the empty word's state and the 276 one-letter ones."""
+    pres = presentation(cactus(24))
+    pres.reset_states()
+    assert sphere_sizes(cactus(24), 2) == [1, 276, 50600]
+    assert len(pres.masks) == 277
 
 
 def _reference_ball(spec, radius):

@@ -166,6 +166,40 @@ def test_growth(capsys):
     }
 
 
+def test_growth_budget_and_errors_keep_their_bytes(capsys):
+    """growth counts spheres without a ball, with ball()'s budget rule and
+    messages: J_4 r4 has 227 vertices."""
+    argv = ("growth", "--family", "cactus", "--n", "4", "--radius", "4", "--budget")
+    assert run_cli(capsys, *argv, "226") == (3, "", (
+        "resource error: ball(GroupSpec(family=<Family.CACTUS: 'cactus'>, degree=4), 4) "
+        "exceeded 226 vertices\n"))
+    code, env, err = run_json(capsys, *argv, "227")
+    assert (code, err, env["result"]["ball_sizes"][-1]) == (0, "", 227)
+    assert run_cli(capsys, "growth", "--n", "3", "--radius", "-1") == (
+        2, "", "error: radius must be >= 0, got -1\n")
+    assert run_cli(capsys, "growth", "--n", "3", "--radius", "2", "--budget", "0") == (
+        2, "", "error: vertex budget must be >= 1, got 0\n")
+
+
+def test_growth_past_any_ball(capsys):
+    """Radius 60 of AJ_4 holds about 10^54 vertices; its spheres follow the
+    series (1+x)^3/(1-9x+9x^2-x^3)."""
+    code, env, _ = run_json(capsys, "growth", "--n", "4", "--radius", "60", "--budget", str(10**60))
+    c = env["result"]["sphere_sizes"]
+    assert code == 0 and len(c) == 61 and c[:4] == [1, 12, 102, 812]
+    assert all(c[r] == 9 * c[r - 1] - 9 * c[r - 2] + c[r - 3] for r in range(4, 61))
+
+
+def test_growth_of_j24_at_radius_3_exceeds_the_default_budget(capsys):
+    """8,108,650 vertices: exit 3 with ball()'s message, after counting only."""
+    try:
+        assert run_cli(capsys, "growth", "--family", "cactus", "--n", "24", "--radius", "3") == (
+            3, "", "resource error: ball(GroupSpec(family=<Family.CACTUS: 'cactus'>, "
+            "degree=24), 3) exceeded 1000000 vertices\n")
+    finally:  # drop the 25k dense rows of the inner spheres' states
+        cactuskit.core.presentation(cactus(24)).reset_states()
+
+
 def test_output_is_deterministic(capsys):
     argv = ("ball", "--n", "3", "--radius", "2")
     _, out1, _ = run_cli(capsys, *argv)

@@ -1,5 +1,5 @@
 """Property tests: the export/import round trip, the word text syntax, the
-word problem, and squares against a brute-force search."""
+word problem and its parity check, and squares against a brute-force search."""
 
 import json
 from functools import lru_cache
@@ -27,6 +27,8 @@ from cactuskit import (
     parse_word,
     squares,
 )
+from cactuskit.core import presentation
+from cactuskit.rewriting import _geodesic
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 FAMILIES = {"affine": affine, "cactus": cactus}
@@ -101,6 +103,29 @@ def test_inserting_a_relator_keeps_the_element(data, w):
     longer = Word(w.spec, w.letters[:at] + r + w.letters[at:])
     assert equal(w, longer) and equal(longer, w)
     assert normalize(longer) == normalize(w)
+
+
+_PARITY_SPECS = (affine(3), affine(4), cactus(5), affine(5), cactus(6))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_equal_is_the_reduction_whatever_the_parity(data):
+    """equal(u, v) answers what reducing u v^-1 answers: its parity check
+    skips only reductions that cannot end empty.  v is a random word, or u
+    with a relator inserted (equal), and then maybe one more letter (odd)."""
+    spec = data.draw(st.sampled_from(_PARITY_SPECS))
+    gens = st.sampled_from(generators(spec))
+    u = Word(spec, data.draw(st.lists(gens, max_size=20)))
+    if data.draw(st.booleans()):
+        v = Word(spec, data.draw(st.lists(gens, max_size=20)))
+    else:
+        at = data.draw(st.integers(0, len(u)))
+        v = list(u.letters[:at] + data.draw(relator(spec)) + u.letters[at:])
+        if data.draw(st.booleans()):
+            v.insert(data.draw(st.integers(0, len(v))), data.draw(gens))
+        v = Word(spec, v)
+    assert equal(u, v) == (not _geodesic(presentation(spec), u.ids + v.ids[::-1])[0])
 
 
 _AJ3_TEXTS = [g.text() for g in generators(affine(3))]

@@ -317,6 +317,21 @@ def test_equal_basic():
     assert not equal(w(spec, "1,2"), w(spec, "2,3"))
     with pytest.raises(SpecMismatch):
         equal(w(affine(3), "1,2"), w(cactus(3), "1,2"))
+    with pytest.raises(SpecMismatch):  # an odd total is still two groups
+        equal(w(affine(3), "1,2"), w(cactus(3), "1,2;2,3"))
+
+
+def test_equal_answers_an_odd_total_without_reducing():
+    """Every relator has even length, so an odd |u| + |v| is False at once:
+    the descent table is left at the empty word's state."""
+    for spec in (affine(4), cactus(5)):
+        pres = presentation(spec)
+        u, v = random_word(spec, 9, 1), random_word(spec, 12, 2)
+        pres.reset_states()
+        assert not equal(u, v) and not equal(v, u)
+        assert not equal(u, identity(spec)) and not equal(identity(spec), u)
+        assert pres.masks == [0] and pres.trans == [0] * pres.G, spec
+        assert equal(u, u) and len(pres.masks) > 1
 
 
 # ---------------------------------------------------------------------------
