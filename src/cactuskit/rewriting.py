@@ -58,6 +58,10 @@ equal checks parity first.  Every relator (g g and each square) has even
 length, so a word's length mod 2 is a homomorphism onto Z/2: a word of odd
 length cannot reduce to the empty word, and an odd |u| + |v| answers False
 with no reduction.  That False is exact, whatever the degree.
+
+Then it cuts what the two words share: if u = p x q and v = p y q, then
+u v^-1 = p (x y^-1) p^-1, which is e iff x y^-1 is, in any group.  So only
+x followed by y reversed is reduced, not the letters of p and q.
 """
 
 from __future__ import annotations
@@ -161,14 +165,15 @@ def parse_word(spec: GroupSpec, text: str) -> Word:
     text = text.strip()
     if not text or text == "e":
         return Word._of(pres, ())
-    parts = text.split(";")
-    ids = list(map(pres.gid_of_text.get, parts))
-    if None in ids:
-        ids = [
-            pres.id_of(parse_generator(pres.spec, part)) if i is None else i
-            for i, part in zip(ids, parts)
-        ]
-    return Word._of(pres, ids)
+    parts, gid = text.split(";"), pres.gid_of_text
+    try:
+        return Word._of(pres, list(map(gid.__getitem__, parts)))
+    except KeyError:  # parsed below, outside the handler, so no error chains to it
+        pass
+    return Word._of(pres, [
+        gid[part] if part in gid else pres.id_of(parse_generator(pres.spec, part))
+        for part in parts
+    ])
 
 
 def free_reduce(word: Word) -> Word:
@@ -296,12 +301,23 @@ def equal(w1: Word, w2: Word) -> bool:
     An odd total length answers False at once (see the module docstring).
     Otherwise w1 w2^-1 is reduced to a shortest word, which is empty iff the
     two are equal; w2^-1 is w2 reversed, every generator being an involution.
+    First the longest common prefix p is cut, then the longest common suffix
+    q that does not overlap it; w1 = p x q and w2 = p y q are equal iff x
+    and y are, so only x y^-1 is reduced.
     """
     if w1.spec is not w2.spec and w1.spec != w2.spec:
         raise SpecMismatch("cannot compare words from different groups")
-    if (len(w1.ids) + len(w2.ids)) & 1:
+    u, v = w1.ids, w2.ids
+    j, k = len(u), len(v)
+    if (j + k) & 1:
         return False
-    return not _geodesic(presentation(w1.spec), w1.ids + w2.ids[::-1])[0]
+    i, n = 0, min(j, k)
+    while i < n and u[i] == v[i]:
+        i += 1
+    while j > i and k > i and u[j - 1] == v[k - 1]:
+        j -= 1
+        k -= 1
+    return not _geodesic(presentation(w1.spec), u[i:j] + v[i:k][::-1])[0]
 
 
 def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:

@@ -1,5 +1,6 @@
 """Property tests: the export/import round trip, the word text syntax, the
-word problem and its parity check, and squares against a brute-force search."""
+word problem with its parity check and its cut of shared ends, and squares
+against a brute-force search."""
 
 import json
 from functools import lru_cache
@@ -126,6 +127,39 @@ def test_equal_is_the_reduction_whatever_the_parity(data):
             v.insert(data.draw(st.integers(0, len(v))), data.draw(gens))
         v = Word(spec, v)
     assert equal(u, v) == (not _geodesic(presentation(spec), u.ids + v.ids[::-1])[0])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_equal_cuts_the_shared_prefix_and_suffix(data):
+    """equal(p x q, p y q) answers what reducing all of u v^-1 answers, and
+    what equal(x, y) answers.  y is random, empty, x itself (u == v) or x
+    with a relator inserted (equal); x or y may start with p's last letter
+    or end with q's first, so the shared ends reach into the middle."""
+    spec = data.draw(st.sampled_from(_PARITY_SPECS))
+    gens = st.sampled_from(generators(spec))
+    p, x, q = (data.draw(st.lists(gens, max_size=size)) for size in (8, 10, 8))
+    kind = data.draw(st.sampled_from(["random", "empty", "same", "relator"]))
+    if kind == "random":
+        y = data.draw(st.lists(gens, max_size=10))
+    elif kind == "empty":
+        y = []
+    elif kind == "same":
+        y = list(x)
+    else:
+        at = data.draw(st.integers(0, len(x)))
+        y = x[:at] + list(data.draw(relator(spec))) + x[at:]
+    if data.draw(st.booleans()):
+        x, y = y, x
+    for middle in (x, y):
+        if p and data.draw(st.booleans()):
+            middle.insert(0, p[-1])
+        if q and data.draw(st.booleans()):
+            middle.append(q[0])
+    u, v = Word(spec, p + x + q), Word(spec, p + y + q)
+    answer = equal(u, v)
+    assert answer == (not _geodesic(presentation(spec), u.ids + v.ids[::-1])[0])
+    assert answer == equal(Word(spec, x), Word(spec, y)) == equal(v, u)
 
 
 _AJ3_TEXTS = [g.text() for g in generators(affine(3))]
