@@ -33,6 +33,7 @@ r |-> p + q - r reduced into [1, n] modulo n.
 
 from __future__ import annotations
 
+import codecs
 import enum
 import threading
 from dataclasses import dataclass
@@ -101,6 +102,9 @@ class Family(enum.Enum):
     AFFINE = "affine"
 
 
+_AFFINE = Family.AFFINE
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Which group we are working in: a family plus the number of strands."""
@@ -111,6 +115,12 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if self.degree < 2:
             raise IndexOutOfRange(f"degree must be at least 2, got {self.degree}")
+
+    def __hash__(self) -> int:
+        # ints only, one per spec: the dataclass hash would call Enum.__hash__
+        # (a Python-level hash of the member's name, which depends on
+        # PYTHONHASHSEED), and every presentation(spec) lookup pays for it
+        return 2 * self.degree + (self.family is _AFFINE)
 
     @property
     def n(self) -> int:
@@ -308,7 +318,10 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # letter takes across the square the pair spans (par).  The word problem
 # (rewriting) and the ball builder (cayley) run on par.
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
-# "p,q" to its id, texts maps each id back to it.
+# "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
+# spelling is three characters, and pair_map maps each one's two digits, read
+# as one UTF-16-LE code unit, to its id + 1, for rewriting.parse_word to
+# decode a whole word in one codec call.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
 # intervals first, then smaller start, then smaller end.  A normal form is
@@ -331,6 +344,11 @@ class Presentation:
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
         self.texts = [g.text() for g in gens]
         self.gid_of_text = {t: i for i, t in enumerate(self.texts)}
+        # An EncodingMap (the codecs' own C table) needs U+0000 in slot 0 and
+        # U+FFFE in the unused slots, hence the offset of one; G <= 72 here.
+        self.pair_map = codecs.charmap_build("".join(
+            ["\0", *(chr(ord(t[0]) | ord(t[2]) << 8) for t in self.texts)]
+        ).ljust(256, "\ufffe")) if spec.degree <= 9 else None
         members = [interval_of(g).members for g in gens]
         self.card = [len(m) for m in members]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]

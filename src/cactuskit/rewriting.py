@@ -46,7 +46,14 @@ or 0 until _up fills it (see Presentation.reset_states).  A link has few
 cliques (13 masks for AJ_3, 394 for J_6, counting the empty one), so the
 table stays at most (cliques + 1) * G entries, and each letter costs one
 list index.  Words carry their generator ids, so the word problem runs on
-ids from the parsed text to the printed one.
+ids from the parsed text to the printed one; up to degree 9, where every
+letter is spelled in three characters, parse_word decodes a canonical word
+in one codec call.
+
+Most cancels are short.  _geodesic and _normal_ids take two of them inline:
+g equal to the last letter b (a pop), and g whose hyperplane, carried across
+b, is crossed by the letter a before it, so that a b g reduces to the one
+letter par[a*G + b].  Only a longer carry calls _cancel.
 
 So equal(u, v) reduces u followed by v reversed (the inverse of v) and asks
 for the empty word, and normalize reduces the inverse of a word and then
@@ -67,6 +74,7 @@ x followed by y reversed is reduced, not the letters of p and q.
 from __future__ import annotations
 
 import random
+from codecs import charmap_encode, utf_16_le_decode
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,8 +121,9 @@ class Word:
         """The word of pres.spec with these generator ids, made without the
         per-letter check: the ids index pres's own tables."""
         word = object.__new__(cls)
-        object.__setattr__(word, "spec", pres.spec)
-        object.__setattr__(word, "ids", tuple(ids))
+        fields = word.__dict__  # where the frozen fields live, set directly
+        fields["spec"] = pres.spec
+        fields["ids"] = tuple(ids)
         return word
 
     @cached_property
@@ -154,17 +163,35 @@ def identity(spec: GroupSpec) -> Word:
     return Word(spec, ())
 
 
+# byte b to b - 1: undoes Presentation.pair_map's offset of one
+_UNSHIFT = bytes([255, *range(255)])
+
+
 def parse_word(spec: GroupSpec, text: str) -> Word:
     """Parse the semicolon-separated word syntax, e.g. "1,2;2,3;3,1".
 
-    The empty string denotes the empty word (the identity).  Canonical
-    spellings map to ids through one dict; any other goes through
+    The empty string denotes the empty word (the identity).  Up to degree 9
+    a canonical word ("p,q" letters, three characters each) is decoded in
+    one codec call through Presentation.pair_map; any other text maps its
+    canonical spellings to ids through one dict and parses the rest with
     parse_generator, with its errors.
     """
     pres = presentation(spec)
     text = text.strip()
     if not text or text == "e":
         return Word._of(pres, ())
+    if pres.pair_map is not None and text.isascii():
+        b = text.encode()
+        # k letters: 4k - 1 bytes, "," at 1 mod 4, ";" at 3 mod 4, digits elsewhere
+        if len(b) & 3 == 3 and not b[1::4].strip(b",") and not b[3::4].strip(b";"):
+            digits = b.translate(None, b",;")
+            if len(digits) == (len(b) + 1) >> 1 and digits.isdigit():
+                try:
+                    ids = charmap_encode(utf_16_le_decode(digits)[0], None, pres.pair_map)[0]
+                except UnicodeEncodeError:  # a pair that names no generator
+                    pass
+                else:
+                    return Word._of(pres, ids.translate(_UNSHIFT))
     parts, gid = text.split(";"), pres.gid_of_text
     try:
         return Word._of(pres, list(map(gid.__getitem__, parts)))
@@ -241,7 +268,7 @@ def _cancel(pres: Presentation, w: list[int], states: list[int], g: int) -> None
 
 def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[int]]:
     """A shortest word of the element `ids` spells, with its prefix states."""
-    G, trans = pres.G, pres.trans
+    G, par, trans = pres.G, pres.par, pres.trans
     w: list[int] = []
     states = [0]
     s = 0
@@ -252,11 +279,21 @@ def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[int]]:
             states.append(t)
             s = t
             continue
-        if w[-1] == g:  # g cancels the last letter
+        b = w[-1]
+        if b == g:  # g cancels the last letter
             w.pop()
             states.pop()
-        else:
-            _cancel(pres, w, states, g)
+            s = states[-1]
+            continue
+        a = w[-2]  # g is in the mask but is not the last letter, so w has two
+        if par[b * G + g] == a:  # carried across b, g's hyperplane meets a: a b g = par[a*G + b]
+            w.pop()
+            states.pop()
+            y = w[-1] = par[a * G + b]
+            s = states[-2]
+            s = states[-1] = trans[s * G + y] or _up(pres, s, y)
+            continue
+        _cancel(pres, w, states, g)
         s = states[-1]
     return w, states
 
@@ -266,17 +303,28 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
 
     The first letter of the normal form of x is the kappa-least letter of its
     left descent set, the right descent set of x^-1; take it off and repeat.
+    The two shortest carries are taken inline, as in _geodesic.
     """
+    G, par, trans = pres.G, pres.par, pres.trans
     w, states = _geodesic(pres, ids[::-1])
     least, out = pres.least, []
     while w:
         g = least[states[-1]]
         out.append(g)
-        if w[-1] == g:
+        b = w[-1]
+        if b == g:
             w.pop()
             states.pop()
-        else:
-            _cancel(pres, w, states, g)
+            continue
+        a = w[-2]
+        if par[b * G + g] == a:
+            w.pop()
+            states.pop()
+            y = w[-1] = par[a * G + b]
+            s = states[-2]
+            states[-1] = trans[s * G + y] or _up(pres, s, y)
+            continue
+        _cancel(pres, w, states, g)
     return out
 
 

@@ -1,7 +1,15 @@
 """Generators, cyclic intervals, relation classification, and reflections."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cactuskit
 from cactuskit import (
     CyclicInterval,
     Family,
@@ -41,6 +49,32 @@ def test_spec_constructors():
     assert c.degree == 4
     assert affine(5) == GroupSpec(Family.AFFINE, 5)
     assert affine(5) != cactus(5)
+
+
+def test_spec_hash_finds_one_presentation():
+    """Equal specs hash alike and share one cached Presentation, through a
+    pickle or a deepcopy too; the two families at one degree stay two keys,
+    and the hash does not depend on PYTHONHASHSEED."""
+    for make in (affine, cactus):
+        spec, again = make(5), make(5)
+        assert spec is not again and hash(spec) == hash(again)
+        pres = presentation(spec)
+        assert presentation(again) is pres
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and hash(copied) == hash(spec)
+            assert presentation(copied) is pres
+    assert hash(affine(5)) != hash(cactus(5))
+    assert presentation(affine(5)) is not presentation(cactus(5))
+    assert presentation(affine(5)).G == 20 and presentation(cactus(5)).G == 10
+    code = "from cactuskit import affine, cactus; print(hash(affine(5)), hash(cactus(5)))"
+    src = str(Path(cactuskit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout.split()
+        assert out == [str(hash(affine(5))), str(hash(cactus(5)))]
 
 
 def test_degree_must_be_at_least_two():

@@ -25,6 +25,7 @@ from cactuskit import (
     generators,
     import_ball,
     normalize,
+    parse_generator,
     parse_word,
     squares,
 )
@@ -72,6 +73,38 @@ def words(draw):
 @given(w=words())
 def test_parse_word_inverts_text(w):
     assert parse_word(w.spec, w.text()) == w
+
+
+def _parse_reference(spec, text):
+    """One parse_generator call per part of the stripped text."""
+    text = text.strip()
+    if text in ("", "e"):
+        return Word(spec, ())
+    return Word(spec, [parse_generator(spec, part) for part in text.split(";")])
+
+
+def _outcome(parse, spec, text):
+    try:
+        return parse(spec, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_parse_word_agrees_with_a_per_part_reference(data):
+    """On canonical words and on one-character mutations of them (a letter
+    replaced, inserted or deleted), parse_word gives the reference's word, or
+    its exception class and message."""
+    spec = FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))](data.draw(st.integers(2, 12)))
+    gens = generators(spec)
+    text = ";".join(g.text() for g in data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=12)))
+    edit = data.draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    if edit != "none":
+        at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+        char = data.draw(st.sampled_from("0123456789,; ex+-\n１٣"))
+        text = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert"):]
+    assert _outcome(parse_word, spec, text) == _outcome(_parse_reference, spec, text), text
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -40,6 +40,7 @@ from cactuskit.core import (
     GroupSpec,
     presentation,
 )
+from cactuskit import rewriting
 from cactuskit.cayley import ball
 from cactuskit.rewriting import _geodesic, _successors_all
 
@@ -139,6 +140,47 @@ def test_one_element_from_every_edge():
         parse_word(spec, "5,1")
     with pytest.raises(SpecMismatch):
         Word(spec, (Generator(1, 2, spec), generators(affine(3))[0]))
+
+
+# (spec, text, ids or (exception class, message)), as first recorded
+_PARSE_PINNED = [
+    (cactus(3), "1,2;2,3;1,3;1,2", (0, 2, 1, 0)),
+    (affine(3), "3,1;1,3;2,1;3,2", (4, 1, 2, 5)),
+    (cactus(9), "1,9;8,9;2,7;1,2", (7, 35, 12, 0)),
+    (affine(9), "9,1;1,9;5,4;2,3", (64, 7, 35, 9)),
+    (cactus(10), "1,10;9,10;2,3", (8, 44, 9)),
+    (affine(17), "17,1;1,17;5,12;12,5", (256, 15, 74, 180)),
+    (affine(4), "e", ()),
+    (affine(4), "", ()),
+    (affine(4), "  4,1;2,3\n", (9, 4)),
+    (affine(4), " 1,2", (0,)),
+    (affine(4), "01,2", (0,)),
+    (affine(4), "1,2;", (InvalidPair, "expected 'p,q', got ''")),
+    (affine(4), ";1,2", (InvalidPair, "expected 'p,q', got ''")),
+    (affine(4), "1,,2", (InvalidPair, "expected 'p,q', got '1,,2'")),
+    (cactus(4), "2,1", (InvalidPair, "cactus generators need p < q, got (2,1)")),
+    (cactus(4), "1,2;2,1", (InvalidPair, "cactus generators need p < q, got (2,1)")),
+    (affine(9), "7,7", (InvalidPair, "generator indices must differ")),
+    (cactus(5), "7,7", (IndexOutOfRange, "indices (7,7) outside 1..5")),
+    (affine(4), "0,1", (IndexOutOfRange, "indices (0,1) outside 1..4")),
+    (cactus(4), "1,4;1,0", (IndexOutOfRange, "indices (1,0) outside 1..4")),
+    (affine(4), "１,２", (0,)),  # fullwidth digits: int() reads them
+    (affine(4), "1,2;x,3", (InvalidPair, "expected integers in 'x,3'")),
+    (affine(4), "1,2; ,3", (InvalidPair, "expected integers in ' ,3'")),
+    (affine(4), "1,2; 2,3", (0, 4)),
+]
+
+
+@pytest.mark.parametrize("spec, text, want", _PARSE_PINNED)
+def test_parse_word_is_pinned(spec, text, want):
+    """parse_word's ids, or its error class and message, on canonical words
+    at n = 3, 9, 10 and 17 and on other and malformed spellings."""
+    if want and isinstance(want[0], type):
+        with pytest.raises(want[0]) as err:
+            parse_word(spec, text)
+        assert type(err.value) is want[0] and str(err.value) == want[1]
+    else:
+        assert parse_word(spec, text).ids == want
 
 
 def test_letter_of_another_spec_is_rejected():
@@ -615,6 +657,38 @@ def test_normalize_ids_matches_naive_leftmost_reduction(spec):
         assert pres.ids(nf.letters) == want, (spec, word.text())
         assert len(_naive_geodesic(ids, pres)) == len(nf)
         assert len(_geodesic(pres, ids)[0]) == len(nf)
+
+
+# Normalize requests of word-problem seed 1 (perfbench/gen.py), one pair per
+# group: the first word cancels only by pops and one-letter carries (at least
+# one carry) while reduced and peeled, the second has a two-letter carry.
+_CARRY_WORDS = {
+    affine(3): ("1,2;1,2;1,2;1,2;3,2;3,1;1,3;3,1", "1,2;1,3;2,1;3,1;1,2;2,3;3,2;1,3"),
+    affine(4): ("1,2;2,4;1,2;1,3;3,2;1,3;3,4;3,4", "2,1;3,4;3,2;3,2;2,3;4,2;4,3;1,4"),
+    cactus(5): ("1,2;2,5;1,4;4,5;1,2;3,4;1,3;1,3", "1,2;1,5;3,4;2,4;2,4;3,4;2,3;1,3"),
+    affine(5): ("1,2;2,3;2,1;4,2;2,4;3,4;3,1;3,1", "1,3;5,1;5,4;4,1;3,2;3,5;1,2;4,3"),
+    cactus(6): ("1,2;3,6;1,5;1,5;1,3;5,6;1,2;5,6", "1,2;2,6;2,4;1,2;1,5;1,5;2,5;4,5"),
+}
+
+
+@pytest.mark.parametrize("spec", list(_CARRY_WORDS), ids=lambda s: f"{s.family.value}-{s.degree}")
+def test_one_letter_carries_run_inline(spec, monkeypatch):
+    """_geodesic and _normal_ids take a one-letter carry without _cancel,
+    and call it for a longer one; both normalize as the plain reducer does."""
+    calls = []
+    real = rewriting._cancel
+
+    def recorder(pres, w, states, g):
+        calls.append(g)
+        real(pres, w, states, g)
+
+    monkeypatch.setattr(rewriting, "_cancel", recorder)
+    pres = presentation(spec)
+    short, longer = (parse_word(spec, text) for text in _CARRY_WORDS[spec])
+    assert list(normalize(short).ids) == _naive_normal_form(list(short.ids), pres)
+    assert calls == []
+    assert list(normalize(longer).ids) == _naive_normal_form(list(longer.ids), pres)
+    assert calls
 
 
 def _cliques(pres):
