@@ -23,7 +23,7 @@ index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -238,10 +238,12 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     other parent v*h is u*a*b, two filled edges away, for a down letter a of
     u with h = par[g*G + a], b = par[a*G + g].  All of v's down-edges are
     written then, and v's key is the kappa-least parent's key plus its
-    letter (normal forms are prefix-closed): no word is normalized.  A
-    vertex inside the radius has a row of G slots by generator id, and vids
-    go by depth, so its down letters are the slots that hold smaller vids:
-    the ball reads no descent state.  One at the radius keeps its
+    letter (normal forms are prefix-closed): no word is normalized.  The
+    kappa-least parent is the least-ranked, each inner sphere being ranked
+    once, as ints, on (its vertex's parent's rank, its letter's kappa
+    rank).  A vertex inside the radius has a row of G slots by generator
+    id, and vids go by depth, so its down letters are the slots that hold
+    smaller vids: the ball reads no descent state.  One at the radius keeps its
     down-edges only, in generator order (relators have even length, so
     edges join consecutive spheres).  Raises BudgetExceeded past
     `max_vertices`.
@@ -249,55 +251,73 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     _check_ball_args(radius, max_vertices)
     pres = presentation(spec)
     G, par = pres.G, pres.par
-    rank_table = _key(b.bit_length() - 1 for b in pres.bit)  # id -> chr(kappa rank)
-    kappa = lambda hw: keys[hw[1]].translate(rank_table)  # noqa: E731
+    kappa = [b.bit_length() - 1 for b in pres.bit]  # id -> kappa rank
     empty_row = array("q", [-1]) * G
 
     keys: list[str] = [""]
-    index: dict[str, int] = {"": 0}
-    depth = array("i", [0])
+    sizes = [1]
     adj = array("q", empty_row if radius else ())
     ends = array("q", () if radius else (0,))  # len(adj) after each radius vertex
+    rank = [0]  # kappa order within the sphere being expanded, by vid - lo
 
-    u = 0
-    while u < len(keys) and depth[u] < radius:
-        d = depth[u] + 1
+    lo = 0
+    for d in range(1, radius + 1):
+        hi = len(keys)
+        if hi == lo:
+            break  # the last sphere was empty: a finite group
         inner = d < radius  # children get rows of their own
-        row, low = u * G, u << 16
-        slots = adj[row:row + G]  # expanding u writes no other slot of its row
-        du = [a for a, e in enumerate(slots) if 0 <= e < low]  # down letters
-        for g, e in enumerate(slots):
-            if e >= 0:
-                continue  # a down-edge, or one an earlier parent of u*g filled
-            # v = u*g is new; each other parent v*h is u*a*b (see above)
-            gG, v = g * G, len(keys)
-            parents = [(h, adj[(adj[row + a] >> 16) * G + par[a * G + g]] >> 16)
-                       for a in du if (h := par[gG + a]) >= 0]
-            if parents:  # normal forms are prefix-closed: the kappa-least parent's, plus h
-                parents.append((g, u))
-                h, w = min(parents, key=kappa)
-                key = keys[w] + chr(h)
-            else:
-                key = keys[u] + chr(g)
-            index[key] = v
-            keys.append(key)
-            depth.append(d)
-            adj[row + g] = v << 16 | g
-            for h, w in parents:
-                adj[w * G + h] = v << 16 | h
-            if inner:
-                adj.extend(empty_row)
-                adj[v * G + g] = u << 16 | g
+        order = []  # per child: its kappa-least parent's rank * G + kappa rank of its letter
+        for u in range(lo, hi):
+            row, low = u * G, u << 16
+            slots = adj[row:row + G]  # expanding u writes no other slot of its row
+            du = [a for a, e in enumerate(slots) if 0 <= e < low]  # down letters
+            ru = rank[u - lo]
+            for g, e in enumerate(slots):
+                if e >= 0:
+                    continue  # a down-edge, or one an earlier parent of u*g filled
+                # v = u*g is new; each other parent v*h is u*a*b (see above)
+                gG, v = g * G, len(keys)
+                parents = [(h, adj[(adj[row + a] >> 16) * G + par[a * G + g]] >> 16)
+                           for a in du if (h := par[gG + a]) >= 0]
+                r, c, w = ru, g, u  # the kappa-least parent w, with v = w*c
+                for h, pw in parents:
+                    if rank[pw - lo] < r:
+                        r, c, w = rank[pw - lo], h, pw
+                keys.append(keys[w] + chr(c))
+                adj[row + g] = v << 16 | g
                 for h, w in parents:
-                    adj[v * G + h] = w << 16 | h
-            else:
-                adj.extend([w << 16 | h for h, w in sorted(parents)] if parents else [u << 16 | g])
-                ends.append(len(adj))
-        if len(keys) > max_vertices:
-            raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
-        u += 1
+                    adj[w * G + h] = v << 16 | h
+                if inner:
+                    order.append(r * G + kappa[c])
+                    adj.extend(empty_row)
+                    adj[v * G + g] = u << 16 | g
+                    for h, w in parents:
+                        adj[v * G + h] = w << 16 | h
+                else:
+                    if parents:
+                        parents.append((g, u))
+                        adj.extend([w << 16 | h for h, w in sorted(parents)])
+                    else:
+                        adj.append(u << 16 | g)
+                    ends.append(len(adj))
+            if len(keys) > max_vertices:
+                raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
+        lo = hi
+        sizes.append(len(keys) - lo)
+        if inner:  # rank this sphere, once the last one's ranks are freed
+            del rank
+            by_rank = sorted(range(len(order)), key=order.__getitem__)
+            del order
+            rank = sorted(range(len(by_rank)), key=by_rank.__getitem__)  # the inverse
+            del by_rank
 
-    off = array("q", range(0, (len(keys) - len(ends)) * G + 1, G))
+    del rank
+    n = len(keys)
+    index = dict(zip(keys, range(n)))
+    depth = array("i")
+    for d, size in enumerate(sizes):
+        depth.extend(repeat(d, size))
+    off = array("q", range(0, (n - len(ends)) * G + 1, G))
     off.extend(ends)
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
 

@@ -39,9 +39,10 @@ opposite-side distance sums of the quadruple.
 
 The inner loops read each vertex's stored entries as one slice
 (``CayleyBall.row``) and write the disk maths out in place: the two
-isometries of ``embed_ball``, and ``qi_fit``'s distance in the float
-expression of ``_disk_distance``.  ``render_svg`` formats each vertex's
-canvas point once.
+isometries of ``embed_ball``, which reads each label's turn from a table
+per orientation, and ``qi_fit``'s tanh-space distance, taken through atanh
+only at each graph distance's extremes.  ``render_svg`` formats all canvas
+points in one call.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from random import Random
 from typing import NamedTuple
 
@@ -153,6 +154,8 @@ def embed_ball(b: CayleyBall) -> Embedding:
     a = tiling_edge_length()
     step_r = math.tanh(a / 2.0)  # euclidean radius of one edge from the origin
     third = math.pi / 3.0
+    # each label's turn orient·k·π/3 from the base direction, by orientation
+    turn = {o: [o * dir_of_gid[g] * third for g in range(len(pres.gens))] for o in (1, -1)}
 
     n = len(b)
     pos: list[complex | None] = [None] * n
@@ -165,21 +168,21 @@ def embed_ball(b: CayleyBall) -> Embedding:
         z_v = pos[vid]
         if z_v is None:  # pragma: no cover - BFS order guarantees placement
             raise ClosureViolation(f"vertex {vid} reached before any parent placed it")
-        zc_v = z_v.conjugate()
+        zc_v, base_v, o_v = z_v.conjugate(), base[vid], orient[vid]
+        turn_v = turn[o_v]
         for e in b.row(vid):
             nb, gid = e >> 16, e & 0xFFFF
-            k = dir_of_gid[gid]
-            phi = base[vid] + orient[vid] * k * third
+            phi = base_v + turn_v[gid]
             w = step_r * complex(math.cos(phi), math.sin(phi))
             # the disk isometry sending 0 to z_v with no rotation there
             z_nb = (w + z_v) / (1.0 + zc_v * w)
             p = pos[nb]
             if p is None:
                 pos[nb] = z_nb
-                orient[nb] = orient[vid] * eps[gid]
+                orient[nb] = o_nb = o_v * eps[gid]
                 # z_v seen from z_nb: the isometry sending z_nb to 0
                 back = (z_v - z_nb) / (1.0 - z_nb.conjugate() * z_v)
-                base[nb] = math.atan2(back.imag, back.real) - orient[nb] * k * third
+                base[nb] = math.atan2(back.imag, back.real) - turn[o_nb][gid]
             elif abs(z_nb - p) > _CLOSURE_TANH * abs(1.0 - z_nb.conjugate() * p):
                 raise ClosureViolation(
                     f"vertex {b.text(nb)!r} placed {_disk_distance(z_nb, p):.3e} apart "
@@ -219,16 +222,20 @@ def qi_fit(e: Embedding) -> QIFit:
     sum within the radius) and returns the least lambda with
     d_G/lambda ≤ d_H ≤ lambda·d_G, additive constant 0.  max_violation is 0
     by construction — the constants are fitted, not asserted.  Each u is
-    paired only with the larger vids of depth <= radius - depth(u).
+    paired only with the larger vids of depth <= radius - depth(u).  For a
+    fixed d_G the ratio max(d_H/d_G, d_G/d_H) is V-shaped in the tanh-space
+    t = tanh(d_H/2), so only the least and largest t per d_G are taken
+    through atanh.  A pair whose BFS row reads -1 (an imported ball that
+    does not connect it) is counted but leaves lambda alone.
     """
     b = e.ball
     depth, _, table = _trusted_metric(b, "distance fit")
     points = e.points
     radius = b.radius
     by_depth = [[v for v, dv in enumerate(depth) if dv == d] for d in range(radius + 1)]
-    lam = 1.0
+    # the least and largest t per graph distance; slot -1 (= radius + 1) for -1
+    least, most = [1.0] * (radius + 2), [-1.0] * (radius + 2)
     pairs = 0
-    atanh = math.atanh
     for u, du in enumerate(depth):
         zu = points[u]
         zc = zu.conjugate()
@@ -237,11 +244,21 @@ def qi_fit(e: Embedding) -> QIFit:
             for v in bucket[bisect_right(bucket, u):]:
                 d_g = row[v] if row is not None else table[v][u]
                 zv = points[v]
-                d_h = 2.0 * atanh(abs(zu - zv) / abs(1.0 - zc * zv))  # as _disk_distance
-                ratio = d_h / d_g if d_h > d_g else d_g / d_h
-                if ratio > lam:
-                    lam = ratio
+                t = abs(zu - zv) / abs(1.0 - zc * zv)
+                if t > most[d_g]:
+                    most[d_g] = t
+                if t < least[d_g]:
+                    least[d_g] = t
                 pairs += 1
+    lam = 1.0
+    for d_g in range(-1, radius + 1):
+        if most[d_g] < 0.0:
+            continue  # no pair at this distance
+        for t in (least[d_g], most[d_g]):
+            d_h = 2.0 * math.atanh(t)  # as _disk_distance
+            ratio = d_h / d_g if d_h > d_g else d_g / d_h
+            if ratio > lam:
+                lam = ratio
     return QIFit(lam=lam, c=0.0, pair_count=pairs, max_violation=0.0)
 
 
@@ -374,7 +391,8 @@ def render_svg(
     """
     b = e.ball
     pts = e.points
-    xy = [f"{_fmt(x)} {_fmt(y)}" for x, y in map(_canvas_xy, pts)]
+    xy = ("%.3f %.3f\n" * len(pts) % tuple(chain.from_iterable(map(_canvas_xy, pts))))
+    xy = xy.replace("-0.000", "0.000").splitlines()  # as _fmt
     lift = [1.0 + abs(z) ** 2 for z in pts]
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
@@ -383,8 +401,8 @@ def render_svg(
         'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
     for u in range(len(b)):
-        zu, ru, head = pts[u], lift[u], f'<path d="M {xy[u]} '
-        for nb in sorted(x >> 16 for x in b.row(u) if x >> 16 > u):
+        zu, ru, head, top = pts[u], lift[u], f'<path d="M {xy[u]} ', u << 16 | 0xFFFF
+        for nb in sorted([x >> 16 for x in b.row(u) if x > top]):  # the larger neighbours
             lines.append(
                 f'{head}{_arc_to(zu, pts[nb], ru, lift[nb], xy[nb])}" fill="none" '
                 'stroke="#1a1a1a" stroke-width="1.5"/>'

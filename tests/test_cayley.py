@@ -235,10 +235,13 @@ def _insertion_reference(spec, radius):
 def test_ball_matches_insertion_reference():
     """Array for array: vertex numbering, keys, depths and the order of every
     vertex's entries.  J_24 (G = 276, keys with code points past 255) has
-    vertices with two parents at radius 2."""
+    vertices with two parents at radius 2.  Radii 0 and 1 and AJ_2's spheres
+    of two vertices each are the sphere loop's edge cases.  The budget is
+    exact: one vertex short of the ball raises, with the ball's own size
+    passing."""
     for spec, radius in (
         (affine(3), 6), (cactus(4), 6), (affine(4), 4), (cactus(5), 4), (cactus(6), 3),
-        (cactus(24), 2),
+        (cactus(24), 2), (affine(3), 0), (affine(3), 1), (affine(2), 30), (cactus(24), 1),
     ):
         b = ball(spec, radius)
         keys, depth, adj, off = _insertion_reference(spec, radius)
@@ -247,6 +250,11 @@ def test_ball_matches_insertion_reference():
         assert list(b._depth) == depth, (spec, radius)
         assert list(b._adj) == adj, (spec, radius)
         assert list(b._off) == off, (spec, radius)
+        assert len(ball(spec, radius, max_vertices=len(b))) == len(b)
+        if len(b) > 1:
+            with pytest.raises(BudgetExceeded) as exc:
+                ball(spec, radius, max_vertices=len(b) - 1)
+            assert str(exc.value) == f"ball({spec}, {radius}) exceeded {len(b) - 1} vertices"
 
 
 def test_ball_leaves_the_descent_table_alone():

@@ -593,15 +593,44 @@ _PINNED = (
 )
 
 
-def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
-    """In this order: the edges check reads the JSON file the first verb wrote."""
-    monkeypatch.chdir(tmp_path)
-    for argv, stdout_sha, files in _PINNED:
+def _assert_pinned(capsys, tmp_path, pinned):
+    """Run each argv in turn in tmp_path and compare its bytes with the pins."""
+    for argv, stdout_sha, files in pinned:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv
         for name, sha in files.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha, (argv, name)
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """In this order: the edges check reads the JSON file the first verb wrote."""
+    monkeypatch.chdir(tmp_path)
+    _assert_pinned(capsys, tmp_path, _PINNED)
+
+
+# the same, one radius or more past the ops above, as written before ball()
+# ranked each sphere as ints and qi_fit took atanh only of each distance's
+# extreme ratios: more spheres and more pairs for a speed-up to get wrong
+_PINNED_LARGER = (
+    (("qi-fit", "--radius", "6"),
+     "f3b130226ceca5ec0ba04d57d156d9d48db99b67f3747323d51ca98eba9799a5", {}),
+    (("embed", "--radius", "5", "--out", "disk.svg"),
+     "7b3893712ed1950ca83ddbce0157bc8f7e69366b85510306f3c22f552d5af233",
+     {"disk.svg": "c15aa567065b27e77ca756e53ccc24a7035aed57efde1f5d2a40f0e824fc8f40"}),
+    (("delta", "--radius", "4"),
+     "c68fe0c682f506717d6d68efb24afb7f8b07769e98cf74530fd14b65a93f22d6", {}),
+    (("ball", "--n", "4", "--radius", "4", "--out", "ball.json"),
+     "1cf3f44faad924ff06707d87f76e6e4cdddaf9abf8b13a3f64c05fb86415d97c",
+     {"ball.json": "5786329aa0faaeed3c5c2f7580858c9ff155b1e5d9d3915e7b4d0441fc64097b"}),
+    (("ball", "--family", "cactus", "--n", "5", "--radius", "4", "--format", "dot"),
+     "c5dadaa18a42837ae1e7992dd0a893f9dff22559c3a5196d7f1e1c6d8eeb1c86", {}),
+)
+
+
+def test_larger_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_pinned(capsys, tmp_path, _PINNED_LARGER)
 
 
 # sha256 of the square and wedge checks' stdout on graphs that break them,

@@ -17,6 +17,7 @@ import pytest
 
 from cactuskit import (
     ClosureViolation,
+    Embedding,
     FourPointDelta,
     HPoint,
     NotAJ3,
@@ -225,6 +226,58 @@ def test_qi_fit_counts_every_trusted_pair(disk_r3, disk_r4):
         depth = [b.depth_at(v) for v in range(len(b))]
         brute = sum(du + dv <= b.radius for du, dv in combinations(depth, 2))
         assert qi_fit(e).pair_count == brute
+
+
+def _reference_qi_fit(e):
+    """qi_fit with atanh and the ratio taken per pair: each u is paired with
+    the larger vids of depth <= radius - depth(u), the distance read from
+    u's core row, or from v's when u is not core."""
+    b, points, radius = e.ball, e.points, e.ball.radius
+    depth = [b.depth_at(v) for v in range(len(b))]
+    table = {v: b.distances_from(v, radius) for v, d in enumerate(depth) if d <= radius // 2}
+    by_depth = [[v for v, dv in enumerate(depth) if dv == d] for d in range(radius + 1)]
+    lam, pairs = 1.0, 0
+    for u, du in enumerate(depth):
+        zu = points[u]
+        for bucket in by_depth[:radius - du + 1]:
+            for v in bucket[bisect_right(bucket, u):]:
+                d_g = table[u][v] if u in table else table[v][u]
+                zv = points[v]
+                d_h = 2.0 * math.atanh(abs(zu - zv) / abs(1.0 - zu.conjugate() * zv))
+                ratio = d_h / d_g if d_h > d_g else d_g / d_h
+                if ratio > lam:
+                    lam = ratio
+                pairs += 1
+    return QIFit(lam, 0.0, pairs, 0.0)
+
+
+def _embedding_of(obj, e):
+    """import_ball(obj) with each vertex at e's point for its key: obj may
+    list its vertices in any order, or lack edges embed_ball would need."""
+    b = import_ball(obj)
+    return Embedding(b, [e.point(b.key(v)).z for v in range(len(b))], e.edge_length)
+
+
+def test_qi_fit_matches_the_per_pair_reference(disk_r4):
+    """The same float lam and pair count as taking atanh per pair: on AJ_3
+    balls, on a shuffled import (vids out of depth order, so some u are not
+    core and read v's row), and with one vertex cut off (rows read -1)."""
+    for radius in (3, 4, 5, 6):
+        e = embed_ball(ball(affine(3), radius))
+        assert qi_fit(e) == _reference_qi_fit(e), radius
+    obj = export_obj(disk_r4.ball)
+    Random(4).shuffle(obj["vertices"])
+    shuffled = _embedding_of(obj, disk_r4)
+    depth = [shuffled.ball.depth_at(v) for v in range(len(shuffled.ball))]
+    assert any(depth[u] > 2 and depth[u] + depth[v] <= 4
+               for u in range(len(depth)) for v in range(u + 1, len(depth)))
+    assert qi_fit(shuffled) == _reference_qi_fit(shuffled)
+    cut = "1,2;2,3"  # a vertex of depth 2: a core row of -1s, and -1 in others
+    obj = export_obj(disk_r4.ball)
+    obj["edges"] = [r for r in obj["edges"] if cut not in (r["from"], r["to"])]
+    cut_off = _embedding_of(obj, disk_r4)
+    assert -1 in cut_off.ball.distances_from(0, 4)
+    assert qi_fit(cut_off) == _reference_qi_fit(cut_off)
 
 
 def test_qi_fit_needs_room():
