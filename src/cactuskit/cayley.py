@@ -221,11 +221,16 @@ class CayleyBall:
         return BallDistance(d, self._depth[uv] + self._depth[vv] <= self.radius)
 
 
-def _check_ball_args(radius: int, max_vertices: int) -> None:
+def _check_ball_args(spec: GroupSpec, radius: int, max_vertices: int) -> None:
     if radius < 0:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
     if max_vertices < 1:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
+    # sphere 1 holds every generator, n(n-1) of AJ_n and half that of J_n:
+    # a budget below 1 + G fails before the O(G^2) tables are built
+    n = spec.degree
+    if radius and 1 + n * (n - 1) // (1 if spec.family is Family.AFFINE else 2) > max_vertices:
+        raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
 
 
 def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
@@ -248,7 +253,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     edges join consecutive spheres).  Raises BudgetExceeded past
     `max_vertices`.
     """
-    _check_ball_args(radius, max_vertices)
+    _check_ball_args(spec, radius, max_vertices)
     pres = presentation(spec)
     G, par = pres.G, pres.par
     kappa = [b.bit_length() - 1 for b in pres.bit]  # id -> kappa rank
@@ -331,7 +336,9 @@ def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> lis
     only on u's state s and g (rewriting._up).  So, with c_r[s] the number
     of vertices at distance r in state s,
 
-        c_{r+1}[t] = (sum_s c_r[s] * #{g not in s : trans(s, g) = t}) / |t|.
+        c_{r+1}[t] = (sum_s c_r[s] * #{g not in s : row_s[g] = row_t}) / |t|,
+
+    the counts keyed on the masks, each read off its row's slot G + 1.
 
     Each division must be exact; one that is not means the tables break the
     CAT(0) theorem, and raises ClosureViolation.  The last sphere needs only
@@ -341,9 +348,9 @@ def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> lis
     BudgetExceeded, with ball()'s message, once the running total passes
     `max_vertices`.
     """
-    _check_ball_args(radius, max_vertices)
+    _check_ball_args(spec, radius, max_vertices)
     pres = presentation(spec)
-    G, par, bit, masks, trans = pres.G, pres.par, pres.bit, pres.masks, pres.trans
+    G, par, bit, row_of = pres.G, pres.par, pres.bit, pres.state_of
 
     def exact(count: int, size: int) -> int:
         q, rem = divmod(count, size)
@@ -352,20 +359,20 @@ def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> lis
                                    f"into {size}-letter descent sets do not divide by {size}")
         return q
 
-    sizes, cur = [1], {0: 1}  # cur: state -> vertices, or size -> vertices at the last sphere
+    sizes, cur = [1], {0: 1}  # cur: mask -> vertices, or size -> vertices at the last sphere
     for r in range(1, radius + 1):
         got: dict[int, int] = {}
         if r < radius:
-            for s, c in cur.items():
-                for g, t in enumerate(trans[s * G:s * G + G]):
-                    t = t or _up(pres, s, g)
-                    if t > 0:
+            for m, c in cur.items():
+                s = row_of[m]
+                for g, t in enumerate(s[:G]):
+                    if t or t is None and (t := _up(pres, s, g)):
+                        t = t[G + 1]
                         got[t] = got.get(t, 0) + c
-            cur = {t: exact(c, masks[t].bit_count()) for t, c in got.items()}
+            cur = {t: exact(c, t.bit_count()) for t, c in got.items()}
         else:
             span = [sum(b for b, h in zip(bit, par[g * G:g * G + G]) if h >= 0) for g in range(G)]
-            for s, c in cur.items():
-                m = masks[s]
+            for m, c in cur.items():
                 ks = [(m & sp).bit_count() + 1 for b, sp in zip(bit, span) if not m & b]
                 for k in set(ks):
                     got[k] = got.get(k, 0) + c * ks.count(k)

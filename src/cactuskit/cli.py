@@ -345,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (BudgetExceeded, OSError, MemoryError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        # a MemoryError raised by the allocator itself has no message
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (CactusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

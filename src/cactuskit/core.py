@@ -316,12 +316,14 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # starts from pair lookups, so we flatten the generator set to integer ids and
 # tabulate, per ordered pair, the relation kind (rel) and the label each
 # letter takes across the square the pair spans (par).  The word problem
-# (rewriting) and the ball builder (cayley) run on par.
+# (rewriting) and the ball builder (cayley) run on par; the word problem
+# also keeps one row per descent state it meets (reset_states).
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
-# spelling is three characters, and pair_map maps each one's two digits, read
-# as one UTF-16-LE code unit, to its id + 1, for rewriting.parse_word to
-# decode a whole word in one codec call.
+# spelling is three characters, and rewriting.parse_word decodes a whole
+# word in two codec calls: its frames "p," and "q;" to the bytes p + 1 and
+# q + 11, then pair_map each such byte pair, read as one UTF-16-LE code
+# unit, to the pair's id + 1.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
 # intervals first, then smaller start, then smaller end.  A normal form is
@@ -347,7 +349,7 @@ class Presentation:
         # An EncodingMap (the codecs' own C table) needs U+0000 in slot 0 and
         # U+FFFE in the unused slots, hence the offset of one; G <= 72 here.
         self.pair_map = codecs.charmap_build("".join(
-            ["\0", *(chr(ord(t[0]) | ord(t[2]) << 8) for t in self.texts)]
+            ["\0", *(chr(p + 1 | (q + 11) << 8) for p, q in self.pairs)]
         ).ljust(256, "\ufffe")) if spec.degree <= 9 else None
         members = [interval_of(g).members for g in gens]
         self.card = [len(m) for m in members]
@@ -388,40 +390,40 @@ class Presentation:
     # -- the descent automaton ----------------------------------------------
 
     def reset_states(self) -> None:
-        """Forget every descent state but the empty word's, state 0.
+        """Forget every descent state but the empty word's, the root row.
 
         The word problem (rewriting) runs a finite automaton whose states are
-        the right descent masks of geodesics, numbered as first seen:
-        masks[s] is state s's mask and least[s] its kappa-least letter (-1
-        for state 0).  trans[s*G + g] is the state after appending g, -1
-        when g is in the mask (g cancels), or 0 until rewriting._up fills
-        it; no transition leads back to state 0.  Every mask is a clique of
-        the link at e, so there are at most cliques + 1 states (the empty
-        mask is state 0) and trans holds at most (cliques + 1) * G entries.
-        Not to be called while another thread uses the presentation.
+        the right descent masks of geodesics, one row per mask, each a list of
+        G + 2 slots: row[g] is the row after appending g, () when g is in the
+        mask (g cancels), or None until rewriting._up fills it; row[G] is the
+        mask's kappa-least letter (-1 at the root) and row[G + 1] the mask.
+        state_of maps each mask to its row, and no step leads back to the
+        root.  Every mask is a clique of the link at e, so there are at most
+        cliques + 1 rows (the empty mask is the root's).  Not to be called
+        while another thread uses the presentation.
         """
-        self.masks: list[int] = []
-        self.least: list[int] = []
-        self.trans: list[int] = []
-        self.state_of: dict[int, int] = {}
-        self.state(0)
+        self.state_of: dict[int, list] = {}
+        self.root = self.state(0)
 
-    def state(self, mask: int) -> int:
-        """The number of a descent mask, numbering it when it is new.
+    def state(self, mask: int) -> list:
+        """The row of a descent mask, made when it is new.
 
-        Threads share the table: a new state gets its row under a lock, and
-        its number is published in state_of only once the row is there."""
-        s = self.state_of.get(mask)
-        if s is None:
+        Threads share the table: a new row is made under a lock and published
+        in state_of only once it is whole."""
+        row = self.state_of.get(mask)
+        if row is None:
             with self._numbering:
-                s = self.state_of.get(mask)
-                if s is None:
-                    s = len(self.masks)
-                    self.masks.append(mask)
-                    self.least.append(self.by_rank[(mask & -mask).bit_length() - 1] if mask else -1)
-                    self.trans += [-1 if mask & b else 0 for b in self.bit]
-                    self.state_of[mask] = s
-        return s
+                row = self.state_of.get(mask)
+                if row is None:
+                    least = self.by_rank[(mask & -mask).bit_length() - 1] if mask else -1
+                    row = [() if mask & b else None for b in self.bit] + [least, mask]
+                    self.state_of[mask] = row
+        return row
+
+    def __reduce__(self):
+        # words keep their presentation: a copy or an unpickled word gets the
+        # one cached for its spec, not a private table
+        return presentation, (self.spec,)
 
     # -- encoding ----------------------------------------------------------
 
@@ -444,7 +446,7 @@ class Presentation:
 @lru_cache(maxsize=32)
 def presentation(spec: GroupSpec) -> Presentation:
     """The tables of one spec, kept for the 32 specs used last: O(G^2) entries
-    plus the descent state table's at most (cliques + 1) * G.  An evicted
+    plus at most cliques + 1 descent rows of G + 2 slots.  An evicted
     spec is rebuilt on its next use with the same generator ids, so the ids
     that words made earlier carry stay valid."""
     return Presentation(spec)

@@ -39,16 +39,17 @@ link at e, kept as an int mask.  Appending a letter g (_geodesic):
   the letter that crosses it, delete that letter, and carry the letters it
   passed across the hyperplane.  The word gets shorter, so reduction ends.
 
-The masks are the states of a finite automaton: the presentation numbers
-each mask when it is first seen and keeps one flat transition list,
-Presentation.trans[state*G + g], that holds the next state, a cancel marker,
-or 0 until _up fills it (see Presentation.reset_states).  A link has few
-cliques (13 masks for AJ_3, 394 for J_6, counting the empty one), so the
-table stays at most (cliques + 1) * G entries, and each letter costs one
-list index.  Words carry their generator ids, so the word problem runs on
-ids from the parsed text to the printed one; up to degree 9, where every
-letter is spelled in three characters, parse_word decodes a canonical word
-in one codec call.
+The masks are the states of a finite automaton, each a row of its own:
+the presentation makes a mask's row when it is first seen, and row[g] holds
+the row after appending g, the cancel marker () when g is in the mask, or
+None until _up fills it; row[G] is the mask's kappa-least letter (see
+Presentation.reset_states).  A link has few cliques (13 masks for AJ_3, 394
+for J_6, counting the empty one), so there are at most cliques + 1 rows,
+and each letter costs one list index, t = s[g].  Words carry their
+generator ids and their presentation, so the word problem runs on ids from
+the parsed text to the printed one; up to degree 9, where every letter is
+spelled in three characters, parse_word decodes a canonical word in two
+codec calls.
 
 Most cancels are short.  _geodesic and _normal_ids take two of them inline:
 g equal to the last letter b (a pop), and g whose hyperplane, carried across
@@ -74,7 +75,7 @@ x followed by y reversed is reduced, not the letters of p and q.
 from __future__ import annotations
 
 import random
-from codecs import charmap_encode, utf_16_le_decode
+from codecs import charmap_build, charmap_encode, utf_16_le_decode
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,6 +101,8 @@ class Word:
     letter's) and computes the ids once.  parse_word, normalize,
     oracle_closure and random_word make their words from ids of the spec's
     own tables (Word._of), on presentation(spec).spec, and skip that check.
+    Either way the word keeps its Presentation, which the word problem and
+    the text edge read instead of looking it up per call.
 
     Equality and hashing are by value (spec plus letter sequence, compared
     through the ids that name the letters) across all Word subclasses, so a
@@ -111,10 +114,12 @@ class Word:
     ids: tuple[int, ...]
 
     def __init__(self, spec: GroupSpec, letters) -> None:
-        letters = tuple(letters)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "ids", tuple(presentation(spec).ids(letters)))
-        self.__dict__["letters"] = letters
+        letters, pres = tuple(letters), presentation(spec)
+        fields = self.__dict__
+        fields["spec"] = spec
+        fields["ids"] = tuple(pres.ids(letters))
+        fields["_pres"] = pres
+        fields["letters"] = letters
 
     @classmethod
     def _of(cls, pres: Presentation, ids) -> "Word":
@@ -124,11 +129,12 @@ class Word:
         fields = word.__dict__  # where the frozen fields live, set directly
         fields["spec"] = pres.spec
         fields["ids"] = tuple(ids)
+        fields["_pres"] = pres
         return word
 
     @cached_property
     def letters(self) -> tuple[Generator, ...]:
-        return presentation(self.spec).letters(self.ids)
+        return self._pres.letters(self.ids)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Word):
@@ -143,10 +149,10 @@ class Word:
         return Word(spec, tuple(Generator(p, q, spec) for p, q in pairs))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(presentation(self.spec).pairs.__getitem__, self.ids))
+        return tuple(map(self._pres.pairs.__getitem__, self.ids))
 
     def text(self) -> str:
-        return ";".join(map(presentation(self.spec).texts.__getitem__, self.ids)) or "e"
+        return ";".join(map(self._pres.texts.__getitem__, self.ids)) or "e"
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -163,6 +169,11 @@ def identity(spec: GroupSpec) -> Word:
     return Word(spec, ())
 
 
+# "d," to the byte d + 1 and "d;" to d + 11, each pair read as one UTF-16-LE
+# code unit; slot 0 holds U+0000, as an EncodingMap needs (see Presentation)
+_FRAMES = charmap_build("".join(
+    ["\0", *(chr(ord(d) | ord(end) << 8) for end in ",;" for d in "0123456789")]
+).ljust(256, "\ufffe"))
 # byte b to b - 1: undoes Presentation.pair_map's offset of one
 _UNSHIFT = bytes([255, *range(255)])
 
@@ -172,26 +183,25 @@ def parse_word(spec: GroupSpec, text: str) -> Word:
 
     The empty string denotes the empty word (the identity).  Up to degree 9
     a canonical word ("p,q" letters, three characters each) is decoded in
-    one codec call through Presentation.pair_map; any other text maps its
-    canonical spellings to ids through one dict and parses the rest with
+    two codec calls: with a ";" appended, its frames "p," and "q;" go to
+    bytes through _FRAMES, and each (p, q) byte pair through
+    Presentation.pair_map to its id.  Any other text maps its canonical
+    spellings to ids through one dict and parses the rest with
     parse_generator, with its errors.
     """
     pres = presentation(spec)
     text = text.strip()
     if not text or text == "e":
         return Word._of(pres, ())
-    if pres.pair_map is not None and text.isascii():
-        b = text.encode()
-        # k letters: 4k - 1 bytes, "," at 1 mod 4, ";" at 3 mod 4, digits elsewhere
-        if len(b) & 3 == 3 and not b[1::4].strip(b",") and not b[3::4].strip(b";"):
-            digits = b.translate(None, b",;")
-            if len(digits) == (len(b) + 1) >> 1 and digits.isdigit():
-                try:
-                    ids = charmap_encode(utf_16_le_decode(digits)[0], None, pres.pair_map)[0]
-                except UnicodeEncodeError:  # a pair that names no generator
-                    pass
-                else:
-                    return Word._of(pres, ids.translate(_UNSHIFT))
+    # a run of U+0000 would pass both tables as the byte 0, so it parses below
+    if pres.pair_map is not None and len(text) & 3 == 3 and text.isascii() and "\0" not in text:
+        try:
+            pq = charmap_encode(utf_16_le_decode((text + ";").encode())[0], None, _FRAMES)[0]
+            ids = charmap_encode(utf_16_le_decode(pq)[0], None, pres.pair_map)[0]
+        except UnicodeEncodeError:  # not "p,q;" frames, or a pair that names no generator
+            pass
+        else:
+            return Word._of(pres, ids.translate(_UNSHIFT))
     parts, gid = text.split(";"), pres.gid_of_text
     try:
         return Word._of(pres, list(map(gid.__getitem__, parts)))
@@ -211,7 +221,7 @@ def free_reduce(word: Word) -> Word:
             out.pop()
         else:
             out.append(g)
-    return Word._of(presentation(word.spec), out)
+    return Word._of(word._pres, out)
 
 
 def _successors_all(ids: tuple[int, ...], pres: Presentation):
@@ -231,50 +241,49 @@ def _successors_all(ids: tuple[int, ...], pres: Presentation):
             yield ids[:i] + (par[a * G + b], par[b * G + a]) + ids[i + 2 :]
 
 
-def _up(pres: Presentation, s: int, g: int) -> int:
-    """The state of w g, for a geodesic w in state s that g does not shorten.
-    Callers read pres.trans[s*G + g] first; this fills it when it is 0."""
+def _up(pres: Presentation, s: list, g: int) -> list:
+    """The row of w g, for a geodesic w in row s that g does not shorten.
+    Callers read s[g] first; this fills it when it is None."""
     G, by_rank, bit, par = pres.G, pres.by_rank, pres.bit, pres.par
-    got, row, m = bit[g], g * G, pres.masks[s]
+    got, row, m = bit[g], g * G, s[G + 1]
     while m:
         low = m & -m
         h = par[row + by_rank[low.bit_length() - 1]]
         if h >= 0:
             got |= bit[h]
         m ^= low
-    t = pres.state(got)
-    pres.trans[s * G + g] = t
+    t = s[g] = pres.state(got)
     return t
 
 
-def _cancel(pres: Presentation, w: list[int], states: list[int], g: int) -> None:
+def _cancel(pres: Presentation, w: list[int], states: list[list], g: int) -> None:
     """Reduce w g in place, for a geodesic w with g in its descent set;
-    states[k] is the state of w[:k] and is kept in step."""
-    G, par, trans = pres.G, pres.par, pres.trans
+    states[k] is the row of w[:k] and is kept in step.  The letters put
+    back make a geodesic, so none of their slots holds a cancel."""
+    G, par = pres.G, pres.par
     j, a = len(w) - 1, g
     while w[j] != a:  # carry g's hyperplane left to the letter crossing it
         a = par[w[j] * G + a]
         j -= 1
-    passed = w[j + 1 :]
-    del w[j:], states[j + 1 :]
-    s = states[-1]
-    for x in passed:  # and the letters it passed back across it
-        y = par[a * G + x]
+    s = states[j]
+    for k in range(j + 1, len(w)):  # and the letters it passed back across it, one place left
+        x = w[k]
+        y = w[k - 1] = par[a * G + x]
         a = par[x * G + a]
-        w.append(y)
-        s = trans[s * G + y] or _up(pres, s, y)
-        states.append(s)
+        s = states[k] = s[y] or _up(pres, s, y)
+    w.pop()
+    states.pop()
 
 
-def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[int]]:
-    """A shortest word of the element `ids` spells, with its prefix states."""
-    G, par, trans = pres.G, pres.par, pres.trans
+def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[list]]:
+    """A shortest word of the element `ids` spells, with its prefix rows."""
+    G, par = pres.G, pres.par
     w: list[int] = []
-    states = [0]
-    s = 0
+    s = pres.root
+    states = [s]
     for g in ids:
-        t = trans[s * G + g] or _up(pres, s, g)
-        if t > 0:
+        t = s[g]
+        if t or t is None and (t := _up(pres, s, g)):  # a row: g lengthens w
             w.append(g)
             states.append(t)
             s = t
@@ -291,7 +300,7 @@ def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[int]]:
             states.pop()
             y = w[-1] = par[a * G + b]
             s = states[-2]
-            s = states[-1] = trans[s * G + y] or _up(pres, s, y)
+            s = states[-1] = s[y] or _up(pres, s, y)
             continue
         _cancel(pres, w, states, g)
         s = states[-1]
@@ -305,11 +314,11 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
     left descent set, the right descent set of x^-1; take it off and repeat.
     The two shortest carries are taken inline, as in _geodesic.
     """
-    G, par, trans = pres.G, pres.par, pres.trans
+    G, par = pres.G, pres.par
     w, states = _geodesic(pres, ids[::-1])
-    least, out = pres.least, []
+    out = []
     while w:
-        g = least[states[-1]]
+        g = states[-1][G]
         out.append(g)
         b = w[-1]
         if b == g:
@@ -322,7 +331,7 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
             states.pop()
             y = w[-1] = par[a * G + b]
             s = states[-2]
-            states[-1] = trans[s * G + y] or _up(pres, s, y)
+            states[-1] = s[y] or _up(pres, s, y)
             continue
         _cancel(pres, w, states, g)
     return out
@@ -334,13 +343,13 @@ def normalize(word: Word) -> NormalForm:
     A pure function of the element, so equal words normalize alike; never
     longer than the input, and of the same length parity.
     """
-    pres = presentation(word.spec)
+    pres = word._pres
     return NormalForm._of(pres, _normal_ids(pres, word.ids))
 
 
 def is_normal(word: Word) -> bool:
     """True iff the word is its element's normal form."""
-    return _normal_ids(presentation(word.spec), word.ids) == list(word.ids)
+    return _normal_ids(word._pres, word.ids) == list(word.ids)
 
 
 def equal(w1: Word, w2: Word) -> bool:
@@ -365,7 +374,7 @@ def equal(w1: Word, w2: Word) -> bool:
     while j > i and k > i and u[j - 1] == v[k - 1]:
         j -= 1
         k -= 1
-    return not _geodesic(presentation(w1.spec), u[i:j] + v[i:k][::-1])[0]
+    return not _geodesic(w1._pres, u[i:j] + v[i:k][::-1])[0]
 
 
 def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
@@ -376,7 +385,7 @@ def oracle_closure(word: Word, budget: int = 10**6) -> frozenset[Word]:
     len(word).  Exceeding `budget` distinct words raises BudgetExceeded
     rather than returning a truncated set.
     """
-    pres = presentation(word.spec)
+    pres = word._pres
     root = word.ids
     seen = {root}
     frontier = [root]

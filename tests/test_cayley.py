@@ -120,6 +120,25 @@ def test_sphere_count_budget_and_validation():
         assert str(exc.value) == str(want.value)
 
 
+def test_a_budget_below_sphere_one_builds_no_tables():
+    """Sphere 1 holds all G generators, so 1 + G past the budget fails at
+    once, with the message the count would give, and builds no presentation:
+    AJ_40 (G = 1,560) would first fill 2.4M-entry tables."""
+    for count in (ball, sphere_sizes):
+        before = presentation.cache_info().misses
+        with pytest.raises(BudgetExceeded) as exc:
+            count(affine(40), 1, max_vertices=10)
+        assert str(exc.value) == f"ball({affine(40)}, 1) exceeded 10 vertices"
+        assert presentation.cache_info().misses == before
+    for spec, G in ((cactus(5), 10), (affine(4), 12)):  # at 1 + G the count runs
+        assert sphere_sizes(spec, 1, max_vertices=1 + G) == [1, G]
+        assert ball(spec, 1, max_vertices=1 + G).sphere_sizes() == [1, G]
+        for count in (ball, sphere_sizes):
+            with pytest.raises(BudgetExceeded, match=f"exceeded {G} vertices"):
+                count(spec, 2, max_vertices=G)
+    assert sphere_sizes(affine(40), 0, max_vertices=1) == [1]
+
+
 def test_a_doctored_transition_breaks_the_sphere_count(monkeypatch):
     """Send the empty word's first letter to a two-letter descent state, on
     a private copy of the tables: sphere 1 then has one parent edge into a
@@ -127,10 +146,10 @@ def test_a_doctored_transition_breaks_the_sphere_count(monkeypatch):
     pres = Presentation(affine(3))
     monkeypatch.setattr(cayley, "presentation", lambda spec: pres)
     assert sphere_sizes(affine(3), 3) == [1, 6, 24, 90]
-    pres.trans[0] = next(t for t, m in enumerate(pres.masks) if m.bit_count() == 2)
+    pres.root[0] = next(row for mask, row in pres.state_of.items() if mask.bit_count() == 2)
     with pytest.raises(ClosureViolation, match="do not divide by 2"):
         sphere_sizes(affine(3), 2)
-    assert presentation(affine(3)).trans[0] != pres.trans[0]
+    assert presentation(affine(3)).root[0] is not pres.root[0]
 
 
 def test_square_images_are_one_to_one():
@@ -147,11 +166,13 @@ def test_square_images_are_one_to_one():
 
 def test_sphere_count_numbers_no_state_for_the_last_sphere():
     """Only inner spheres need numbered states: after sphere_sizes(J_24, 2)
-    the table holds the empty word's state and the 276 one-letter ones."""
+    the table holds the empty word's row and the 276 one-letter ones."""
     pres = presentation(cactus(24))
     pres.reset_states()
     assert sphere_sizes(cactus(24), 2) == [1, 276, 50600]
-    assert len(pres.masks) == 277
+    assert len(pres.state_of) == 277
+    rows = pres.state_of.items()
+    assert all(row[pres.G + 1] == mask and mask.bit_count() <= 1 for mask, row in rows)
 
 
 def _reference_ball(spec, radius):
@@ -266,8 +287,8 @@ def test_ball_leaves_the_descent_table_alone():
         want = [normalize(x) for x in words]
         pres.reset_states()
         ball(spec, radius)
-        assert pres.masks == [0], spec
-        assert pres.trans == [0] * pres.G, spec
+        assert pres.state_of == {0: pres.root}, spec
+        assert pres.root == [None] * pres.G + [-1, 0], spec
         assert [normalize(x) for x in words] == want, spec
 
 

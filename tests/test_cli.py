@@ -181,6 +181,17 @@ def test_growth_budget_and_errors_keep_their_bytes(capsys):
         2, "", "error: vertex budget must be >= 1, got 0\n")
 
 
+def test_memory_error_without_a_message_exits_3(capsys, monkeypatch):
+    """A MemoryError raised by the allocator has an empty str; the CLI still
+    says what ran out."""
+    def exhausted(spec, radius, max_vertices):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "sphere_sizes", exhausted)
+    assert run_cli(capsys, "growth", "--family", "affine", "--n", "300", "--radius", "1",
+                   "--budget", "10") == (3, "", "resource error: out of memory\n")
+
+
 def test_growth_past_any_ball(capsys):
     """Radius 60 of AJ_4 holds about 10^54 vertices; its spheres follow the
     series (1+x)^3/(1-9x+9x^2-x^3)."""
@@ -196,8 +207,10 @@ def test_growth_of_j24_at_radius_3_exceeds_the_default_budget(capsys):
         assert run_cli(capsys, "growth", "--family", "cactus", "--n", "24", "--radius", "3") == (
             3, "", "resource error: ball(GroupSpec(family=<Family.CACTUS: 'cactus'>, "
             "degree=24), 3) exceeded 1000000 vertices\n")
-    finally:  # drop the 25k dense rows of the inner spheres' states
-        cactuskit.core.presentation(cactus(24)).reset_states()
+    finally:  # drop the 25k rows of G + 2 slots of the inner spheres' states
+        pres = cactuskit.core.presentation(cactus(24))
+        pres.reset_states()
+        assert pres.state_of == {0: pres.root}
 
 
 def test_output_is_deterministic(capsys):

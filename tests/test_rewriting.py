@@ -1,7 +1,9 @@
 """Words, rewriting moves, normal forms, and the equivalence-class oracle."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -168,6 +170,15 @@ _PARSE_PINNED = [
     (affine(4), "1,2;x,3", (InvalidPair, "expected integers in 'x,3'")),
     (affine(4), "1,2; ,3", (InvalidPair, "expected integers in ' ,3'")),
     (affine(4), "1,2; 2,3", (0, 4)),
+    # the canonical length, framed wrongly
+    (affine(4), "1;2,2,3", (InvalidPair, "expected 'p,q', got '1'")),
+    (affine(4), "1,2,3;4", (InvalidPair, "expected 'p,q', got '1,2,3'")),
+    (affine(4), "1,2;3;4", (InvalidPair, "expected 'p,q', got '3'")),
+    (affine(4), "1,2;3,4,", (InvalidPair, "expected 'p,q', got '3,4,'")),
+    (cactus(4), "3,3;1,2", (InvalidPair, "generator indices must differ")),
+    # four U+0000 in a frame's place: the codecs map each pair of them to byte 0
+    (affine(4), "\0\0\0\x001,2", (InvalidPair, r"expected integers in '\x00\x00\x00\x001,2'")),
+    (affine(4), "1,2;\0\0\0\x002,3", (InvalidPair, r"expected integers in '\x00\x00\x00\x002,3'")),
 ]
 
 
@@ -181,6 +192,18 @@ def test_parse_word_is_pinned(spec, text, want):
         assert type(err.value) is want[0] and str(err.value) == want[1]
     else:
         assert parse_word(spec, text).ids == want
+
+
+def test_words_pickle_and_copy_onto_the_cached_presentation():
+    """A word keeps its presentation; a pickled or deep-copied word is an
+    equal word of the same class, on the presentation cached for its spec."""
+    for spec in (affine(4), cactus(5)):
+        x = random_word(spec, 9, 3)
+        for word in (x, normalize(x), Word(spec, x.letters)):
+            for dup in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word), copy.copy(word)):
+                assert type(dup) is type(word) and dup == word and hash(dup) == hash(word)
+                assert dup._pres is presentation(spec) and dup.text() == word.text()
+                assert normalize(dup) == normalize(word) and equal(dup, word)
 
 
 def test_letter_of_another_spec_is_rejected():
@@ -381,9 +404,9 @@ def test_equal_answers_an_odd_total_without_reducing():
         assert not equal(u, v) and not equal(v, u)
         assert not equal(u, identity(spec)) and not equal(identity(spec), u)
         assert equal(u, u)
-        assert pres.masks == [0] and pres.trans == [0] * pres.G, spec
+        assert pres.state_of == {0: pres.root} and pres.root == [None] * pres.G + [-1, 0], spec
         g, h = (u.ids[0] + 1) % pres.G, (u.ids[-1] + 1) % pres.G
-        assert equal(u, Word._of(pres, (g, g) + u.ids + (h, h))) and len(pres.masks) > 1
+        assert equal(u, Word._of(pres, (g, g) + u.ids + (h, h))) and len(pres.state_of) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +463,7 @@ def test_sinks_of_identity():
     pres = presentation(spec)
     assert normalize(e) == e and is_normal(e) and equal(e, e)
     assert oracle_closure(e) == frozenset({e})
-    assert _geodesic(pres, []) == ([], [0])  # the empty word has no descent
+    assert _geodesic(pres, []) == ([], [pres.root])  # the empty word has no descent
     for g in generators(spec):
         gg = Word(spec, (g, g))
         assert normalize(gg) == e and not is_normal(gg)
@@ -709,14 +732,20 @@ def _members(pres, mask):
     return [g for g in range(pres.G) if mask & pres.bit[g]]
 
 
+def _slots(pres):
+    """Each row's letter slots, a filled one written as its target row's mask."""
+    G = pres.G
+    return {mask: [t[G + 1] if t else t for t in row[:G]] for mask, row in pres.state_of.items()}
+
+
 def test_sinks_memo_is_bounded():
-    """The descent state table numbers cliques only: every state's mask is a
+    """The descent state table has one row per clique: every row's mask is a
     clique of the link at e, so however many words run the table holds at
-    most (cliques + 1) * G entries (_cliques counts the empty mask, state 0,
-    among its cliques).  Every filled transition is the _up of its source,
-    or a cancel exactly when the letter is in the mask; resetting the table
-    changes no answer, and the presentation cache keeps a fixed number of
-    specs."""
+    most cliques + 1 rows (_cliques counts the empty mask, the root's, among
+    its cliques).  Every filled slot is the _up of its source, and a slot is
+    a cancel, (), exactly when its letter is in the mask; resetting the
+    table changes no answer, and the presentation cache keeps a fixed number
+    of specs."""
     assert presentation.cache_info().maxsize == 32
     for spec in (cactus(5), affine(4)):
         pres = presentation(spec)
@@ -725,60 +754,61 @@ def test_sinks_memo_is_bounded():
         words = [random_word(spec, length, seed) for length in (3, 8, 20, 40) for seed in range(25)]
         want = [normalize(x) for x in words]
         pres.reset_states()
-        assert (pres.masks, pres.least, pres.trans) == ([0], [-1], [0] * G)
+        assert pres.state_of == {0: pres.root} and pres.root == [None] * G + [-1, 0]
         for x, nf in zip(words, want):
             assert normalize(x) == nf
             assert equal(x, nf)
-        states = len(pres.masks)
-        assert 1 < states <= len(cliques)
-        assert len(pres.trans) == states * G <= len(cliques) * G
-        assert set(pres.masks) <= cliques
-        assert pres.state_of == {mask: s for s, mask in enumerate(pres.masks)}
+        rows = pres.state_of
+        assert 1 < len(rows) <= len(cliques)
+        assert set(rows) <= cliques
         reached = set()
-        for s, mask in enumerate(pres.masks):
+        for mask, row in rows.items():
+            assert len(row) == G + 2 and row[G + 1] == mask
             members = _members(pres, mask)
-            assert pres.least[s] == (min(members, key=pres.kappa.__getitem__) if mask else -1)
+            assert row[G] == (min(members, key=pres.kappa.__getitem__) if mask else -1)
             for g in range(G):
-                t = pres.trans[s * G + g]
+                t = row[g]
                 if mask & bit[g]:
-                    assert t == -1  # g cancels
+                    assert t == ()  # g cancels
                     continue
-                assert t >= 0
-                if t:  # the mask of w g: g, and each h of w's mask carried across g
+                assert t is None or type(t) is list
+                if t is not None:  # the mask of w g: g, and each h of w's mask carried across g
                     up = bit[g]
                     for h in members:
                         if par[g * G + h] >= 0:
                             up |= bit[par[g * G + h]]
-                    assert pres.masks[t] == up
-                    reached.add(t)
-        assert reached == set(range(1, states))  # each made by the step that filled it
+                    assert t is rows[up]
+                    reached.add(up)
+        assert reached == set(rows) - {0}  # each made by the step that filled it
 
 
 def test_sinks_memo_is_kept_per_rule_set():
     """Each group keeps its own state table: filling one never touches
     another, and an equal spec object shares its presentation's table."""
     c4, a4 = presentation(cactus(4)), presentation(affine(4))
-    assert c4.trans is not a4.trans and c4.masks is not a4.masks
+    assert c4.state_of is not a4.state_of and c4.root is not a4.root
     c4.reset_states()
     a4.reset_states()
     normalize(w(cactus(4), "3,4;1,2;1,3;2,4"))
-    assert len(c4.masks) > 1 and any(c4.trans)
-    assert (a4.masks, a4.trans) == ([0], [0] * a4.G)
-    assert all(mask < (1 << c4.G) for mask in c4.masks)
+    assert len(c4.state_of) > 1 and any(c4.root[: c4.G])
+    assert a4.state_of == {0: a4.root} and a4.root == [None] * a4.G + [-1, 0]
+    assert all(mask < (1 << c4.G) for mask in c4.state_of)
     normalize(w(affine(4), "3,4;1,2;4,1;2,4"))
-    assert len(a4.masks) > 1
+    assert len(a4.state_of) > 1
     fresh = GroupSpec(Family.CACTUS, 4)
     assert presentation(fresh) is c4
-    before = (list(c4.masks), list(c4.trans))
+    before = _slots(c4)
     normalize(w(fresh, "3,4;1,2;1,3;2,4"))
-    assert (c4.masks, c4.trans) == before  # the same steps, already filled
+    assert _slots(c4) == before  # the same steps, already filled
 
 
 def test_state_table_is_shared_by_threads():
-    """Threads that number new states at once get the one-thread answers,
-    and the table stays one row per numbered mask."""
+    """Threads that make new rows at once get the one-thread answers, and
+    the table stays one row per mask: every filled slot holds the row that
+    state_of publishes for its mask."""
     spec = affine(5)
     pres = presentation(spec)
+    G = pres.G
     words = [random_word(spec, 40, seed) for seed in range(40)]
     want = [normalize(x).text() for x in words]
 
@@ -789,7 +819,7 @@ def test_state_table_is_shared_by_threads():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(50):  # each round numbers every state afresh
+        for _ in range(50):  # each round makes every row afresh
             pres.reset_states()
             results = [None] * 4
             threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
@@ -800,8 +830,9 @@ def test_state_table_is_shared_by_threads():
             assert not any(t.is_alive() for t in threads)
             for k in range(4):
                 assert results[k] == want[k * 10 :] + want[: k * 10]
-            assert pres.state_of == {mask: s for s, mask in enumerate(pres.masks)}
-            assert len(pres.trans) == len(pres.masks) * pres.G == len(pres.least) * pres.G
+            rows = pres.state_of
+            assert all(len(row) == G + 2 and row[G + 1] == mask for mask, row in rows.items())
+            assert all(t is rows[t[G + 1]] for row in rows.values() for t in row[:G] if t)
     finally:
         sys.setswitchinterval(old)
 
