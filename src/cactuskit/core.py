@@ -385,6 +385,7 @@ class Presentation:
         self.by_rank = sorted(range(G), key=self.kappa.__getitem__)
         self.bit = [1 << self.by_rank.index(g) for g in range(G)]
         self._numbering = threading.Lock()
+        self.state_of: dict[int, list] = {}
         self.reset_states()
 
     # -- the descent automaton ----------------------------------------------
@@ -401,8 +402,15 @@ class Presentation:
         root.  Every mask is a clique of the link at e, so there are at most
         cliques + 1 rows (the empty mask is the root's).  Not to be called
         while another thread uses the presentation.
+
+        Rows step to one another in cycles, so each dropped row is cleared
+        first: the rows are freed when state_of lets them go, without the
+        cyclic garbage collector.  The rows of a presentation evicted from
+        the presentation() cache are not cleared, and wait for the collector.
         """
-        self.state_of: dict[int, list] = {}
+        for row in self.state_of.values():
+            row.clear()
+        self.state_of = {}
         self.root = self.state(0)
 
     def state(self, mask: int) -> list:

@@ -51,10 +51,14 @@ the parsed text to the printed one; up to degree 9, where every letter is
 spelled in three characters, parse_word decodes a canonical word in two
 codec calls.
 
-Most cancels are short.  _geodesic and _normal_ids take two of them inline:
-g equal to the last letter b (a pop), and g whose hyperplane, carried across
-b, is crossed by the letter a before it, so that a b g reduces to the one
-letter par[a*G + b].  Only a longer carry calls _cancel.
+Most cancels are short.  _geodesic and _normal_ids take three of them
+inline: g equal to the last letter b (a pop); g whose hyperplane, carried
+across b to x = par[b*G + g], is crossed by the letter a before it, so that
+a b g reduces to the one letter par[a*G + b]; and x carried on across a to
+the letter c before that, so that c a b g reduces to par[c*G + a] par[x*G + b].
+Only a carry across three letters or more calls _cancel.  Both run on
+buffers with an end index k, so a pop is k -= 1, and the peel writes each
+letter it takes off into the slot it frees, the normal form reversed.
 
 So equal(u, v) reduces u followed by v reversed (the inverse of v) and asks
 for the empty word, and normalize reduces the inverse of a word and then
@@ -256,54 +260,72 @@ def _up(pres: Presentation, s: list, g: int) -> list:
     return t
 
 
-def _cancel(pres: Presentation, w: list[int], states: list[list], g: int) -> None:
-    """Reduce w g in place, for a geodesic w with g in its descent set;
-    states[k] is the row of w[:k] and is kept in step.  The letters put
-    back make a geodesic, so none of their slots holds a cancel."""
+def _cancel(pres: Presentation, w: list[int], states: list[list], g: int, n: int) -> None:
+    """Reduce w[:n] g in place, for a geodesic w[:n] with g in its descent
+    set: w[:n - 1] becomes the shorter geodesic, and states[k], the row of
+    w[:k], is kept in step for k < n.  The letters put back make a geodesic,
+    so none of their slots holds a cancel.  The callers take carries of one
+    and two letters inline and call this for three or more."""
     G, par = pres.G, pres.par
-    j, a = len(w) - 1, g
+    j, a = n - 1, g
     while w[j] != a:  # carry g's hyperplane left to the letter crossing it
         a = par[w[j] * G + a]
         j -= 1
     s = states[j]
-    for k in range(j + 1, len(w)):  # and the letters it passed back across it, one place left
+    for k in range(j + 1, n):  # and the letters it passed back across it, one place left
         x = w[k]
         y = w[k - 1] = par[a * G + x]
         a = par[x * G + a]
         s = states[k] = s[y] or _up(pres, s, y)
-    w.pop()
-    states.pop()
 
 
 def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[list]]:
-    """A shortest word of the element `ids` spells, with its prefix rows."""
+    """A shortest word w of the element `ids` spells, with its len(w) + 1
+    prefix rows: states[k] is the row of w[:k].
+
+    w and states are buffers of the input's length with an end index k:
+    appending a letter writes w[k] and states[k + 1], a pop decrements k,
+    and both are cut to k letters (and k + 1 rows) at the end."""
     G, par = pres.G, pres.par
-    w: list[int] = []
+    w = [0] * len(ids)
     s = pres.root
-    states = [s]
+    states = [s] * (len(ids) + 1)
+    k = 0
     for g in ids:
         t = s[g]
         if t or t is None and (t := _up(pres, s, g)):  # a row: g lengthens w
-            w.append(g)
-            states.append(t)
-            s = t
+            w[k] = g
+            k += 1
+            states[k] = s = t
             continue
-        b = w[-1]
+        b = w[k - 1]
         if b == g:  # g cancels the last letter
-            w.pop()
-            states.pop()
-            s = states[-1]
+            k -= 1
+            s = states[k]
             continue
-        a = w[-2]  # g is in the mask but is not the last letter, so w has two
-        if par[b * G + g] == a:  # carried across b, g's hyperplane meets a: a b g = par[a*G + b]
-            w.pop()
-            states.pop()
-            y = w[-1] = par[a * G + b]
-            s = states[-2]
-            s = states[-1] = s[y] or _up(pres, s, y)
+        # g is in the mask but is not the last letter, so the carry across b
+        # ends at a letter before it (before a too when it passes a)
+        a, x = w[k - 2], par[b * G + g]
+        if x == a:  # carried across b, g's hyperplane meets a: a b g = par[a*G + b]
+            k -= 1
+            y = w[k - 1] = par[a * G + b]
+            s = states[k - 1]
+            s = states[k] = s[y] or _up(pres, s, y)
             continue
-        _cancel(pres, w, states, g)
-        s = states[-1]
+        c = w[k - 3]
+        # carried on across a, it meets c: c a b g = par[c*G + a] par[x*G + b]
+        if par[a * G + x] == c:
+            y = w[k - 3] = par[c * G + a]
+            s = states[k - 3]
+            s = states[k - 2] = s[y] or _up(pres, s, y)
+            y = w[k - 2] = par[x * G + b]
+            k -= 1
+            s = states[k] = s[y] or _up(pres, s, y)
+            continue
+        _cancel(pres, w, states, g, k)
+        k -= 1
+        s = states[k]
+    del w[k:], states[k + 1 :]
     return w, states
 
 
@@ -312,29 +334,43 @@ def _normal_ids(pres: Presentation, ids) -> list[int]:
 
     The first letter of the normal form of x is the kappa-least letter of its
     left descent set, the right descent set of x^-1; take it off and repeat.
-    The two shortest carries are taken inline, as in _geodesic.
+    The peel runs on the geodesic's own buffers with an end index k, taking
+    pops and carries of one and two letters inline, as in _geodesic.  Each
+    step frees the slot w[k - 1] and stores the letter it took off there (a
+    pop finds it there already), so w ends as the normal form reversed.
     """
     G, par = pres.G, pres.par
     w, states = _geodesic(pres, ids[::-1])
-    out = []
-    while w:
-        g = states[-1][G]
-        out.append(g)
-        b = w[-1]
+    k = len(w)
+    while k:
+        g = states[k][G]
+        b = w[k - 1]
         if b == g:
-            w.pop()
-            states.pop()
+            k -= 1
             continue
-        a = w[-2]
-        if par[b * G + g] == a:
-            w.pop()
-            states.pop()
-            y = w[-1] = par[a * G + b]
-            s = states[-2]
-            states[-1] = s[y] or _up(pres, s, y)
+        a, x = w[k - 2], par[b * G + g]
+        if x == a:
+            k -= 1
+            y = w[k - 1] = par[a * G + b]
+            s = states[k - 1]
+            states[k] = s[y] or _up(pres, s, y)
+            w[k] = g
             continue
-        _cancel(pres, w, states, g)
-    return out
+        c = w[k - 3]
+        if par[a * G + x] == c:
+            y = w[k - 3] = par[c * G + a]
+            s = states[k - 3]
+            s = states[k - 2] = s[y] or _up(pres, s, y)
+            y = w[k - 2] = par[x * G + b]
+            k -= 1
+            states[k] = s[y] or _up(pres, s, y)
+            w[k] = g
+            continue
+        _cancel(pres, w, states, g, k)
+        k -= 1
+        w[k] = g
+    w.reverse()
+    return w
 
 
 def normalize(word: Word) -> NormalForm:

@@ -1,6 +1,7 @@
 """Words, rewriting moves, normal forms, and the equivalence-class oracle."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
@@ -40,6 +41,7 @@ from cactuskit.core import (
     Family,
     Generator,
     GroupSpec,
+    interval_of,
     presentation,
 )
 from cactuskit import rewriting
@@ -682,36 +684,158 @@ def test_normalize_ids_matches_naive_leftmost_reduction(spec):
         assert len(_geodesic(pres, ids)[0]) == len(nf)
 
 
+def _carry_lengths(pres, ids):
+    """How far each cancel of normalize(ids) carries g's hyperplane: 0 for a
+    pop, j for a carry across j letters.  Replays the reduction of the
+    reversed word and the peel letter by letter, each step on a fresh
+    _geodesic of the word so far (test reference)."""
+    G, par = pres.G, pres.par
+
+    def carry(w, g):
+        j, a = len(w) - 1, g
+        while w[j] != a:
+            a = par[w[j] * G + a]
+            j -= 1
+        return len(w) - 1 - j
+
+    out, w = [], []
+    for g in ids[::-1]:
+        if _geodesic(pres, w)[1][-1][G + 1] & pres.bit[g]:
+            out.append(carry(w, g))
+        w = _geodesic(pres, w + [g])[0]
+    while w:
+        g = _geodesic(pres, w)[1][-1][G]
+        out.append(carry(w, g))
+        w = _geodesic(pres, w + [g])[0]
+    return out
+
+
 # Normalize requests of word-problem seed 1 (perfbench/gen.py), one pair per
-# group: the first word cancels only by pops and one-letter carries (at least
-# one carry) while reduced and peeled, the second has a two-letter carry.
+# group: the first word cancels by pops and carries of one and two letters
+# (at least one of each) while reduced and peeled, the second carries three
+# letters or more at least once.
 _CARRY_WORDS = {
-    affine(3): ("1,2;1,2;1,2;1,2;3,2;3,1;1,3;3,1", "1,2;1,3;2,1;3,1;1,2;2,3;3,2;1,3"),
-    affine(4): ("1,2;2,4;1,2;1,3;3,2;1,3;3,4;3,4", "2,1;3,4;3,2;3,2;2,3;4,2;4,3;1,4"),
-    cactus(5): ("1,2;2,5;1,4;4,5;1,2;3,4;1,3;1,3", "1,2;1,5;3,4;2,4;2,4;3,4;2,3;1,3"),
-    affine(5): ("1,2;2,3;2,1;4,2;2,4;3,4;3,1;3,1", "1,3;5,1;5,4;4,1;3,2;3,5;1,2;4,3"),
-    cactus(6): ("1,2;3,6;1,5;1,5;1,3;5,6;1,2;5,6", "1,2;2,6;2,4;1,2;1,5;1,5;2,5;4,5"),
+    affine(3): ("1,2;1,3;2,3;1,2;3,1;3,2;2,3;3,2", "1,3;3,2;3,1;1,2;1,3;2,1;3,2;1,2"),
+    affine(4): ("4,2;4,3;2,4;2,3;4,2;4,3;2,4;2,1", "2,4;2,4;1,2;1,4;3,1;3,2;4,1;1,2"),
+    cactus(5): ("1,3;2,4;1,5;1,3;1,3;1,4;1,3;2,3", "1,2;2,3;3,5;2,4;3,5;3,4;2,5;2,3"),
+    affine(5): ("4,5;5,2;3,2;5,1;5,3;2,3;1,3;1,4", "2,3;5,4;4,1;3,2;2,5;2,5;2,1;3,1"),
+    cactus(6): ("3,6;2,3;3,4;4,5;2,3;1,5;1,5;1,3", "4,5;3,6;4,5;1,6;2,5;1,3;1,5;2,6"),
 }
 
 
 @pytest.mark.parametrize("spec", list(_CARRY_WORDS), ids=lambda s: f"{s.family.value}-{s.degree}")
 def test_one_letter_carries_run_inline(spec, monkeypatch):
-    """_geodesic and _normal_ids take a one-letter carry without _cancel,
-    and call it for a longer one; both normalize as the plain reducer does."""
+    """Carries of at most two letters run inline: _geodesic and _normal_ids
+    take pops and carries of one and two letters without _cancel, and call
+    it for a carry of three letters or more; both words normalize as the
+    plain reducer does."""
+    pres = presentation(spec)
+    short, longer = (parse_word(spec, text) for text in _CARRY_WORDS[spec])
+    assert set(_carry_lengths(pres, list(short.ids))) == {0, 1, 2}
+    assert max(_carry_lengths(pres, list(longer.ids))) >= 3
     calls = []
     real = rewriting._cancel
 
-    def recorder(pres, w, states, g):
+    def recorder(pres, w, states, g, n):
         calls.append(g)
-        real(pres, w, states, g)
+        real(pres, w, states, g, n)
 
     monkeypatch.setattr(rewriting, "_cancel", recorder)
-    pres = presentation(spec)
-    short, longer = (parse_word(spec, text) for text in _CARRY_WORDS[spec])
     assert list(normalize(short).ids) == _naive_normal_form(list(short.ids), pres)
     assert calls == []
     assert list(normalize(longer).ids) == _naive_normal_form(list(longer.ids), pres)
     assert calls
+
+
+def test_geodesic_returns_whole_lists():
+    """_geodesic works on buffers of the input's length with an end index;
+    what it returns is cut to the geodesic w and its len(w) + 1 prefix rows,
+    states[k] the row reached from the root through w[:k], with no letter
+    cancelling on the way, and w as long as the normal form."""
+    rng = random.Random(24)
+    for spec in _CARRY_WORDS:
+        pres = presentation(spec)
+        G = pres.G
+        for length in [0, 1, 2, 3, *(rng.randrange(201) for _ in range(16)), 200]:
+            ids = [rng.randrange(G) for _ in range(length)]
+            w, states = _geodesic(pres, ids)
+            assert len(states) == len(w) + 1, (spec, ids)
+            s = pres.root
+            assert states[0] is s
+            for k, g in enumerate(w, 1):
+                s = s[g]
+                assert type(s) is list and states[k] is s, (spec, ids, k)
+            assert len(w) == len(normalize(Word._of(pres, ids))), (spec, ids)
+
+
+def _arc_reversals(pres):
+    """Each generator's image in S_n, the reversal of its arc, as a tuple
+    indexed 0..n (slot 0 unused)."""
+    n, out = pres.spec.degree, []
+    for g in pres.gens:
+        members = interval_of(g).members
+        perm = list(range(n + 1))
+        for x, y in zip(members, reversed(members)):
+            perm[x] = y
+        out.append(perm)
+    return out
+
+
+def _image(perms, ids):
+    cur = list(range(len(perms[0])))
+    for g in ids:
+        cur = list(map(perms[g].__getitem__, cur))
+    return cur
+
+
+_LONG_WORD_SPECS = [affine(3), affine(4), affine(5), cactus(5), cactus(6), affine(7), cactus(9)]
+
+
+@pytest.mark.parametrize("spec", _LONG_WORD_SPECS, ids=lambda s: f"{s.family.value}-{s.degree}")
+def test_long_normal_forms_keep_the_symmetric_group_image(spec):
+    """An invariant the descent never reads: sending each generator to the
+    reversal of its arc maps both families onto S_n, so a normal form has
+    its word's image.  On 40 seeded 512-letter words also the length parity,
+    and w followed by w reversed normalizes to e."""
+    pres = presentation(spec)
+    perms = _arc_reversals(pres)
+    for seed in range(40):
+        word = random_word(spec, 512, seed)
+        nf = normalize(word)
+        assert _image(perms, nf.ids) == _image(perms, word.ids), (spec, seed)
+        assert (len(word) - len(nf)) % 2 == 0 and len(nf) <= len(word)
+        assert normalize(Word._of(pres, word.ids + word.ids[::-1])).ids == ()
+
+
+def test_a_changed_letter_fails_the_symmetric_group_image():
+    """The image check sees a normal form with one letter replaced by one
+    whose arc reversal differs."""
+    for spec in (affine(4), cactus(6)):
+        pres = presentation(spec)
+        perms = _arc_reversals(pres)
+        word = random_word(spec, 512, 0)
+        ids = list(normalize(word).ids)
+        at = len(ids) // 2
+        ids[at] = next(h for h in range(pres.G) if perms[h] != perms[ids[at]])
+        assert _image(perms, ids) != _image(perms, word.ids), spec
+
+
+def test_reset_states_frees_its_rows_without_the_cycle_collector():
+    """Rows step to one another in cycles; reset_states clears the rows it
+    drops, so with the collector off none is left for it to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in (affine(3), affine(4)):
+            pres = presentation(spec)
+            for seed in range(50):
+                normalize(random_word(spec, 40, seed))
+            assert len(pres.state_of) > 1
+            pres.reset_states()
+            assert gc.collect() == 0, spec
+            assert pres.state_of == {0: pres.root} and pres.root == [None] * pres.G + [-1, 0]
+    finally:
+        gc.enable()
 
 
 def _cliques(pres):
