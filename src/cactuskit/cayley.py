@@ -11,9 +11,14 @@ are its generator ids (so keys sort like their id lists), adjacency is one
 packed integer (neighbor_vid << 16 | gid) per directed edge, grouped per
 vertex.  The kernels work on these arrays and make no word per vertex: ball
 completes squares off its own rows, reading only par of the word problem's
-tables, one BFS gives both spheres and distances, squares searches the rows
-in vid order and makes a square's corner keys only when its cycle is read,
-and text is made from keys at the export.  `sphere_sizes` counts a ball's
+tables, one BFS loop (_bfs) gives both spheres and distances, squares
+searches the rows in vid order and makes a square's corner keys only when
+its cycle is read, and text is made from keys at the export.  The
+per-vertex loops are plain loops: no comprehension in them reads a loop
+local, which would make that local a cell.  A kernel that reads many rows
+slices one list copy of the arrays (CayleyBall.lists), whose slices hold
+ints already made: squares, the trusted BFS rows and the disk kernels of
+the hyperbolic module.  `sphere_sizes` counts a ball's
 spheres over the word problem's descent states and builds no ball.  One
 writer, `_json_text`, writes the ball's JSON, both for `export(b, "json")`
 and for the CLI's `ball` to stdout.  The public API speaks in tuples of
@@ -150,6 +155,13 @@ class CayleyBall:
         """One vertex's packed entries, neighbor_vid << 16 | gid, as stored."""
         return self._adj[self._off[vid]:self._off[vid + 1]]
 
+    def lists(self) -> tuple[list[int], list[int]]:
+        """The packed entries and the row offsets, copied into two lists:
+        vertex u's row is adj[off[u]:off[u + 1]].  A list slice holds ints
+        already made, where an array slice makes one per entry, so a kernel
+        that reads every row copies once and slices the lists."""
+        return self._adj.tolist(), self._off.tolist()
+
     def edge_count(self) -> int:
         """The number of edges: each is stored once at each of its ends."""
         return len(self._adj) // 2
@@ -181,35 +193,17 @@ class CayleyBall:
 
     # -- metric --------------------------------------------------------------
 
-    def _bfs(self, vid: int, limit: int, dist) -> list[list[int]]:
-        """The spheres of spheres_from, writing each reached vertex's distance
-        into `dist` (ints, -1 for a vertex not reached yet) as it goes."""
-        dist[vid] = 0
-        spheres = [[vid]]
-        adj, off = self._adj, self._off
-        while len(spheres) - 1 != limit:
-            d, nxt = len(spheres), []
-            for u in spheres[-1]:
-                for e in adj[off[u]:off[u + 1]]:
-                    if dist[nb := e >> 16] < 0:
-                        dist[nb] = d
-                        nxt.append(nb)
-            if not nxt:
-                break
-            spheres.append(nxt)
-        return spheres
-
     def spheres_from(self, vid: int, limit: int = -1) -> list[list[int]]:
         """BFS spheres (within the ball) around one vertex: the vids at
         distance 0, 1, ... in discovery order, out to the farthest vertex
         reached, or to `limit` when that is >= 0 (the search stops there)."""
-        return self._bfs(vid, limit, array("i", [-1]) * len(self._keys))
+        return _bfs(self._adj, self._off, vid, limit, array("i", [-1]) * len(self._keys))
 
     def distances_from(self, vid: int, limit: int = -1) -> list[int]:
         """BFS distances (within the ball) from one vertex; -1 = unreachable,
         or farther than `limit` when that is >= 0 (the search stops there)."""
         dist = [-1] * len(self._keys)
-        self._bfs(vid, limit, dist)
+        _bfs(self._adj, self._off, vid, limit, dist)
         return dist
 
     def distance(self, u, v) -> BallDistance:
@@ -219,6 +213,26 @@ class CayleyBall:
         if d < 0:
             raise VertexNotInBall(f"{v!r} unreachable from {u!r} inside the ball")
         return BallDistance(d, self._depth[uv] + self._depth[vv] <= self.radius)
+
+
+def _bfs(adj, off, vid: int, limit: int, dist) -> list[list[int]]:
+    """The spheres of CayleyBall.spheres_from on the rows adj[off[u]:off[u + 1]],
+    writing each reached vertex's distance into `dist` (ints, -1 for a
+    vertex not reached yet) as it goes.  adj and off are the ball's arrays,
+    or their lists (CayleyBall.lists) for a caller that runs many searches."""
+    dist[vid] = 0
+    spheres = [[vid]]
+    while len(spheres) - 1 != limit:
+        d, nxt = len(spheres), []
+        for u in spheres[-1]:
+            for e in adj[off[u]:off[u + 1]]:
+                if dist[nb := e >> 16] < 0:
+                    dist[nb] = d
+                    nxt.append(nb)
+        if not nxt:
+            break
+        spheres.append(nxt)
+    return spheres
 
 
 def _check_ball_args(spec: GroupSpec, radius: int, max_vertices: int) -> None:
@@ -252,6 +266,11 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     down-edges only, in generator order (relators have even length, so
     edges join consecutive spheres).  Raises BudgetExceeded past
     `max_vertices`.
+
+    The loop over u keeps one triple (a, a*G, row of u*a) per down letter
+    a, lists each new v's parents in a plain loop that also picks the
+    kappa-least one, and appends a radius vertex's sorted row entry by
+    entry: no comprehension reads a loop local.
     """
     _check_ball_args(spec, radius, max_vertices)
     pres = presentation(spec)
@@ -275,19 +294,25 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
         for u in range(lo, hi):
             row, low = u * G, u << 16
             slots = adj[row:row + G]  # expanding u writes no other slot of its row
-            du = [a for a, e in enumerate(slots) if 0 <= e < low]  # down letters
+            down = []  # per down letter a: (a, a*G, the row of u*a)
+            for a, e in enumerate(slots):
+                if 0 <= e < low:
+                    down.append((a, a * G, (e >> 16) * G))
             ru = rank[u - lo]
             for g, e in enumerate(slots):
                 if e >= 0:
                     continue  # a down-edge, or one an earlier parent of u*g filled
                 # v = u*g is new; each other parent v*h is u*a*b (see above)
                 gG, v = g * G, len(keys)
-                parents = [(h, adj[(adj[row + a] >> 16) * G + par[a * G + g]] >> 16)
-                           for a in du if (h := par[gG + a]) >= 0]
+                parents = []
                 r, c, w = ru, g, u  # the kappa-least parent w, with v = w*c
-                for h, pw in parents:
-                    if rank[pw - lo] < r:
-                        r, c, w = rank[pw - lo], h, pw
+                for a, aG, ua in down:
+                    h = par[gG + a]
+                    if h >= 0:
+                        pw = adj[ua + par[aG + g]] >> 16
+                        parents.append((h, pw))
+                        if rank[pw - lo] < r:
+                            r, c, w = rank[pw - lo], h, pw
                 keys.append(keys[w] + chr(c))
                 adj[row + g] = v << 16 | g
                 for h, w in parents:
@@ -301,7 +326,9 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
                 else:
                     if parents:
                         parents.append((g, u))
-                        adj.extend([w << 16 | h for h, w in sorted(parents)])
+                        parents.sort()
+                        for h, w in parents:
+                            adj.append(w << 16 | h)
                     else:
                         adj.append(u << 16 | g)
                     ends.append(len(adj))
@@ -430,7 +457,7 @@ def squares(b: CayleyBall) -> tuple[Square, ...]:
     if b._squares is not None:
         return b._squares
     n, keys = len(b), b._keys
-    adj, off = b._adj.tolist(), b._off.tolist()  # list slices hold ints already made
+    adj, off = b.lists()
     by_rank = sorted(range(n), key=keys.__getitem__)
     rank = sorted(range(n), key=by_rank.__getitem__)  # the inverse: vid -> rank
     found: set[tuple[int, int, int, int]] = set()

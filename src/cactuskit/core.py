@@ -405,13 +405,20 @@ class Presentation:
 
         Rows step to one another in cycles, so each dropped row is cleared
         first: the rows are freed when state_of lets them go, without the
-        cyclic garbage collector.  The rows of a presentation evicted from
-        the presentation() cache are not cleared, and wait for the collector.
+        cyclic garbage collector.  A presentation's own rows are cleared the
+        same way when it is freed (__del__).
         """
         for row in self.state_of.values():
             row.clear()
         self.state_of = {}
         self.root = self.state(0)
+
+    def __del__(self) -> None:
+        # Once the presentation() cache has evicted it and no word or ball
+        # holds it, no descent is running on its rows: clear them, as
+        # reset_states does, so they are freed now, not by the collector.
+        for row in getattr(self, "state_of", {}).values():
+            row.clear()
 
     def state(self, mask: int) -> list:
         """The row of a descent mask, made when it is new.
@@ -456,5 +463,7 @@ def presentation(spec: GroupSpec) -> Presentation:
     """The tables of one spec, kept for the 32 specs used last: O(G^2) entries
     plus at most cliques + 1 descent rows of G + 2 slots.  An evicted
     spec is rebuilt on its next use with the same generator ids, so the ids
-    that words made earlier carry stay valid."""
+    that words made earlier carry stay valid.  An evicted presentation and
+    its rows are freed once no word or ball holds it, without the cyclic
+    garbage collector."""
     return Presentation(spec)

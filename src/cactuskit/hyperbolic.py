@@ -37,8 +37,9 @@ by a path of length depth(u) + depth(v) <= radius.  The four-point defect
 needs no basepoint: twice it is (largest − middle) of the three
 opposite-side distance sums of the quadruple.
 
-The inner loops read each vertex's stored entries as one slice
-(``CayleyBall.row``) and write the disk maths out in place: the two
+The inner loops read each vertex's stored entries as one slice of the
+ball's rows copied into lists once per call (``CayleyBall.lists``), so a
+slice makes no int, and write the disk maths out in place: the two
 isometries of ``embed_ball``, which reads each label's turn from a table
 per orientation, and ``qi_fit``'s tanh-space distance, taken through atanh
 only at each graph distance's extremes.  ``render_svg`` formats all canvas
@@ -54,7 +55,7 @@ from itertools import accumulate, chain, combinations
 from random import Random
 from typing import NamedTuple
 
-from .cayley import CayleyBall, VertexKey
+from .cayley import CayleyBall, VertexKey, _bfs
 from .core import (
     ClosureViolation,
     Family,
@@ -146,16 +147,18 @@ def embed_ball(b: CayleyBall) -> Embedding:
     if b.spec.family is not Family.AFFINE or b.spec.degree != 3:
         raise NotAJ3(f"embedding is defined for the degree-3 affine group, got {b.spec}")
     pres = presentation(b.spec)
-    dir_of_gid = {pres.gid[pq]: k for k, pq in enumerate(_DIRECTIONS)}
     # Orientation character of each generator's isometry: full-circle arcs
     # are half-turns (+1), two-element arcs are reflections (-1).
-    eps = [1 if pres.card[g] == 3 else -1 for g in range(len(pres.gens))]
+    eps = [1 if c == 3 else -1 for c in pres.card]
 
     a = tiling_edge_length()
     step_r = math.tanh(a / 2.0)  # euclidean radius of one edge from the origin
     third = math.pi / 3.0
     # each label's turn orient·k·π/3 from the base direction, by orientation
-    turn = {o: [o * dir_of_gid[g] * third for g in range(len(pres.gens))] for o in (1, -1)}
+    turn = {1: [0.0] * pres.G, -1: [0.0] * pres.G}
+    for k, pq in enumerate(_DIRECTIONS):
+        for o, t in turn.items():
+            t[pres.gid[pq]] = o * k * third
 
     n = len(b)
     pos: list[complex | None] = [None] * n
@@ -164,13 +167,14 @@ def embed_ball(b: CayleyBall) -> Embedding:
     pos[0] = 0j
     orient[0] = 1
 
+    adj, off = b.lists()
     for vid in range(n):
         z_v = pos[vid]
         if z_v is None:  # pragma: no cover - BFS order guarantees placement
             raise ClosureViolation(f"vertex {vid} reached before any parent placed it")
         zc_v, base_v, o_v = z_v.conjugate(), base[vid], orient[vid]
         turn_v = turn[o_v]
-        for e in b.row(vid):
+        for e in adj[off[vid]:off[vid + 1]]:
             nb, gid = e >> 16, e & 0xFFFF
             phi = base_v + turn_v[gid]
             w = step_r * complex(math.cos(phi), math.sin(phi))
@@ -199,13 +203,20 @@ def _trusted_metric(b: CayleyBall, sweep: str) -> tuple[list[int], list[int], di
     to <= radius (so its in-ball distance is the group distance) has at
     least one core endpoint, so the core rows hold every trusted distance.
     Rows stop at distance radius, which bounds every trusted distance.
+    They come from the ball's one BFS loop, run on one list copy of its
+    rows for the whole sweep.
     """
     if b.radius < 3:
         raise TooSmall(f"radius {b.radius} ball cannot support a {sweep}; need >= 3")
-    depth = [b.depth_at(v) for v in range(len(b))]
+    depth = list(map(b.depth_at, range(len(b))))
     half = b.radius // 2
     core = [v for v, d in enumerate(depth) if d <= half]
-    return depth, core, {v: b.distances_from(v, b.radius) for v in core}
+    adj, off = b.lists()  # one copy for every row
+    table = {}
+    for v in core:
+        table[v] = dist = [-1] * len(depth)
+        _bfs(adj, off, v, b.radius, dist)
+    return depth, core, table
 
 
 class QIFit(NamedTuple):
@@ -400,9 +411,13 @@ def render_svg(
         f'<circle cx="{_fmt(_SCALE)}" cy="{_fmt(_SCALE)}" r="{_fmt(_SCALE)}" '
         'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
+    adj, off = b.lists()
     for u in range(len(b)):
         zu, ru, head, top = pts[u], lift[u], f'<path d="M {xy[u]} ', u << 16 | 0xFFFF
-        for nb in sorted([x >> 16 for x in b.row(u) if x > top]):  # the larger neighbours
+        for x in sorted(adj[off[u]:off[u + 1]]):
+            if x <= top:
+                continue  # only the larger neighbours, in vid order
+            nb = x >> 16
             lines.append(
                 f'{head}{_arc_to(zu, pts[nb], ru, lift[nb], xy[nb])}" fill="none" '
                 'stroke="#1a1a1a" stroke-width="1.5"/>'
@@ -410,9 +425,8 @@ def render_svg(
     if highlight is not None:
         u, v = highlight
         path_vids = _graph_geodesic(b, b.vid(u), b.vid(v))
-        poly = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (_canvas_xy(pts[p]) for p in path_vids)
-        )
+        poly = " ".join([f"{_fmt(x)},{_fmt(y)}"
+                         for x, y in map(_canvas_xy, map(pts.__getitem__, path_vids))])
         lines.append(
             f'<polyline points="{poly}" fill="none" stroke="#d62728" stroke-width="3"/>'
         )

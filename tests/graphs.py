@@ -3,8 +3,9 @@
 Each builder returns a dict that import_ball() accepts at face value; the
 graphs are deliberately *not* Cayley balls, so specific structure checks must
 reject them with witnesses.  one_way_entries counts what a Cayley ball must
-never hold, and brute_force_cycles and brute_force_wedges are the reference
-that the square and wedge checks are held to.
+never hold, brute_force_cycles and brute_force_wedges are the reference
+that the square and wedge checks are held to, and reference_distances the
+one that the ball's breadth-first rows are held to.
 """
 
 from collections import Counter
@@ -19,6 +20,24 @@ def one_way_entries(b) -> int:
         (u << 16 | e & 0xFFFF) not in adj[off[e >> 16]:off[(e >> 16) + 1]]
         for u in range(len(b)) for e in adj[off[u]:off[u + 1]]
     )
+
+
+def reference_distances(b, src, limit) -> list[int]:
+    """Breadth-first search over adj_entries; -1 past `limit` when it is >= 0."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for nb, _ in b.adj_entries(u):
+                if nb not in dist:
+                    dist[nb] = dist[u] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return [
+        d if limit < 0 or d <= limit else -1
+        for d in (dist.get(v, -1) for v in range(len(b)))
+    ]
 
 
 def brute_force_cycles(b) -> list:

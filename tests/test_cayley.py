@@ -1,6 +1,7 @@
 """Cayley-ball construction, metric queries, squares, and serialization."""
 
 import gc
+import hashlib
 import json
 import weakref
 from collections import OrderedDict
@@ -18,6 +19,7 @@ from graphs import (
     one_way_entries,
     open_face_graph,
     phantom_eighth_corner_graph,
+    reference_distances,
     self_loop_graph,
     shared_wedge_graph,
 )
@@ -278,6 +280,27 @@ def test_ball_matches_insertion_reference():
             assert str(exc.value) == f"ball({spec}, {radius}) exceeded {len(b) - 1} vertices"
 
 
+def test_ball_arrays_are_pinned():
+    """The ball's own arrays, byte for byte: keys in vid order, adj, off and
+    depth.  The export sorts its rows, so its byte pins cannot see a change
+    of discovery order or row layout; these digests can."""
+    pins = {
+        (affine(3), 6): "53236288f85df87ccce468eb158cfe54f3a13f7f6f43ae8433ec0069270754fa",
+        (affine(4), 4): "113fb9744542a3fc57afab5dfb8bb4e0c857fe733d786d29ac7c22c90438c49e",
+        (cactus(5), 4): "28f392501be906aea1678e1364b47319ee00220921823aba764d2bd5e44047f6",
+        (cactus(6), 3): "b0b9ebaea97a307f6090ba35440b25ca6de16115c170e44580fea682ae3bbd6e",
+    }
+    for (spec, radius), want in pins.items():
+        b = ball(spec, radius)
+        text = "\n".join([
+            " ".join(",".join(str(ord(c)) for c in key) for key in b._keys),
+            ",".join(map(str, b._adj)),
+            ",".join(map(str, b._off)),
+            ",".join(map(str, b._depth)),
+        ])
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (spec, radius)
+
+
 def test_ball_leaves_the_descent_table_alone():
     """A ball reads its down letters off its own rows: building one numbers
     no descent state, and the word problem answers as before."""
@@ -457,24 +480,6 @@ def test_distances_from_matches_depth(aj3_r3):
     assert all(dist[v] == b.depth_at(v) for v in range(len(b)))
 
 
-def _reference_distances(b, src, limit):
-    """Breadth-first search over adj_entries; -1 past `limit` when it is >= 0."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for nb, _ in b.adj_entries(u):
-                if nb not in dist:
-                    dist[nb] = dist[u] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return [
-        d if limit < 0 or d <= limit else -1
-        for d in (dist.get(v, -1) for v in range(len(b)))
-    ]
-
-
 def test_distances_from_matches_reference_bfs(aj3_r4, aj4_r3):
     balls = [aj3_r4, import_ball(export_obj(aj4_r3))] + [
         import_ball(make()) for make in (
@@ -490,7 +495,7 @@ def test_distances_from_matches_reference_bfs(aj3_r4, aj4_r3):
         # the first and the last vertex of each depth
         for src in sorted({v for vs in by_depth.values() for v in (vs[0], vs[-1])}):
             for limit in range(-1, b.radius + 2):
-                want = _reference_distances(b, src, limit)
+                want = reference_distances(b, src, limit)
                 assert list(b.distances_from(src, limit)) == want, (b.spec, src, limit)
                 # the spheres are the reference's distance classes
                 classes = [[] for _ in range(max(want) + 1)]

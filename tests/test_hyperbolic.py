@@ -15,6 +15,18 @@ from random import Random
 
 import pytest
 
+from graphs import (
+    doubled_edge_graph,
+    many_medians_graph,
+    missing_cube_corner_graph,
+    missing_spoke_graph,
+    open_face_graph,
+    phantom_eighth_corner_graph,
+    reference_distances,
+    self_loop_graph,
+    shared_wedge_graph,
+)
+
 from cactuskit import (
     ClosureViolation,
     Embedding,
@@ -37,6 +49,7 @@ from cactuskit import (
     squares,
     tiling_edge_length,
 )
+from cactuskit.hyperbolic import _trusted_metric
 
 EDGE = 1.7627471740390868  # frozen output of tiling_edge_length()
 
@@ -277,6 +290,40 @@ def test_qi_fit_matches_the_per_pair_reference(disk_r4):
     obj["edges"] = [r for r in obj["edges"] if cut not in (r["from"], r["to"])]
     cut_off = _embedding_of(obj, disk_r4)
     assert -1 in cut_off.ball.distances_from(0, 4)
+    assert qi_fit(cut_off) == _reference_qi_fit(cut_off)
+
+
+def test_trusted_rows_are_the_ball_distances(disk_r4):
+    """The trusted sweeps' BFS rows, run on one list copy of the ball's rows,
+    are distances_from(v, radius) and the reference search for every core
+    vertex: on built AJ_3 balls, on the doctored graphs (lifted to radius 3
+    where they are smaller, which only loosens their depth bound), and on
+    an AJ_3 ball with one vertex cut off, where rows read -1 and qi_fit
+    still counts every trusted pair."""
+    balls = [ball(affine(3), radius) for radius in (4, 5, 6)]
+    for make in (shared_wedge_graph, doubled_edge_graph, self_loop_graph, many_medians_graph,
+                 missing_cube_corner_graph, missing_spoke_graph, open_face_graph,
+                 phantom_eighth_corner_graph):
+        obj = make()
+        balls.append(import_ball(dict(obj, radius=max(obj["radius"], 3))))
+    obj = export_obj(disk_r4.ball)
+    obj["edges"] = [r for r in obj["edges"] if "1,2;2,3" not in (r["from"], r["to"])]
+    cut_off = _embedding_of(obj, disk_r4)
+    balls.append(cut_off.ball)
+    for b in balls:
+        depth, core, table = _trusted_metric(b, "test sweep")
+        assert depth == [b.depth_at(v) for v in range(len(b))]
+        assert core == [v for v, d in enumerate(depth) if d <= b.radius // 2]
+        assert list(table) == core
+        for v in core:
+            assert table[v] == b.distances_from(v, b.radius), (b.spec, v)
+            assert table[v] == reference_distances(b, v, b.radius), (b.spec, v)
+    depth, core, table = _trusted_metric(cut_off.ball, "test sweep")
+    trusted = [(u, v) for u, v in combinations(range(len(depth)), 2)
+               if depth[u] + depth[v] <= cut_off.ball.radius]
+    read = [table[u][v] if u in table else table[v][u] for u, v in trusted]
+    assert -1 in read  # qi_fit's -1 slot is used
+    assert qi_fit(cut_off).pair_count == len(trusted)
     assert qi_fit(cut_off) == _reference_qi_fit(cut_off)
 
 

@@ -1,7 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, holds no `:=`
+inside a comprehension, and the Cayley ball's per-vertex kernels hold no
+cells.
 
-The package's `__init__` is skipped: its imports are the public API.  Only
-the standard library is needed, so this guard runs wherever the tests do.
+The package's `__init__` is skipped by the import check: its imports are
+the public API.  Only the standard library is needed, so these guards run
+wherever the tests do.
 """
 
 import ast
@@ -37,3 +40,44 @@ def test_the_guard_sees_an_unused_import():
     source = "from .rewriting import Word, _up, parse_word\n\nparse_word(Word)\n"
     assert unused_imports(source) == ["_up (line 1)"]
     assert MODULES  # the glob found the package
+
+
+def walrus_in_comprehensions(source: str) -> list[int]:
+    """The lines of each := inside a comprehension or generator expression.
+
+    Such a target belongs to the enclosing function, so on interpreters
+    that run a comprehension as a nested function it turns the function's
+    locals that the comprehension reads into cells.
+    """
+    comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return sorted({
+        node.lineno
+        for comp in ast.walk(ast.parse(source)) if isinstance(comp, comps)
+        for node in ast.walk(comp) if isinstance(node, ast.NamedExpr)
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_walrus_in_a_comprehension(path):
+    assert walrus_in_comprehensions(path.read_text()) == []
+
+
+def test_ball_and_disk_kernels_hold_no_cells():
+    """No nested scope of the per-vertex kernels closes over their locals,
+    so each local is read as a fast local, not through a cell."""
+    from cactuskit import cayley, hyperbolic
+
+    for f in (cayley.ball, hyperbolic.embed_ball, hyperbolic.render_svg):
+        assert f.__code__.co_cellvars == (), f.__qualname__
+
+
+def test_the_guards_see_a_closure():
+    source = (
+        "def f(xs, lo):\n"
+        "    ys = [y for x in xs if (y := x - lo) > 0]\n"
+        "    return ys, sum(x for x in xs if x > lo)\n"
+    )
+    assert walrus_in_comprehensions(source) == [2]
+    names: dict = {}
+    exec(compile(source, "<toy>", "exec"), names)
+    assert "lo" in names["f"].__code__.co_cellvars  # the generator expression's

@@ -8,6 +8,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -41,6 +42,7 @@ from cactuskit.core import (
     Family,
     Generator,
     GroupSpec,
+    Presentation,
     interval_of,
     presentation,
 )
@@ -834,6 +836,36 @@ def test_reset_states_frees_its_rows_without_the_cycle_collector():
             pres.reset_states()
             assert gc.collect() == 0, spec
             assert pres.state_of == {0: pres.root} and pres.root == [None] * pres.G + [-1, 0]
+    finally:
+        gc.enable()
+
+
+def _left_for_the_collector(spec) -> int:
+    """What the cyclic collector finds once a presentation that ran 50
+    normalizes loses its last reference, as one evicted from the
+    presentation() cache does when no word or ball holds it."""
+    pres = Presentation(spec)  # as presentation(spec) builds it, outside the cache
+    for seed in range(50):
+        normalize(Word._of(pres, random_word(spec, 40, seed).ids))
+    assert len(pres.state_of) > 1
+    ref = weakref.ref(pres)
+    del pres
+    assert ref() is None
+    return gc.collect()
+
+
+def test_a_freed_presentation_frees_its_rows_without_the_cycle_collector(monkeypatch):
+    """Rows step to one another in cycles; a presentation clears its rows
+    when it is freed, so with the collector off none is left for it to find.
+    Without that (the negative control) the rows wait for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in (affine(3), affine(4)):
+            assert _left_for_the_collector(spec) == 0, spec
+        monkeypatch.delattr(Presentation, "__del__")
+        for spec in (affine(3), affine(4)):
+            assert _left_for_the_collector(spec) > 0, spec
     finally:
         gc.enable()
 
