@@ -240,10 +240,9 @@ def _check_ball_args(spec: GroupSpec, radius: int, max_vertices: int) -> None:
         raise PreconditionViolated(f"radius must be >= 0, got {radius}")
     if max_vertices < 1:
         raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
-    # sphere 1 holds every generator, n(n-1) of AJ_n and half that of J_n:
-    # a budget below 1 + G fails before the O(G^2) tables are built
-    n = spec.degree
-    if radius and 1 + n * (n - 1) // (1 if spec.family is Family.AFFINE else 2) > max_vertices:
+    # sphere 1 holds every generator: a budget below 1 + G fails before the
+    # O(G^2) table is built
+    if radius and 1 + spec.generator_count > max_vertices:
         raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
 
 
@@ -619,12 +618,17 @@ def import_ball(obj: dict) -> CayleyBall:
     and adjacency is not recomputed.  That is deliberate: verification checks
     run on imported graphs must be able to see defects (this is how the
     synthetic negative-control graphs come in).  Only the schema is checked:
-    a missing field, a field of the wrong type or a depth outside
-    0..radius raises MalformedInput.
+    a missing field, a field of the wrong type, an unknown family, a
+    negative radius or a depth outside 0..radius raises MalformedInput.
     """
     spec_rec = _field(obj, "spec", dict)
-    spec = GroupSpec(Family(_field(spec_rec, "family", str)), _field(spec_rec, "n", int))
+    family = _field(spec_rec, "family", str)
+    if family not in {f.value for f in Family}:
+        raise MalformedInput(f"unknown family {family!r:.80}")
+    spec = GroupSpec(Family(family), _field(spec_rec, "n", int))
     radius = _field(obj, "radius", int)
+    if radius < 0:
+        raise MalformedInput(f"radius must be >= 0, got {radius}")
     pres = presentation(spec)
     gid_of_text = pres.gid_of_text
     letter = {t: _key([g]) for t, g in gid_of_text.items()}  # one-letter keys

@@ -20,7 +20,7 @@ Every flag a verb takes is one it reads: the disk verbs take no
 ``--family``/``--n`` (they are defined for AJ_3 only), and a ``verify`` flag
 that the chosen check would not read is a usage error.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error, 3 budget
-or I/O error.  Diagnostics go to stderr only.
+(too large a degree included) or I/O error.  Diagnostics go to stderr only.
 """
 
 from __future__ import annotations

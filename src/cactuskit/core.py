@@ -126,6 +126,10 @@ class GroupSpec:
     def n(self) -> int:
         return self.degree
 
+    @property
+    def generator_count(self) -> int:  # G from n alone: n(n-1) for AJ_n, half that for J_n
+        return self.degree * (self.degree - 1) // (1 if self.family is _AFFINE else 2)
+
 
 def cactus(n: int) -> GroupSpec:
     return GroupSpec(Family.CACTUS, n)
@@ -245,6 +249,8 @@ class RelationKind(enum.Enum):
     FIRST_CONTAINS_SECOND = "first_contains_second"
     SECOND_CONTAINS_FIRST = "second_contains_first"
 
+    __hash__ = object.__hash__  # in C, not Enum's Python-level one: verify keys on kinds
+
 
 def _arc_contains(op: int, oq: int, ip_: int, iq: int, n: int) -> bool:
     # Position of x inside the outer arc (p, p+1, ..., q) is (x - p) mod n.
@@ -310,14 +316,14 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 
 
 # --------------------------------------------------------------------------
-# Precomputed relation tables.
+# Precomputed tables: the one relation table (par) and the text tables.
 #
 # Everything downstream (normalization, ball construction, verification)
 # starts from pair lookups, so we flatten the generator set to integer ids and
-# tabulate, per ordered pair, the relation kind (rel) and the label each
-# letter takes across the square the pair spans (par).  The word problem
-# (rewriting) and the ball builder (cayley) run on par; the word problem
-# also keeps one row per descent state it meets (reset_states).
+# tabulate, per ordered pair, the label each letter takes across the square
+# the pair spans (par), the one O(G^2) table: a pair is related iff its entry
+# is >= 0.  The word problem (rewriting) and the ball builder (cayley) run on
+# par; the word problem also keeps one row per descent state it meets.
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
 # spelling is three characters, and rewriting.parse_word decodes a whole
@@ -330,17 +336,19 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # its element's kappa-shortlex-least word (rewriting).
 # --------------------------------------------------------------------------
 
-_REL_NONE, _REL_DISJOINT, _REL_FIRST, _REL_SECOND = 0, 1, 2, 3
-
 
 class Presentation:
-    """Integer-indexed relation tables for one group spec."""
+    """Integer-indexed tables for one group spec, one of them (par) of G^2
+    entries.  G >= 65,536 raises BudgetExceeded before any table is made."""
 
     def __init__(self, spec: GroupSpec) -> None:
+        G = spec.generator_count
+        if G >= 1 << 16:  # cayley packs a ball's edge as neighbor_vid << 16 | gid
+            raise BudgetExceeded(f"{spec.family.value} n = {spec.degree} has {G} generators; "
+                                 "the tables hold fewer than 65536")
         self.spec = spec
         gens = generators(spec)
         self.gens = gens
-        G = len(gens)
         self.G = G
         self.pairs = tuple((g.p, g.q) for g in gens)
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
@@ -355,7 +363,7 @@ class Presentation:
         self.card = [len(m) for m in members]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]
 
-        # The tables classify and conjugate_nested give, made from ints: an
+        # The table classify and conjugate_nested give, made from ints: an
         # interval as a bitmask of its members, containment by _arc_contains,
         # and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b).
         # par[a*G + b] is the label b takes across the square it spans with a:
@@ -363,21 +371,15 @@ class Presentation:
         # contains a, -1 when they span none; (a, b) = (par[a*G + b], par[b*G + a]).
         n, card, gid = spec.degree, self.card, self.gid
         mask = [sum(1 << r for r in m) for m in members]
-        rel = [_REL_NONE] * (G * G)
         par = [-1] * (G * G)
         for a, (pa, qa) in enumerate(self.pairs):
             ma, ca, row = mask[a], card[a], a * G
             for b, (pb, qb) in enumerate(self.pairs):
-                if a == b:
-                    continue
-                if not ma & mask[b]:
-                    rel[row + b], par[row + b] = _REL_DISJOINT, b
+                if not ma & mask[b] or card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
+                    par[row + b] = b
                 elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
-                    rel[row + b] = _REL_FIRST
                     par[row + b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
-                elif card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
-                    rel[row + b], par[row + b] = _REL_SECOND, b
-        self.rel, self.par = rel, par
+        self.par = par
 
         # Descent tables.  A set of letters is an int mask with bit
         # bit[g] = 1 << (kappa rank of g), so its kappa-least letter is
@@ -460,10 +462,10 @@ class Presentation:
 
 @lru_cache(maxsize=32)
 def presentation(spec: GroupSpec) -> Presentation:
-    """The tables of one spec, kept for the 32 specs used last: O(G^2) entries
-    plus at most cliques + 1 descent rows of G + 2 slots.  An evicted
-    spec is rebuilt on its next use with the same generator ids, so the ids
-    that words made earlier carry stay valid.  An evicted presentation and
-    its rows are freed once no word or ball holds it, without the cyclic
-    garbage collector."""
+    """The tables of one spec, kept for the 32 specs used last: one table of
+    G^2 entries (par) plus at most cliques + 1 descent rows of G + 2 slots.
+    An evicted spec is rebuilt on its next use with the same generator ids,
+    so the ids that words made earlier carry stay valid.  An evicted
+    presentation and its rows are freed once no word or ball holds it,
+    without the cyclic garbage collector."""
     return Presentation(spec)

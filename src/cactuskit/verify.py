@@ -32,14 +32,12 @@ from .core import (
     GroupSpec,
     IndexOutOfRange,
     PreconditionViolated,
+    RelationKind,
     WrongFamily,
-    _REL_DISJOINT,
-    _REL_FIRST,
-    _REL_NONE,
-    _REL_SECOND,
     _wrap,
     affine,
     cactus,
+    classify,
     conjugate_nested,
     generators,
     presentation,
@@ -142,12 +140,12 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
 
 
 def _related_triples(spec: GroupSpec) -> list[tuple[int, int, int]]:
-    """Unordered generator-id triples whose intervals are pairwise related."""
+    """Unordered generator-id triples whose intervals are pairwise related (par >= 0)."""
     pres = presentation(spec)
-    G, rel = pres.G, pres.rel
+    G, par = pres.G, pres.par
     return [
         (a, b, c) for a, b, c in combinations(range(G), 3)
-        if rel[a * G + b] and rel[a * G + c] and rel[b * G + c]
+        if par[a * G + b] >= 0 and par[a * G + c] >= 0 and par[b * G + c] >= 0
     ]
 
 
@@ -350,21 +348,22 @@ def _plain_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 # The four interval configurations a cube corner can realize, as constraints
-# (label pair, relation code) on the ordered label triple 1, 2, 3, where 1 is
-# the label whose start index drives the shift.  _REL_FIRST on (i, j): label
-# i contains label j; _REL_DISJOINT: the two are disjoint.
+# (label pair, relation kind) on the ordered label triple 1, 2, 3, where 1 is
+# the label whose start index drives the shift.  _CONTAINS on (i, j): label
+# i contains label j; _DISJOINT: the two are disjoint.
+_CONTAINS, _DISJOINT = RelationKind.FIRST_CONTAINS_SECOND, RelationKind.DISJOINT
 _CONFIGS = (
-    ("chain", (((1, 2), _REL_FIRST), ((2, 3), _REL_FIRST))),
-    ("nested-plus-disjoint", (((1, 2), _REL_FIRST), ((1, 3), _REL_DISJOINT))),
+    ("chain", (((1, 2), _CONTAINS), ((2, 3), _CONTAINS))),
+    ("nested-plus-disjoint", (((1, 2), _CONTAINS), ((1, 3), _DISJOINT))),
     ("common-outer",
-     (((1, 2), _REL_FIRST), ((1, 3), _REL_FIRST), ((2, 3), _REL_DISJOINT))),
+     (((1, 2), _CONTAINS), ((1, 3), _CONTAINS), ((2, 3), _DISJOINT))),
     ("pairwise-disjoint",
-     (((1, 2), _REL_DISJOINT), ((1, 3), _REL_DISJOINT), ((2, 3), _REL_DISJOINT))),
+     (((1, 2), _DISJOINT), ((1, 3), _DISJOINT), ((2, 3), _DISJOINT))),
 )
-# what each relation code of a constraint says of the plain (shifted) pairs
+# what each relation kind of a constraint says of the plain (shifted) pairs
 _PLAIN_RELATIONS = {
-    _REL_FIRST: ("containment", _plain_contains),
-    _REL_DISJOINT: ("disjointness", _plain_disjoint),
+    _CONTAINS: ("containment", _plain_contains),
+    _DISJOINT: ("disjointness", _plain_disjoint),
 }
 _TRIPLE_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -373,23 +372,25 @@ def _configured_triples(n: int):
     """(name, constraints, label pairs) for each ordered triple of distinct
     generators of AJ_n realizing a configuration of _CONFIGS."""
     pres = presentation(affine(n))
-    G, rel, pairs = pres.G, pres.rel, pres.pairs
-    # the configurations that the relation codes (r12, r13, r23) of a label
-    # triple realize, read off _CONFIGS
-    by_codes: dict[tuple[int, ...], list] = {}
-    for codes in product((_REL_NONE, _REL_DISJOINT, _REL_FIRST, _REL_SECOND), repeat=3):
-        have = dict(zip(_TRIPLE_PAIRS, codes))
+    G, par, gens, pairs = pres.G, pres.par, pres.gens, pres.pairs
+    # each related pair's kind by classify (par >= 0), tabulated for this call only
+    kind = [classify(x, y) if par[row + b] >= 0 else RelationKind.NONE
+            for row, x in zip(range(0, G * G, G), gens) for b, y in enumerate(gens)]
+    # the configurations each kind triple (r12, r13, r23) realizes, read off _CONFIGS
+    by_kinds: dict[tuple[RelationKind, ...], list] = {}
+    for kinds in product(RelationKind, repeat=3):
+        have = dict(zip(_TRIPLE_PAIRS, kinds))
         for name, constraints in _CONFIGS:
-            if all(have[ij] == r for ij, r in constraints):
-                by_codes.setdefault(codes, []).append((name, constraints))
-    leads = {codes[0] for codes in by_codes}  # the r12 codes that some configuration allows
+            if all(have[ij] is r for ij, r in constraints):
+                by_kinds.setdefault(kinds, []).append((name, constraints))
+    leads = {kinds[0] for kinds in by_kinds}  # the r12 kinds that some configuration allows
     for a, b in permutations(range(G), 2):
-        r12 = rel[a * G + b]
+        r12 = kind[a * G + b]
         if r12 not in leads:
             continue
         for c in range(G):
             if c != a and c != b:
-                for name, constraints in by_codes.get((r12, rel[a * G + c], rel[b * G + c]), ()):
+                for name, constraints in by_kinds.get((r12, kind[a * G + c], kind[b * G + c]), ()):
                     yield name, constraints, (pairs[a], pairs[b], pairs[c])
 
 
@@ -459,7 +460,7 @@ def verify_claim_psi(n: int) -> VerificationReport:
         # [i,j] containing [k,l]; every shifted index gains n before reduction
         j = labels[0][1]
         k, l = labels[1]
-        if ((1, 2), _REL_FIRST) in constraints and k < l < j < i:
+        if ((1, 2), _CONTAINS) in constraints and k < l < j < i:
             rep.params["wrapped_ordering_instances"] += 1
             ip, jp = images[0]
             kp, lp = images[1]
@@ -505,39 +506,31 @@ def check_square_normal_forms(b: CayleyBall) -> VerificationReport:
     if b.radius < 2:
         return rep
     pres = presentation(spec)
-    G, rel = pres.G, pres.rel
-    gens = pres.gens
-    for a in range(G):
-        for c in range(a + 1, G):
-            k = rel[a * G + c]
-            if not k:
-                continue
-            rep.items_checked += 1
-            ga, gc = gens[a], gens[c]
-            nf1 = normalize(Word(spec, (ga, gc)))
-            nf2 = normalize(Word(spec, (gc, ga)))
-            if k == _REL_DISJOINT:
-                first = ga if pres.kappa[a] < pres.kappa[c] else gc
-                second = gc if first is ga else ga
-                want1 = want2 = (first, second)
-            else:
-                outer, inner = (ga, gc) if k == _REL_FIRST else (gc, ga)
-                want_oi = (outer, inner)
-                want_io = (outer, conjugate_nested(outer, inner))
-                want1 = want_oi if ga is outer else want_io
-                want2 = want_oi if gc is outer else want_io
-            bad = []
-            if nf1.letters != want1:
-                bad.append([ga.text(), gc.text(), nf1.text()])
-            if nf2.letters != want2:
-                bad.append([gc.text(), ga.text(), nf2.text()])
-            for order in bad:
-                rep.note_failure({"product": order[:2], "normal_form": order[2]})
-            # the far corner itself must sit in the ball at depth 2
-            far = tuple((g.p, g.q) for g in nf1.letters)
-            if far not in b:
-                rep.note_failure({
-                    "product": [ga.text(), gc.text()],
-                    "reason": "far corner missing from the ball",
-                })
+    G, par, gens = pres.G, pres.par, pres.gens
+    for a, c in combinations(range(G), 2):
+        if par[a * G + c] < 0:
+            continue
+        rep.items_checked += 1
+        ga, gc = gens[a], gens[c]
+        k = classify(ga, gc)
+        nf1 = normalize(Word(spec, (ga, gc)))
+        nf2 = normalize(Word(spec, (gc, ga)))
+        if k is _DISJOINT:
+            want1 = want2 = (ga, gc) if pres.kappa[a] < pres.kappa[c] else (gc, ga)
+        else:
+            outer, inner = (ga, gc) if k is _CONTAINS else (gc, ga)
+            want_oi = (outer, inner)
+            want_io = (outer, conjugate_nested(outer, inner))
+            want1 = want_oi if ga is outer else want_io
+            want2 = want_oi if gc is outer else want_io
+        for x, y, nf, want in ((ga, gc, nf1, want1), (gc, ga, nf2, want2)):
+            if nf.letters != want:
+                rep.note_failure({"product": [x.text(), y.text()], "normal_form": nf.text()})
+        # the far corner itself must sit in the ball at depth 2
+        far = tuple((g.p, g.q) for g in nf1.letters)
+        if far not in b:
+            rep.note_failure({
+                "product": [ga.text(), gc.text()],
+                "reason": "far corner missing from the ball",
+            })
     return rep

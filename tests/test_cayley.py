@@ -759,6 +759,8 @@ def test_import_rejects_bad_input(aj3_r2):
         import_ball(dangling)
     for bad in (
         dict(obj, spec={"family": "affine"}),
+        dict(obj, spec={"family": "plain", "n": 3}),
+        dict(obj, radius=-1, vertices=[], edges=[]),
         dict(obj, vertices=[{"word": "e"}]),
         dict(obj, vertices=5),
         dict(obj, radius="2"),

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,9 @@ def test_verify_malformed_input_exits_2(capsys, tmp_path):
         ("no-n", dict(good, spec={"family": "affine"})),
         ("no-depth", dict(good, vertices=[{"word": "e"}])),
         ("int-vertices", dict(good, vertices=5)),
+        ("unknown-family", dict(good, spec={"family": "afine", "n": 3})),
+        # no vertex can have a depth in 0..-1: not a vacuous pass
+        ("negative-radius", dict(good, radius=-1, vertices=[])),
     ):
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(obj))
@@ -383,6 +387,20 @@ def test_verify_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2, name
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_degree_past_the_generator_limit_exits_3(capsys, tmp_path):
+    """AJ_300 has 89,700 generators, more than a ball's 16-bit ids hold: the
+    flag and a file's spec are refused before any table is built."""
+    f = tmp_path / "n300.json"
+    f.write_text(json.dumps({"spec": {"family": "affine", "n": 300}, "radius": 1,
+                             "vertices": [], "edges": []}))
+    for argv in (("normalize", "--n", "300", "--word", "1,2"),
+                 ("verify", "--check", "squares", "--n", "300", "--input", str(f))):
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv) == (3, "", "resource error: affine n = 300 has 89700 "
+                                          "generators; the tables hold fewer than 65536\n")
+        assert time.perf_counter() - start < 0.5, argv
 
 
 def test_verify_input_must_match_family_and_n(capsys, tmp_path):

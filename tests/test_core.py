@@ -11,6 +11,7 @@ import pytest
 
 import cactuskit
 from cactuskit import (
+    BudgetExceeded,
     CyclicInterval,
     Family,
     Generator,
@@ -31,7 +32,7 @@ from cactuskit import (
     parse_generator,
     s_reflect,
 )
-from cactuskit.core import presentation
+from cactuskit.core import Presentation, presentation
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +88,19 @@ def test_degree_must_be_at_least_two():
 def test_generator_counts():
     # n(n-1)/2 for the plain family, n(n-1) for the affine one
     for n in range(2, 9):
-        assert len(generators(cactus(n))) == n * (n - 1) // 2
-        assert len(generators(affine(n))) == n * (n - 1)
+        assert len(generators(cactus(n))) == cactus(n).generator_count == n * (n - 1) // 2
+        assert len(generators(affine(n))) == affine(n).generator_count == n * (n - 1)
+
+
+def test_a_degree_past_the_packed_ids_is_refused_before_any_table():
+    """A ball packs each generator id in 16 bits, so G >= 65,536 is refused
+    from n alone, before generators() or a table is made.  The largest
+    degrees that pass are AJ_256 (G = 65,280) and J_362 (G = 65,341)."""
+    for spec, G in ((affine(257), 65_792), (cactus(363), 65_703)):
+        with pytest.raises(BudgetExceeded, match=f" has {G} generators; the tables hold fewer "
+                                                 "than 65536"):
+            Presentation(spec)
+    assert affine(256).generator_count == 65_280 and cactus(362).generator_count == 65_341
 
 
 def test_generator_listing_order():
@@ -244,31 +256,25 @@ def test_classify_errors():
 @pytest.mark.parametrize("family", (cactus, affine))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_relation_tables_match_classify(family, n):
-    """Presentation builds rel/par from ints; every ordered pair agrees with
+    """Presentation builds par from ints; every ordered pair agrees with
     classify and conjugate_nested on Generator objects: par[a*G + b] is the
     image of b nested in a, b itself for a disjoint pair or one where b
-    contains a, and -1 when the pair spans no square."""
+    contains a, and -1 when the pair spans no square (a == b included), so
+    par >= 0 is exactly classify's relatedness."""
     pres = presentation(family(n))
     gens, G = pres.gens, pres.G
-    code = {
-        RelationKind.NONE: 0,
-        RelationKind.DISJOINT: 1,
-        RelationKind.FIRST_CONTAINS_SECOND: 2,
-        RelationKind.SECOND_CONTAINS_FIRST: 3,
-    }
     for a, ga in enumerate(gens):
-        assert (pres.rel[a * G + a], pres.par[a * G + a]) == (0, -1)
+        assert pres.par[a * G + a] == -1
         for b, gb in enumerate(gens):
             if a == b:
                 continue
             kind = classify(ga, gb)
-            assert pres.rel[a * G + b] == code[kind], (ga, gb)
             want = b
             if kind is RelationKind.FIRST_CONTAINS_SECOND:
                 want = pres.id_of(conjugate_nested(ga, gb))
             elif kind is RelationKind.NONE:
                 want = -1
-            assert pres.par[a * G + b] == want, (ga, gb)
+            assert pres.par[a * G + b] == want, (ga, gb, kind)
 
 
 # ---------------------------------------------------------------------------

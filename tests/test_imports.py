@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, holds no `:=`
-inside a comprehension, and the Cayley ball's per-vertex kernels hold no
-cells.
+inside a comprehension, the Cayley ball's per-vertex kernels hold no
+cells, and a presentation holds one table of G^2 entries.
 
 The package's `__init__` is skipped by the import check: its imports are
 the public API.  Only the standard library is needed, so these guards run
@@ -8,6 +8,7 @@ wherever the tests do.
 """
 
 import ast
+from collections.abc import Sized
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,18 @@ def test_ball_and_disk_kernels_hold_no_cells():
 
     for f in (cayley.ball, hyperbolic.embed_ball, hyperbolic.render_svg):
         assert f.__code__.co_cellvars == (), f.__qualname__
+
+
+@pytest.mark.parametrize("family, n", [("affine", 4), ("cactus", 5)])
+def test_a_presentation_holds_one_table_of_g_squared_entries(family, n):
+    """par is the only G^2-entry attribute: a second per-pair table would
+    double the presentation's memory at large degree."""
+    from cactuskit.core import Family, GroupSpec, Presentation
+
+    pres = Presentation(GroupSpec(Family(family), n))
+    sized = [name for name, value in vars(pres).items()
+             if isinstance(value, Sized) and len(value) == pres.G ** 2]
+    assert sized == ["par"]
 
 
 def test_the_guards_see_a_closure():

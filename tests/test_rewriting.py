@@ -36,9 +36,6 @@ from cactuskit import (
     random_word,
 )
 from cactuskit.core import (
-    _REL_DISJOINT,
-    _REL_FIRST,
-    _REL_SECOND,
     Family,
     Generator,
     GroupSpec,
@@ -253,6 +250,14 @@ def test_free_reduce_keeps_separated_repeats():
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _kinds(spec):
+    """kinds[a*G + b]: classify(a, b) by generator id, None when a == b;
+    made from Generator objects, apart from the presentation's par."""
+    gens = generators(spec)
+    return [classify(ga, gb) if ga is not gb else None for ga in gens for gb in gens]
+
+
 def moves(word):
     """The length-2 relation moves on a word, from rewriting._successors_all.
 
@@ -264,7 +269,8 @@ def moves(word):
     """
     pres = presentation(word.spec)
     ids = tuple(pres.ids(word.letters))
-    kind_of = {_REL_DISJOINT: "swap", _REL_FIRST: "flip-right", _REL_SECOND: "flip-left"}
+    kind_of = {RelationKind.DISJOINT: "swap", RelationKind.FIRST_CONTAINS_SECOND: "flip-right",
+               RelationKind.SECOND_CONTAINS_FIRST: "flip-left"}
 
     def order_key(u):
         return (len(u), [pres.kappa[x] for x in u])
@@ -273,7 +279,7 @@ def moves(word):
     for res in _successors_all(ids, pres):
         i = next(k for k in range(len(ids)) if res[k : k + 1] != ids[k : k + 1])
         a, b = ids[i], ids[i + 1]
-        kind = "cancel" if a == b else kind_of[pres.rel[a * pres.G + b]]
+        kind = "cancel" if a == b else kind_of[_kinds(word.spec)[a * pres.G + b]]
         out.append((kind, i, Word(word.spec, pres.letters(res)), order_key(res) < order_key(ids)))
     return out
 
@@ -538,7 +544,7 @@ def test_normalize_ignores_what_ran_before():
 
 
 def _spans_square(pres, a, b):
-    return a != b and pres.rel[a * pres.G + b] != 0
+    return a != b and _kinds(pres.spec)[a * pres.G + b] is not RelationKind.NONE
 
 
 @pytest.mark.parametrize("spec", [affine(3), cactus(4), affine(4), cactus(5)])
@@ -622,7 +628,7 @@ def _naive_geodesic(ids, pres):
     at a time, while it spans a square with the letter before it; if it meets
     an equal letter the two cancel, and the scan starts again.
     """
-    G, rel, conj = pres.G, pres.rel, _conj_table(pres.spec)
+    G, kinds, conj = pres.G, _kinds(pres.spec), _conj_table(pres.spec)
     w = list(ids)
     j = 1
     while j < len(w):
@@ -632,12 +638,12 @@ def _naive_geodesic(ids, pres):
             if a == b:
                 del v[k - 1 : k + 1]
                 break
-            r = rel[a * G + b]
-            if r == _REL_DISJOINT:
+            r = kinds[a * G + b]
+            if r is RelationKind.DISJOINT:
                 v[k - 1], v[k] = b, a
-            elif r == _REL_FIRST:
+            elif r is RelationKind.FIRST_CONTAINS_SECOND:
                 v[k - 1], v[k] = conj[a * G + b], a
-            elif r == _REL_SECOND:
+            elif r is RelationKind.SECOND_CONTAINS_FIRST:
                 v[k - 1], v[k] = b, conj[b * G + a]
             else:
                 break
