@@ -18,8 +18,8 @@ per-vertex loops are plain loops: no comprehension in them reads a loop
 local, which would make that local a cell.  A kernel that reads many rows
 slices one list copy of the arrays (CayleyBall.lists), whose slices hold
 ints already made: squares, the trusted BFS rows and the disk kernels of
-the hyperbolic module.  `sphere_sizes` counts a ball's
-spheres over the word problem's descent states and builds no ball.  One
+the hyperbolic module.  `sphere_sizes` reads a ball's spheres off the
+growth series of the link at e and builds no ball and no table.  One
 writer, `_json_text`, writes the ball's JSON, both for `export(b, "json")`
 and for the CLI's `ball` to stdout.  The public API speaks in tuples of
 index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
@@ -30,12 +30,12 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import comb
+from operator import itemgetter, mul
 from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     BudgetExceeded,
-    ClosureViolation,
     Family,
     Generator,
     GroupSpec,
@@ -44,10 +44,11 @@ from .core import (
     PreconditionViolated,
     SpecMismatch,
     VertexNotInBall,
+    _checked_generator_count,
     parse_generator,
     presentation,
 )
-from .rewriting import NormalForm, Word, _up, parse_word
+from .rewriting import NormalForm, Word, parse_word
 
 VertexKey = tuple[tuple[int, int], ...]
 
@@ -353,59 +354,49 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     return CayleyBall(spec, radius, keys, index, depth, adj, off)
 
 
+def _link_faces(spec: GroupSpec, top: int) -> list[int]:
+    """f_0..f_top, f_k the k-cliques of the link at e, laminar families of k
+    intervals.  In a path of L points A_L counts them by size t, B_L those
+    without the whole path: B_L = A_{L-1} + t sum_{2<=K<L} B_K A_{L-K} (K points
+    in the largest interval at the first point), A_L = (1+t) B_L.  J_n's link
+    is A_n, AJ_n's sum_{L<n} L w_L A_{n-L} + n t B_n (w_1 = 1, w_L = t B_L: the
+    largest arc at point 1; n t B_n: a full-circle arc, its seam uncrossed).
+    A polynomial is one int, s bits a coefficient (a count <= G^top), to t^top."""
+    n = spec.degree
+    s = top * spec.generator_count.bit_length() + 1
+    mask = (1 << s * (top + 1)) - 1
+    A, B = [1, 1], [1, 1]  # paths of 0 and 1 points
+    for L in range(2, n + 1):
+        b = A[L - 1] + (sum(map(mul, B[2:L], A[L - 2:0:-1])) << s & mask)
+        B.append(b)
+        A.append(b + (b << s & mask))
+    f = A[n]
+    if spec.family is Family.AFFINE:
+        f = A[n - 1] + (sum(L * B[L] * A[n - L] for L in range(2, n)) + n * B[n] << s & mask)
+    return [f >> s * k & (1 << s) - 1 for k in range(top + 1)]
+
+
 def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> list[int]:
-    """ball(spec, radius, max_vertices).sphere_sizes(), counted over the
-    descent states of the word problem without building the ball.
-
-    A vertex v != e at distance r+1 has exactly |t| parents at distance r,
-    one per letter of its right descent set t, and the state of u*g depends
-    only on u's state s and g (rewriting._up).  So, with c_r[s] the number
-    of vertices at distance r in state s,
-
-        c_{r+1}[t] = (sum_s c_r[s] * #{g not in s : row_s[g] = row_t}) / |t|,
-
-    the counts keyed on the masks, each read off its row's slot G + 1.
-
-    Each division must be exact; one that is not means the tables break the
-    CAT(0) theorem, and raises ClosureViolation.  The last sphere needs only
-    each |t|, which is 1 + #{h in s spanning a square with g} because
-    par[g*G + .] is one-to-one on those h and never gives g: its sums are
-    divided per size, and no state is numbered for it.  Raises
-    BudgetExceeded, with ball()'s message, once the running total passes
-    `max_vertices`.
-    """
+    """ball(spec, radius, max_vertices).sphere_sizes() from the growth series
+    W(x) = 1 / sum_k f_k (-x/(1+x))^k (_link_faces), with no ball and no table:
+    over cubes C and their vertices v, (-x/(1+x))^dim C x^d(e,v) sums to W(x)
+    times that sum per v, and to 1 per farthest vertex v, whose cubes are the
+    subsets of its descent set.  Faces cut at t^m give W to degree m, and all
+    of it at m = n - 1 (no clique has more): (1+x)^m / sum_k f_k (-x)^k
+    (1+x)^(m-k).  m runs 1, 3, 7, ..., so a budget passed near e raises early.
+    Raises BudgetExceeded as ball() does, and for G >= 65,536 as presentation()."""
     _check_ball_args(spec, radius, max_vertices)
-    pres = presentation(spec)
-    G, par, bit, row_of = pres.G, pres.par, pres.bit, pres.state_of
-
-    def exact(count: int, size: int) -> int:
-        q, rem = divmod(count, size)
-        if rem:
-            raise ClosureViolation(f"sphere {len(sizes)} of {spec}: {count} parent edges "
-                                   f"into {size}-letter descent sets do not divide by {size}")
-        return q
-
-    sizes, cur = [1], {0: 1}  # cur: mask -> vertices, or size -> vertices at the last sphere
-    for r in range(1, radius + 1):
-        got: dict[int, int] = {}
-        if r < radius:
-            for m, c in cur.items():
-                s = row_of[m]
-                for g, t in enumerate(s[:G]):
-                    if t or t is None and (t := _up(pres, s, g)):
-                        t = t[G + 1]
-                        got[t] = got.get(t, 0) + c
-            cur = {t: exact(c, t.bit_count()) for t, c in got.items()}
-        else:
-            span = [sum(b for b, h in zip(bit, par[g * G:g * G + G]) if h >= 0) for g in range(G)]
-            for m, c in cur.items():
-                ks = [(m & sp).bit_count() + 1 for b, sp in zip(bit, span) if not m & b]
-                for k in set(ks):
-                    got[k] = got.get(k, 0) + c * ks.count(k)
-            cur = {k: exact(c, k) for k, c in got.items()}
-        sizes.append(sum(cur.values()))
-        if sum(sizes) > max_vertices:
-            raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
+    _checked_generator_count(spec)
+    last = min(radius, spec.degree - 1)
+    sizes, total, m = [], 0, 0
+    while len(sizes) <= radius:
+        m = min(2 * m + 1, last)
+        f = _link_faces(spec, m)
+        p = [sum((-1) ** k * f[k] * comb(m - k, j - k) for k in range(j + 1)) for j in range(m + 1)]
+        for r in range(len(sizes), radius + 1 if m == last else m + 1):
+            sizes.append(comb(m, r) - sum(p[k] * sizes[r - k] for k in range(1, min(r, m) + 1)))
+            if (total := total + sizes[r]) > max_vertices:
+                raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
     return sizes
 
 
@@ -611,6 +602,19 @@ def _field(rec, name: str, kind: type):
     return value
 
 
+def _ball_header(obj) -> tuple[GroupSpec, int]:
+    """The spec and radius of a ball record, by the export schema; no table."""
+    spec_rec = _field(obj, "spec", dict)
+    family = _field(spec_rec, "family", str)
+    if family not in {f.value for f in Family}:
+        raise MalformedInput(f"unknown family {family!r:.80}")
+    spec = GroupSpec(Family(family), _field(spec_rec, "n", int))
+    radius = _field(obj, "radius", int)
+    if radius < 0:
+        raise MalformedInput(f"radius must be >= 0, got {radius}")
+    return spec, radius
+
+
 def import_ball(obj: dict) -> CayleyBall:
     """Rebuild a CayleyBall from the export schema.
 
@@ -621,14 +625,7 @@ def import_ball(obj: dict) -> CayleyBall:
     a missing field, a field of the wrong type, an unknown family, a
     negative radius or a depth outside 0..radius raises MalformedInput.
     """
-    spec_rec = _field(obj, "spec", dict)
-    family = _field(spec_rec, "family", str)
-    if family not in {f.value for f in Family}:
-        raise MalformedInput(f"unknown family {family!r:.80}")
-    spec = GroupSpec(Family(family), _field(spec_rec, "n", int))
-    radius = _field(obj, "radius", int)
-    if radius < 0:
-        raise MalformedInput(f"radius must be >= 0, got {radius}")
+    spec, radius = _ball_header(obj)
     pres = presentation(spec)
     gid_of_text = pres.gid_of_text
     letter = {t: _key([g]) for t, g in gid_of_text.items()}  # one-letter keys

@@ -4,7 +4,7 @@ One executable, eight verbs:
 
 * ``normalize`` / ``equal`` — the word problem, word syntax in and out;
 * ``ball`` / ``growth`` — Cayley-ball construction and JSON/DOT export;
-  sphere counts, counted over descent states without building a ball;
+  sphere counts from the link's face numbers, with no ball and no table;
 * ``verify`` — the mechanical condition checks, optionally on a serialized
   graph (``--input``) instead of a freshly built ball;
 * ``embed`` / ``qi-fit`` / ``delta`` — disk embedding, metric-comparison
@@ -31,7 +31,7 @@ import sys
 from itertools import accumulate
 
 from . import __version__
-from .cayley import CayleyBall, _json_text, ball, export, import_ball, sphere_sizes
+from .cayley import CayleyBall, _ball_header, _json_text, ball, export, import_ball, sphere_sizes
 from .core import (
     BudgetExceeded,
     CactusError,
@@ -248,12 +248,11 @@ def _run_verify(args: argparse.Namespace) -> int:
     else:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
-                b = import_ball(json.load(fh))
-            if b.spec != _spec_of(args):
-                raise UsageError(
-                    f"--family {args.family} --n {args.n} does not match the spec of "
-                    f"{args.input}: {b.spec.family.value}, n = {b.spec.degree}"
-                )
+                obj = json.load(fh)
+            if (spec := _ball_header(obj)[0]) != _spec_of(args):  # before any table is built
+                raise UsageError(f"--family {args.family} --n {args.n} does not match the spec of "
+                                 f"{args.input}: {spec.family.value}, n = {spec.degree}")
+            b = import_ball(obj)
             inv["input"] = args.input
         else:
             budget = 10**6 if args.budget is None else args.budget

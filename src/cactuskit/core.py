@@ -89,8 +89,7 @@ class PreconditionViolated(CactusError, ValueError):
 
 
 class ClosureViolation(CactusError, RuntimeError):
-    """Developing the tessellation around a cycle failed to close up, or a
-    sphere count over descent states did not divide exactly."""
+    """Developing the tessellation around a cycle failed to close up."""
 
 
 class TooSmall(CactusError, ValueError):
@@ -337,15 +336,20 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # --------------------------------------------------------------------------
 
 
+def _checked_generator_count(spec: GroupSpec) -> int:
+    """G, or BudgetExceeded from 65,536 on: a ball packs neighbor_vid << 16 | gid."""
+    if (G := spec.generator_count) >= 1 << 16:
+        raise BudgetExceeded(f"{spec.family.value} n = {spec.degree} has {G} generators; "
+                             "the tables hold fewer than 65536")
+    return G
+
+
 class Presentation:
     """Integer-indexed tables for one group spec, one of them (par) of G^2
     entries.  G >= 65,536 raises BudgetExceeded before any table is made."""
 
     def __init__(self, spec: GroupSpec) -> None:
-        G = spec.generator_count
-        if G >= 1 << 16:  # cayley packs a ball's edge as neighbor_vid << 16 | gid
-            raise BudgetExceeded(f"{spec.family.value} n = {spec.degree} has {G} generators; "
-                                 "the tables hold fewer than 65536")
+        G = _checked_generator_count(spec)
         self.spec = spec
         gens = generators(spec)
         self.gens = gens

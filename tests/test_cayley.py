@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import weakref
 from collections import OrderedDict
 from types import MappingProxyType
@@ -49,6 +50,7 @@ from cactuskit import (
 from cactuskit import cayley
 from cactuskit.cayley import _key, sphere_sizes
 from cactuskit.core import Family, GroupSpec, Presentation, presentation
+from cactuskit.rewriting import _up
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
 
@@ -76,7 +78,7 @@ def test_exact_spheres_past_radius_three():
     """Sphere goldens from counts that share no code with the package:
     perfbench/gen.py's J4_EXACT_SPHERES and J5_EXACT_SPHERES, and the AJ_4
     radius-6 list of ROADMAP item 1, which criterion 4 checks on its ball.
-    The ball and the count over descent states both give them."""
+    The ball and the growth series both give them."""
     j4 = ball(cactus(4), 7)
     assert j4.sphere_sizes() == sphere_sizes(cactus(4), 7) == [1, 6, 20, 55, 145, 380, 995, 2605]
     j5 = ball(cactus(5), 6)
@@ -84,13 +86,125 @@ def test_exact_spheres_past_radius_three():
     assert one_way_entries(j4) == one_way_entries(j5) == 0
 
 
+def _walked_sphere_sizes(pres, radius):
+    """The sphere sizes counted over the word problem's descent states: the
+    audit reference for par and the descent automaton, sharing nothing with
+    the growth series of sphere_sizes.
+
+    A vertex v != e at distance r+1 has exactly |t| parents at distance r,
+    one per letter of its right descent set t, and the state of u*g depends
+    only on u's state s and g (rewriting._up).  So, with c_r[s] the number
+    of vertices at distance r in state s,
+
+        c_{r+1}[t] = (sum_s c_r[s] * #{g not in s : row_s[g] = row_t}) / |t|,
+
+    the counts keyed on the masks, each read off its row's slot G + 1.
+
+    Each division must be exact; one that is not means the tables break the
+    CAT(0) theorem, and raises ClosureViolation.  The last sphere needs only
+    each |t|, which is 1 + #{h in s spanning a square with g} because
+    par[g*G + .] is one-to-one on those h and never gives g: its sums are
+    divided per size, and no state is numbered for it.
+    """
+    G, par, bit, row_of = pres.G, pres.par, pres.bit, pres.state_of
+
+    def exact(count, size):
+        q, rem = divmod(count, size)
+        if rem:
+            raise ClosureViolation(f"sphere {len(sizes)} of {pres.spec}: {count} parent edges "
+                                   f"into {size}-letter descent sets do not divide by {size}")
+        return q
+
+    sizes, cur = [1], {0: 1}  # cur: mask -> vertices, or size -> vertices at the last sphere
+    for r in range(1, radius + 1):
+        got = {}
+        if r < radius:
+            for m, c in cur.items():
+                s = row_of[m]
+                for g, t in enumerate(s[:G]):
+                    if t or t is None and (t := _up(pres, s, g)):
+                        t = t[G + 1]
+                        got[t] = got.get(t, 0) + c
+            cur = {t: exact(c, t.bit_count()) for t, c in got.items()}
+        else:
+            span = [sum(b for b, h in zip(bit, par[g * G:g * G + G]) if h >= 0) for g in range(G)]
+            for m, c in cur.items():
+                ks = [(m & sp).bit_count() + 1 for b, sp in zip(bit, span) if not m & b]
+                for k in set(ks):
+                    got[k] = got.get(k, 0) + c * ks.count(k)
+            cur = {k: exact(c, k) for k, c in got.items()}
+        sizes.append(sum(cur.values()))
+    return sizes
+
+
 def test_counted_spheres_match_the_ball():
-    """sphere_sizes counts what ball() builds, wherever the suite builds a
-    ball past radius 1 (J_4 r7, J_5 r6 and AJ_4 r6 are checked above and in
-    criterion 4)."""
+    """sphere_sizes counts what ball() builds, and what the descent-state walk
+    counts, wherever the suite builds a ball past radius 1 (J_4 r7, J_5 r6 and
+    AJ_4 r6 are checked above and in criterion 4)."""
     for spec, radius in ((affine(3), 7), (affine(5), 4), (cactus(6), 5),
                          (affine(17), 2), (cactus(24), 2)):
-        assert sphere_sizes(spec, radius) == ball(spec, radius).sphere_sizes(), (spec, radius)
+        want = ball(spec, radius).sphere_sizes()
+        assert sphere_sizes(spec, radius) == want, (spec, radius)
+        assert _walked_sphere_sizes(presentation(spec), radius) == want, (spec, radius)
+
+
+def _clique_counts(pres):
+    """The cliques of the link at e by size, enumerated over par >= 0."""
+    G, par = pres.G, pres.par
+    related = [sum(1 << b for b in range(G) if par[a * G + b] >= 0) for a in range(G)]
+    counts = [0] * (pres.spec.degree + 1)
+
+    def grow(size, candidates):
+        counts[size] += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            grow(size + 1, candidates & related[low.bit_length() - 1])
+
+    grow(0, (1 << G) - 1)
+    return counts
+
+
+def test_link_faces_count_the_cliques_of_par():
+    """The interval DP reads only the family and n; its face numbers equal a
+    clique count over the tables, to degree n, where both give 0 (no clique
+    has n letters), and cut at a lower degree they are a prefix."""
+    assert cayley._link_faces(cactus(4), 3) == [1, 6, 10, 5]
+    assert cayley._link_faces(affine(4), 3) == [1, 12, 30, 20]
+    assert cayley._link_faces(affine(3), 2) == [1, 6, 6]
+    for spec in (*map(cactus, range(3, 9)), *map(affine, range(3, 8))):
+        n, want = spec.degree, _clique_counts(presentation(spec))
+        assert want[-1] == 0 and cayley._link_faces(spec, n) == want, spec
+        assert cayley._link_faces(spec, 2) == want[:3], spec
+
+
+def test_spheres_follow_the_closed_forms():
+    """To radius 8 for n = 3..30, the coefficients of (1+x)^(n-1) / D(x), with
+    D = sum_k (-1)^k N(n-1, k+1) x^k (N the Narayana numbers) for J_n and
+    D = sum_k (-1)^k C(n-1, k)^2 x^k for AJ_n."""
+    for n in range(3, 31):
+        m = n - 1
+        narayana = [(-1) ** k * math.comb(m, k + 1) * math.comb(m, k) // m for k in range(m)]
+        for spec, den in ((cactus(n), narayana),
+                          (affine(n), [(-1) ** k * math.comb(m, k) ** 2 for k in range(n)])):
+            want = []
+            for r in range(9):
+                want.append(math.comb(m, r) - sum(den[k] * want[r - k]
+                                                  for k in range(1, min(r, len(den) - 1) + 1)))
+            assert sphere_sizes(spec, 8, max_vertices=10**100) == want, spec
+
+
+def test_sphere_sizes_build_no_tables():
+    """The series reads only the family and n: J_24 r3 (8,108,650 vertices)
+    calls no presentation, and AJ_300 is refused from its generator count,
+    with presentation()'s message, before anything is built."""
+    before = presentation.cache_info()
+    assert sphere_sizes(cactus(24), 3, 10**9) == [1, 276, 50600, 8108650]
+    with pytest.raises(BudgetExceeded) as exc:
+        sphere_sizes(affine(300), 1, 10**9)
+    assert str(exc.value) == ("affine n = 300 has 89700 generators; "
+                              "the tables hold fewer than 65536")
+    assert presentation.cache_info() == before
 
 
 def test_counted_spheres_follow_the_growth_series():
@@ -141,21 +255,22 @@ def test_a_budget_below_sphere_one_builds_no_tables():
     assert sphere_sizes(affine(40), 0, max_vertices=1) == [1]
 
 
-def test_a_doctored_transition_breaks_the_sphere_count(monkeypatch):
+def test_a_doctored_transition_breaks_the_sphere_count():
     """Send the empty word's first letter to a two-letter descent state, on
     a private copy of the tables: sphere 1 then has one parent edge into a
-    state whose vertices need two, and the count refuses to divide."""
+    state whose vertices need two, and the walk refuses to divide.  The
+    series reads no table and is unmoved."""
     pres = Presentation(affine(3))
-    monkeypatch.setattr(cayley, "presentation", lambda spec: pres)
-    assert sphere_sizes(affine(3), 3) == [1, 6, 24, 90]
+    assert _walked_sphere_sizes(pres, 3) == [1, 6, 24, 90]
     pres.root[0] = next(row for mask, row in pres.state_of.items() if mask.bit_count() == 2)
     with pytest.raises(ClosureViolation, match="do not divide by 2"):
-        sphere_sizes(affine(3), 2)
+        _walked_sphere_sizes(pres, 2)
     assert presentation(affine(3)).root[0] is not pres.root[0]
+    assert sphere_sizes(affine(3), 3) == [1, 6, 24, 90]
 
 
 def test_square_images_are_one_to_one():
-    """The last sphere's count reads |t| as 1 + the letters of s that span a
+    """The walk's last sphere reads |t| as 1 + the letters of s that span a
     square with g: that needs par[g*G + .] to be one-to-one on those letters
     and never to give g."""
     for spec in (*map(cactus, range(3, 10)), *map(affine, range(3, 9)), cactus(24), affine(17)):
@@ -167,11 +282,12 @@ def test_square_images_are_one_to_one():
 
 
 def test_sphere_count_numbers_no_state_for_the_last_sphere():
-    """Only inner spheres need numbered states: after sphere_sizes(J_24, 2)
-    the table holds the empty word's row and the 276 one-letter ones."""
+    """Only the walk's inner spheres need numbered states: after walking
+    J_24 to radius 2 the table holds the empty word's row and the 276
+    one-letter ones."""
     pres = presentation(cactus(24))
     pres.reset_states()
-    assert sphere_sizes(cactus(24), 2) == [1, 276, 50600]
+    assert _walked_sphere_sizes(pres, 2) == [1, 276, 50600]
     assert len(pres.state_of) == 277
     rows = pres.state_of.items()
     assert all(row[pres.G + 1] == mask and mask.bit_count() <= 1 for mask, row in rows)

@@ -204,14 +204,16 @@ def test_growth_past_any_ball(capsys):
 
 def test_growth_of_j24_at_radius_3_exceeds_the_default_budget(capsys):
     """8,108,650 vertices: exit 3 with ball()'s message, after counting only."""
-    try:
-        assert run_cli(capsys, "growth", "--family", "cactus", "--n", "24", "--radius", "3") == (
-            3, "", "resource error: ball(GroupSpec(family=<Family.CACTUS: 'cactus'>, "
-            "degree=24), 3) exceeded 1000000 vertices\n")
-    finally:  # drop the 25k rows of G + 2 slots of the inner spheres' states
-        pres = cactuskit.core.presentation(cactus(24))
-        pres.reset_states()
-        assert pres.state_of == {0: pres.root}
+    assert run_cli(capsys, "growth", "--family", "cactus", "--n", "24", "--radius", "3") == (
+        3, "", "resource error: ball(GroupSpec(family=<Family.CACTUS: 'cactus'>, "
+        "degree=24), 3) exceeded 1000000 vertices\n")
+
+
+def test_growth_of_degree_2(capsys):
+    """J_2 is Z/2 and AJ_2 the infinite dihedral group."""
+    for family, want in (("cactus", [1, 1, 0, 0, 0]), ("affine", [1, 2, 2, 2, 2])):
+        code, env, _ = run_json(capsys, "growth", "--family", family, "--n", "2", "--radius", "4")
+        assert (code, env["result"]["sphere_sizes"]) == (0, want), family
 
 
 def test_output_is_deterministic(capsys):
@@ -404,21 +406,31 @@ def test_a_degree_past_the_generator_limit_exits_3(capsys, tmp_path):
 
 
 def test_verify_input_must_match_family_and_n(capsys, tmp_path):
-    """--family/--n name the file's group; a mismatch is a usage error (2)."""
+    """--family/--n name the file's group; a mismatch is a usage error (2),
+    found before the file's tables are built: AJ_60's par alone would hold
+    12.5M entries."""
     f = tmp_path / "b.json"
     code, _, _ = run_cli(capsys, "ball", "--n", "3", "--radius", "2", "--out", str(f))
     assert code == 0
-    for flags in (
-        ("--family", "cactus", "--n", "7"),
-        ("--n", "4"),
-        ("--family", "cactus", "--n", "3"),
+    aj60 = tmp_path / "aj60.json"
+    aj60.write_text(json.dumps({"spec": {"family": "affine", "n": 60}, "radius": 0,
+                                "vertices": [{"word": "e", "depth": 0}], "edges": []}))
+    for check, flags, path in (
+        ("edges", ("--family", "cactus", "--n", "7"), f),
+        ("edges", ("--n", "4"), f),
+        ("edges", ("--family", "cactus", "--n", "3"), f),
+        ("squares", ("--n", "4"), aj60),
     ):
+        misses = cactuskit.core.presentation.cache_info().misses
         code, out, err = run_cli(
-            capsys, "verify", "--check", "edges", *flags, "--input", str(f)
+            capsys, "verify", "--check", check, *flags, "--input", str(path)
         )
         assert code == 2, flags
         assert out == ""
         assert err.startswith("error: ") and "does not match" in err
+        assert cactuskit.core.presentation.cache_info().misses == misses, flags
+    assert err == (f"error: --family affine --n 4 does not match the spec of {aj60}: "
+                   "affine, n = 60\n")
     code, env, _ = run_json(
         capsys, "verify", "--check", "edges", "--n", "3", "--input", str(f)
     )
