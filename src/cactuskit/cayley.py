@@ -102,19 +102,19 @@ class CayleyBall:
 
     # -- key plumbing --------------------------------------------------------
 
-    def _to_ids(self, key) -> tuple[int, ...] | list[int]:
+    def vid(self, key) -> int:
+        """The vid of a vertex key or Word: the one map from keys to vertices."""
         if isinstance(key, Word):
             if key.spec is not self.spec and key.spec != self.spec:
                 raise SpecMismatch(f"{key!r} does not belong to {self.spec}")
-            return key.ids
-        gid = self._pres.gid
-        try:
-            return [gid[pq] for pq in key]
-        except (KeyError, TypeError) as exc:
-            raise InvalidPair(f"bad vertex key {key!r}") from exc
-
-    def vid(self, key) -> int:
-        got = self._index.get(_key(self._to_ids(key)))
+            ids = key.ids
+        else:
+            gid = self._pres.gid
+            try:
+                ids = [gid[pq] for pq in key]
+            except (KeyError, TypeError) as exc:
+                raise InvalidPair(f"bad vertex key {key!r}") from exc
+        got = self._index.get(_key(ids))
         if got is None:
             raise VertexNotInBall(f"{key!r} not in this radius-{self.radius} ball")
         return got
@@ -124,7 +124,9 @@ class CayleyBall:
         return tuple(pairs[ord(c)] for c in self._keys[vid])
 
     def word(self, key) -> NormalForm:
-        return NormalForm._of(self._pres, self._to_ids(key))
+        """The vertex's normal form; VertexNotInBall for a key that names
+        no vertex of the ball, a non-normal spelling included."""
+        return NormalForm._of(self._pres, map(ord, self._keys[self.vid(key)]))
 
     def text(self, vid: int) -> str:
         """The vertex's word in the text syntax, e.g. "1,3;2,3", or "e"."""
@@ -137,9 +139,10 @@ class CayleyBall:
 
     def __contains__(self, key) -> bool:
         try:
-            return _key(self._to_ids(key)) in self._index
-        except InvalidPair:
+            self.vid(key)
+        except (VertexNotInBall, InvalidPair):
             return False
+        return True
 
     def vertices(self) -> Iterator[VertexKey]:
         """Vertex keys in BFS discovery order (depth-monotone, deterministic)."""
@@ -151,10 +154,6 @@ class CayleyBall:
 
     def depth_at(self, vid: int) -> int:
         return self._depth[vid]
-
-    def row(self, vid: int) -> array:
-        """One vertex's packed entries, neighbor_vid << 16 | gid, as stored."""
-        return self._adj[self._off[vid]:self._off[vid + 1]]
 
     def lists(self) -> tuple[list[int], list[int]]:
         """The packed entries and the row offsets, copied into two lists:
@@ -168,8 +167,9 @@ class CayleyBall:
         return len(self._adj) // 2
 
     def adj_entries(self, vid: int):
-        """(neighbor_vid, gid) pairs for one vertex."""
-        for e in self.row(vid):
+        """(neighbor_vid, gid) pairs for one vertex, from its packed
+        entries neighbor_vid << 16 | gid."""
+        for e in self._adj[self._off[vid]:self._off[vid + 1]]:
             yield e >> 16, e & 0xFFFF
 
     def step(self, vid: int, gid: int) -> int:

@@ -326,14 +326,27 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
 # spelling is three characters, and rewriting.parse_word decodes a whole
-# word in two codec calls: its frames "p," and "q;" to the bytes p + 1 and
-# q + 11, then pair_map each such byte pair, read as one UTF-16-LE code
-# unit, to the pair's id + 1.
+# word in two codec calls: _FRAMES takes its frames "p," and "q;" to the
+# bytes p + 1 and q + 11, then pair_map each such byte pair, read as one
+# UTF-16-LE code unit, to the pair's id + 1, and _UNSHIFT takes the one off.
+# Both maps are EncodingMaps (the codecs' own C table), made by _encoding_map.
 #
 # Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
 # intervals first, then smaller start, then smaller end.  A normal form is
 # its element's kappa-shortlex-least word (rewriting).
 # --------------------------------------------------------------------------
+
+
+def _encoding_map(units):
+    """The EncodingMap taking units[i] to the byte i + 1: it needs U+0000 in
+    slot 0 and U+FFFE in the unused slots, hence the offset of one."""
+    return codecs.charmap_build("".join(["\0", *units]).ljust(256, "\ufffe"))
+
+
+# "d," to the byte d + 1 and "d;" to d + 11, each pair as one code unit
+_FRAMES = _encoding_map(chr(ord(d) | ord(end) << 8) for end in ",;" for d in "0123456789")
+# byte b to b - 1: undoes pair_map's offset of one
+_UNSHIFT = bytes([255, *range(255)])
 
 
 def _checked_generator_count(spec: GroupSpec) -> int:
@@ -358,11 +371,10 @@ class Presentation:
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
         self.texts = [g.text() for g in gens]
         self.gid_of_text = {t: i for i, t in enumerate(self.texts)}
-        # An EncodingMap (the codecs' own C table) needs U+0000 in slot 0 and
-        # U+FFFE in the unused slots, hence the offset of one; G <= 72 here.
-        self.pair_map = codecs.charmap_build("".join(
-            ["\0", *(chr(p + 1 | (q + 11) << 8) for p, q in self.pairs)]
-        ).ljust(256, "\ufffe")) if spec.degree <= 9 else None
+        # the frame bytes (p + 1, q + 11) to the byte id + 1; G <= 72 here
+        self.pair_map = _encoding_map(
+            chr(p + 1 | (q + 11) << 8) for p, q in self.pairs
+        ) if spec.degree <= 9 else None
         members = [interval_of(g).members for g in gens]
         self.card = [len(m) for m in members]
         self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]

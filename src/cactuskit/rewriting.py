@@ -51,14 +51,14 @@ the parsed text to the printed one; up to degree 9, where every letter is
 spelled in three characters, parse_word decodes a canonical word in two
 codec calls.
 
-Most cancels are short.  _geodesic and _normal_ids take three of them
-inline: g equal to the last letter b (a pop); g whose hyperplane, carried
-across b to x = par[b*G + g], is crossed by the letter a before it, so that
-a b g reduces to the one letter par[a*G + b]; and x carried on across a to
-the letter c before that, so that c a b g reduces to par[c*G + a] par[x*G + b].
-Only a carry across three letters or more calls _cancel.  Both run on
-buffers with an end index k, so a pop is k -= 1, and the peel writes each
-letter it takes off into the slot it frees, the normal form reversed.
+Most cancels are short, and _geodesic, the one descent loop, takes three
+of them inline: g equal to the last letter b (a pop); g whose hyperplane,
+carried across b to x = par[b*G + g], is crossed by the letter a before it,
+so that a b g reduces to the one letter par[a*G + b]; and x carried on
+across a to the letter c before that, so that c a b g reduces to
+par[c*G + a] par[x*G + b].  Only a carry across three letters or more calls
+_cancel.  The loop runs on buffers with an end index k, so a pop is k -= 1;
+for normalize it goes on to peel the normal form off (_normal_ids).
 
 So equal(u, v) reduces u followed by v reversed (the inverse of v) and asks
 for the empty word, and normalize reduces the inverse of a word and then
@@ -79,7 +79,7 @@ x followed by y reversed is reduced, not the letters of p and q.
 from __future__ import annotations
 
 import random
-from codecs import charmap_build, charmap_encode, utf_16_le_decode
+from codecs import charmap_encode, utf_16_le_decode
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +89,8 @@ from .core import (
     GroupSpec,
     Presentation,
     SpecMismatch,
+    _FRAMES,
+    _UNSHIFT,
     parse_generator,
     presentation,
 )
@@ -173,15 +175,6 @@ def identity(spec: GroupSpec) -> Word:
     return Word(spec, ())
 
 
-# "d," to the byte d + 1 and "d;" to d + 11, each pair read as one UTF-16-LE
-# code unit; slot 0 holds U+0000, as an EncodingMap needs (see Presentation)
-_FRAMES = charmap_build("".join(
-    ["\0", *(chr(ord(d) | ord(end) << 8) for end in ",;" for d in "0123456789")]
-).ljust(256, "\ufffe"))
-# byte b to b - 1: undoes Presentation.pair_map's offset of one
-_UNSHIFT = bytes([255, *range(255)])
-
-
 def parse_word(spec: GroupSpec, text: str) -> Word:
     """Parse the semicolon-separated word syntax, e.g. "1,2;2,3;3,1".
 
@@ -264,8 +257,8 @@ def _cancel(pres: Presentation, w: list[int], states: list[list], g: int, n: int
     """Reduce w[:n] g in place, for a geodesic w[:n] with g in its descent
     set: w[:n - 1] becomes the shorter geodesic, and states[k], the row of
     w[:k], is kept in step for k < n.  The letters put back make a geodesic,
-    so none of their slots holds a cancel.  The callers take carries of one
-    and two letters inline and call this for three or more."""
+    so none of their slots holds a cancel.  _geodesic takes carries of one
+    and two letters inline and calls this for three or more."""
     G, par = pres.G, pres.par
     j, a = n - 1, g
     while w[j] != a:  # carry g's hyperplane left to the letter crossing it
@@ -279,30 +272,50 @@ def _cancel(pres: Presentation, w: list[int], states: list[list], g: int, n: int
         s = states[k] = s[y] or _up(pres, s, y)
 
 
-def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[list]]:
+def _geodesic(pres: Presentation, ids, peel: bool = False) -> tuple[list[int], list[list]]:
     """A shortest word w of the element `ids` spells, with its len(w) + 1
     prefix rows: states[k] is the row of w[:k].
 
     w and states are buffers of the input's length with an end index k:
     appending a letter writes w[k] and states[k + 1], a pop decrements k,
-    and both are cut to k letters (and k + 1 rows) at the end."""
+    and both are cut to k letters (and k + 1 rows) once ids are read.  With
+    peel (_normal_ids only), the loop then feeds itself the kappa-least
+    letter of the last row, states[k][G], until w is empty, and writes each
+    letter it takes off into the slot it frees: w ends as the normal form
+    reversed."""
     G, par = pres.G, pres.par
     w = [0] * len(ids)
     s = pres.root
     states = [s] * (len(ids) + 1)
-    k = 0
-    for g in ids:
-        t = s[g]
-        if t or t is None and (t := _up(pres, s, g)):  # a row: g lengthens w
-            w[k] = g
-            k += 1
-            states[k] = s = t
-            continue
-        b = w[k - 1]
-        if b == g:  # g cancels the last letter
-            k -= 1
-            s = states[k]
-            continue
+    k, letters, peeling = 0, iter(ids), False
+    while True:
+        if peeling:
+            if not k:
+                return w, states
+            g, b = s[G], w[k - 1]
+            if b == g:  # a pop leaves g in the slot it frees
+                k -= 1
+                s = states[k]
+                continue
+        else:
+            for g in letters:
+                t = s[g]
+                if t or t is None and (t := _up(pres, s, g)):  # a row: g lengthens w
+                    w[k] = g
+                    k += 1
+                    states[k] = s = t
+                    continue
+                b = w[k - 1]
+                if b != g:  # a carry, taken below
+                    break
+                k -= 1  # g cancels the last letter
+                s = states[k]
+            else:  # ids are read: w is a geodesic
+                del w[k:], states[k + 1 :]
+                if not peel:
+                    return w, states
+                peeling = True
+                continue
         # g is in the mask but is not the last letter, so the carry across b
         # ends at a letter before it (before a too when it passes a)
         a, x = w[k - 2], par[b * G + g]
@@ -311,64 +324,29 @@ def _geodesic(pres: Presentation, ids) -> tuple[list[int], list[list]]:
             y = w[k - 1] = par[a * G + b]
             s = states[k - 1]
             s = states[k] = s[y] or _up(pres, s, y)
-            continue
-        c = w[k - 3]
-        # carried on across a, it meets c: c a b g = par[c*G + a] par[x*G + b]
-        if par[a * G + x] == c:
+        elif par[a * G + x] == (c := w[k - 3]):
+            # carried on across a, it meets c: c a b g = par[c*G + a] par[x*G + b]
             y = w[k - 3] = par[c * G + a]
             s = states[k - 3]
             s = states[k - 2] = s[y] or _up(pres, s, y)
             y = w[k - 2] = par[x * G + b]
             k -= 1
             s = states[k] = s[y] or _up(pres, s, y)
-            continue
-        _cancel(pres, w, states, g, k)
-        k -= 1
-        s = states[k]
-    del w[k:], states[k + 1 :]
-    return w, states
+        else:
+            _cancel(pres, w, states, g, k)
+            k -= 1
+            s = states[k]
+        w[k] = g  # past the end while reducing; the peel's letter when peeling
 
 
 def _normal_ids(pres: Presentation, ids) -> list[int]:
     """The normal form of the element `ids` spells.
 
     The first letter of the normal form of x is the kappa-least letter of its
-    left descent set, the right descent set of x^-1; take it off and repeat.
-    The peel runs on the geodesic's own buffers with an end index k, taking
-    pops and carries of one and two letters inline, as in _geodesic.  Each
-    step frees the slot w[k - 1] and stores the letter it took off there (a
-    pop finds it there already), so w ends as the normal form reversed.
+    left descent set, the right descent set of x^-1; take it off and repeat:
+    _geodesic's peel on x^-1, reversed.
     """
-    G, par = pres.G, pres.par
-    w, states = _geodesic(pres, ids[::-1])
-    k = len(w)
-    while k:
-        g = states[k][G]
-        b = w[k - 1]
-        if b == g:
-            k -= 1
-            continue
-        a, x = w[k - 2], par[b * G + g]
-        if x == a:
-            k -= 1
-            y = w[k - 1] = par[a * G + b]
-            s = states[k - 1]
-            states[k] = s[y] or _up(pres, s, y)
-            w[k] = g
-            continue
-        c = w[k - 3]
-        if par[a * G + x] == c:
-            y = w[k - 3] = par[c * G + a]
-            s = states[k - 3]
-            s = states[k - 2] = s[y] or _up(pres, s, y)
-            y = w[k - 2] = par[x * G + b]
-            k -= 1
-            states[k] = s[y] or _up(pres, s, y)
-            w[k] = g
-            continue
-        _cancel(pres, w, states, g, k)
-        k -= 1
-        w[k] = g
+    w = _geodesic(pres, ids[::-1], True)[0]
     w.reverse()
     return w
 

@@ -516,6 +516,15 @@ def test_word_accepts_word_objects(aj3_r2):
         aj3_r2.vid(parse_word(affine(4), "1,2"))
 
 
+def test_word_names_only_vertices_of_the_ball(aj3_r2):
+    """word() maps a key through vid(), so a spelling that is not the
+    vertex's normal form, or a key past the radius, raises VertexNotInBall."""
+    assert aj3_r2.word(((1, 3), (2, 3))).text() == "1,3;2,3"
+    for key in (((1, 2), (1, 3)), ((1, 2),) * 3):  # the first spells 1,3;2,3
+        with pytest.raises(VertexNotInBall):
+            aj3_r2.word(key)
+
+
 # ---------------------------------------------------------------------------
 # adjacency
 # ---------------------------------------------------------------------------

@@ -692,6 +692,18 @@ def test_normalize_ids_matches_naive_leftmost_reduction(spec):
         assert len(_geodesic(pres, ids)[0]) == len(nf)
 
 
+def test_normalize_matches_naive_reduction_at_large_g():
+    """The peel at large G normalizes as the plain reducer does: 20 random
+    words of 0 to 24 letters in J_12 (G = 66), 4 of 10 letters in AJ_17
+    (G = 272)."""
+    rng = random.Random(12)
+    for spec, lengths in ((cactus(12), [rng.randrange(25) for _ in range(20)]), (affine(17), [10] * 4)):
+        pres = presentation(spec)
+        for length in lengths:
+            ids = [rng.randrange(pres.G) for _ in range(length)]
+            assert list(normalize(Word._of(pres, ids)).ids) == _naive_normal_form(ids, pres), (spec, ids)
+
+
 def _carry_lengths(pres, ids):
     """How far each cancel of normalize(ids) carries g's hyperplane: 0 for a
     pop, j for a carry across j letters.  Replays the reduction of the
@@ -733,10 +745,10 @@ _CARRY_WORDS = {
 
 @pytest.mark.parametrize("spec", list(_CARRY_WORDS), ids=lambda s: f"{s.family.value}-{s.degree}")
 def test_one_letter_carries_run_inline(spec, monkeypatch):
-    """Carries of at most two letters run inline: _geodesic and _normal_ids
-    take pops and carries of one and two letters without _cancel, and call
-    it for a carry of three letters or more; both words normalize as the
-    plain reducer does."""
+    """Carries of at most two letters run inline: _geodesic, reducing and
+    peeling, takes pops and carries of one and two letters without _cancel,
+    and calls it for a carry of three letters or more; both words normalize
+    as the plain reducer does."""
     pres = presentation(spec)
     short, longer = (parse_word(spec, text) for text in _CARRY_WORDS[spec])
     assert set(_carry_lengths(pres, list(short.ids))) == {0, 1, 2}
