@@ -170,8 +170,8 @@ def embed_ball(b: CayleyBall) -> Embedding:
     adj, off = b.lists()
     for vid in range(n):
         z_v = pos[vid]
-        if z_v is None:  # pragma: no cover - BFS order guarantees placement
-            raise ClosureViolation(f"vertex {vid} reached before any parent placed it")
+        if z_v is None:  # an imported ball need not connect every vertex to e
+            raise ClosureViolation(f"vertex {b.text(vid)!r} reached before any parent placed it")
         zc_v, base_v, o_v = z_v.conjugate(), base[vid], orient[vid]
         turn_v = turn[o_v]
         for e in adj[off[vid]:off[vid + 1]]:
@@ -294,7 +294,9 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
     d(w,y)+d(x,z), d(w,z)+d(x,y), so twice the defect is (largest − middle)
     of them.  Its six distances are read from the rows of the quadruple's
     first three corners, which are core in every stratum; those rows stop at
-    the radius, which bounds each trusted distance (a path through e).
+    the radius, which bounds each trusted distance (a path through e).  A
+    quadruple with a pair whose row reads -1 (an imported ball that does not
+    connect it) is counted but leaves delta alone.
     """
     if budget < 1:
         raise PreconditionViolated(f"budget must be >= 1, got {budget}")
@@ -349,7 +351,7 @@ def four_point_delta(b: CayleyBall, budget: int = 10**7, seed: int = 0) -> FourP
         for z in fourths:
             s1, s2, s3 = dwx + ry[z], dwy + rx[z], dxy + rw[z]
             d2 = 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3
-            if d2 > best2:
+            if d2 > best2 and min(dwx, dwy, dxy, rw[z], rx[z], ry[z]) >= 0:
                 best2 = d2
     return FourPointDelta(
         delta=best2 / 2.0, quadruples=min(total, budget), sampled=total > budget

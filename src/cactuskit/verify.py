@@ -18,7 +18,9 @@ graphs without normal-form assumptions smoothing over the defects.
 Alongside these sit the index-shift correspondences between the affine and
 plain presentations: the maps phi (cyclic to plain, conjugating by a rotation
 that puts the shift index first) and psi (its inverse), plus exhaustive
-verification that they carry interval configurations back and forth.
+verification that they carry interval configurations back and forth.  Both
+claims walk one stream of shifted triples: each configured label triple of
+AJ_n with its shift index and its phi images, worked out once.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class VerificationReport:
     """
 
     check_name: str
-    spec: GroupSpec | None
+    spec: GroupSpec
     params: dict
-    items_checked: int
-    failure_count: int
+    items_checked: int = 0
+    failure_count: int = 0
     failures: list = field(default_factory=list)
     vacuous: bool = False
 
@@ -76,7 +78,7 @@ class VerificationReport:
             self.failures.append(witness)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "check": self.check_name,
             "params": dict(self.params),
             "items_checked": self.items_checked,
@@ -84,10 +86,8 @@ class VerificationReport:
             "failures": list(self.failures),
             "vacuous": self.vacuous,
             "passed": self.passed,
+            "spec": {"family": self.spec.family.value, "n": self.spec.degree},
         }
-        if self.spec is not None:
-            d["spec"] = {"family": self.spec.family.value, "n": self.spec.degree}
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +98,8 @@ class VerificationReport:
 def check_squares_embedded(b: CayleyBall) -> VerificationReport:
     """Every 4-cycle in the ball has four pairwise distinct corners."""
     sqs = squares(b)
-    rep = VerificationReport(
-        "squares-embedded", b.spec, {"radius": b.radius}, len(sqs), 0,
-        vacuous=not sqs,
-    )
+    rep = VerificationReport("squares-embedded", b.spec, {"radius": b.radius}, len(sqs),
+                             vacuous=not sqs)
     for s in sqs:
         if len(set(s.vids)) != 4:
             rep.note_failure({"cycle": [b.text(v) for v in s.vids],
@@ -122,10 +120,8 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
               for c in (s.vids for s in sqs) for k in range(4)
               for a, z in ((c[k - 1], c[(k + 1) % 4]),)]
     items = len(set(wedges))
-    rep = VerificationReport(
-        "no-shared-consecutive-edges", b.spec, {"radius": b.radius},
-        items, 0, vacuous=not sqs,
-    )
+    rep = VerificationReport("no-shared-consecutive-edges", b.spec, {"radius": b.radius}, items,
+                             vacuous=not sqs)
     if items < len(wedges):  # some item is in two squares: list each one's squares
         seen: dict[tuple[int, int, int], list[int]] = {}
         for i, w in enumerate(wedges):
@@ -163,11 +159,8 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
     G, par, card, gens = pres.G, pres.par, pres.card, pres.gens
     triples = _related_triples(b.spec)
     eligible = [v for v in range(len(b)) if b.depth_at(v) <= b.radius - 3]
-    rep = VerificationReport(
-        "cube-spans", b.spec, {"radius": b.radius},
-        len(triples) * len(eligible), 0,
-        vacuous=not triples or not eligible,
-    )
+    rep = VerificationReport("cube-spans", b.spec, {"radius": b.radius},
+                             len(triples) * len(eligible), vacuous=not triples or not eligible)
 
     def two_step(v: int, a: int, c: int) -> int:
         w = b.step(v, a)
@@ -258,10 +251,8 @@ def check_median(b: CayleyBall, test_depth: int) -> VerificationReport:
         d12 = next((d for d, level in enumerate(l1) if s2 in level), -1)
         between[s1, s2] = set().union(*(l1[a] & l2[d12 - a] for a in range(d12 + 1)))
 
-    rep = VerificationReport(
-        "median", b.spec, {"radius": b.radius, "test_depth": t},
-        0, 0, vacuous=not sources,
-    )
+    rep = VerificationReport("median", b.spec, {"radius": b.radius, "test_depth": t},
+                             vacuous=not sources)
     for s1, s2, s3 in combinations_with_replacement(sources, 3):
         rep.items_checked += 1
         medians = between[s1, s2] & between[s1, s3] & between[s2, s3]
@@ -320,22 +311,15 @@ def psi_map(i: int, g: Generator) -> Generator:
 def verify_phi_psi_roundtrip(n: int) -> VerificationReport:
     """psi after phi is the identity: on all index pairs, and on every affine
     generator whose phi image is a valid plain generator."""
-    rep = VerificationReport(
-        "phi-psi-roundtrip", affine(n), {"n": n}, 0, 0
-    )
-    for i in range(1, n + 1):
-        for g in generators(affine(n)):
-            rep.items_checked += 1
-            back = psi_pair(i, phi_pair(i, (g.p, g.q), n), n)
-            if back != (g.p, g.q):
-                rep.note_failure({"i": i, "pair": [g.p, g.q], "round_trip": list(back)})
-                continue
-            p1, q1 = phi_pair(i, (g.p, g.q), n)
-            if p1 < q1:
-                img = psi_map(i, phi_map(i, g))
-                if img != g:
-                    rep.note_failure({"i": i, "pair": [g.p, g.q],
-                                      "generator_round_trip": img.text()})
+    rep = VerificationReport("phi-psi-roundtrip", affine(n), {"n": n})
+    for i, g in product(range(1, n + 1), generators(affine(n))):
+        rep.items_checked += 1
+        p1, q1 = phi_pair(i, (g.p, g.q), n)
+        back = psi_pair(i, (p1, q1), n)
+        if back != (g.p, g.q):
+            rep.note_failure({"i": i, "pair": [g.p, g.q], "round_trip": list(back)})
+        elif p1 < q1 and (img := psi_map(i, phi_map(i, g))) != g:
+            rep.note_failure({"i": i, "pair": [g.p, g.q], "generator_round_trip": img.text()})
     return rep
 
 
@@ -369,8 +353,12 @@ _TRIPLE_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def _configured_triples(n: int):
-    """(name, constraints, label pairs) for each ordered triple of distinct
-    generators of AJ_n realizing a configuration of _CONFIGS."""
+    """(name, constraints, label pairs, shift index i, phi_i images) for each
+    ordered triple of distinct generators of AJ_n realizing a configuration of
+    _CONFIGS; i is the first label's start.  Checks n >= 3 at the call, before
+    any table is built, and then walks the triples lazily."""
+    if n < 3:
+        raise PreconditionViolated("configurations need n >= 3")
     pres = presentation(affine(n))
     G, par, gens, pairs = pres.G, pres.par, pres.gens, pres.pairs
     # each related pair's kind by classify (par >= 0), tabulated for this call only
@@ -384,14 +372,24 @@ def _configured_triples(n: int):
             if all(have[ij] is r for ij, r in constraints):
                 by_kinds.setdefault(kinds, []).append((name, constraints))
     leads = {kinds[0] for kinds in by_kinds}  # the r12 kinds that some configuration allows
-    for a, b in permutations(range(G), 2):
-        r12 = kind[a * G + b]
-        if r12 not in leads:
-            continue
-        for c in range(G):
-            if c != a and c != b:
-                for name, constraints in by_kinds.get((r12, kind[a * G + c], kind[b * G + c]), ()):
-                    yield name, constraints, (pairs[a], pairs[b], pairs[c])
+
+    def walk():
+        for a, b in permutations(range(G), 2):
+            r12, i = kind[a * G + b], pairs[a][0]
+            if r12 not in leads:
+                continue
+            for c in range(G):
+                if c != a and c != b:
+                    for name, constraints in by_kinds.get(
+                            (r12, kind[a * G + c], kind[b * G + c]), ()):
+                        labels = pairs[a], pairs[b], pairs[c]
+                        yield name, constraints, labels, i, [phi_pair(i, pq, n) for pq in labels]
+    return walk()
+
+
+def _witness(name: str, labels, i: int, **details) -> dict:
+    """A claim failure's witness: the configured triple and its shift, then details."""
+    return {"configuration": name, "tuple": [list(pq) for pq in labels], "shift": i, **details}
 
 
 def verify_claim_phi(n: int) -> VerificationReport:
@@ -402,23 +400,15 @@ def verify_claim_phi(n: int) -> VerificationReport:
     of the four configurations; for each, asserts that the shifted index
     pairs are valid plain intervals in the stated relations.
     """
-    if n < 3:
-        raise PreconditionViolated("configurations need n >= 3")
-    rep = VerificationReport("claim-phi", affine(n), {"n": n}, 0, 0)
-    for name, constraints, labels in _configured_triples(n):
+    triples = _configured_triples(n)
+    rep = VerificationReport("claim-phi", affine(n), {"n": n})
+    for name, constraints, labels, i, images in triples:
         rep.items_checked += 1
-        i = labels[0][0]
-        images = [phi_pair(i, pq, n) for pq in labels]
 
         def expect(cond: bool, what: str) -> None:
             if not cond:
-                rep.note_failure({
-                    "configuration": name,
-                    "tuple": [list(pq) for pq in labels],
-                    "shift": i,
-                    "images": [list(t) for t in images],
-                    "violated": what,
-                })
+                rep.note_failure(_witness(name, labels, i, images=[list(t) for t in images],
+                                          violated=what))
 
         expect(images[0][0] == 1, "shifted outer interval starts at 1")
         expect(all(p < q for p, q in images), "images are increasing pairs")
@@ -438,32 +428,20 @@ def verify_claim_psi(n: int) -> VerificationReport:
     is additionally checked against its closed-form shift values; the count
     of those instances is reported in params.
     """
-    if n < 3:
-        raise PreconditionViolated("configurations need n >= 3")
-    rep = VerificationReport(
-        "claim-psi", affine(n), {"n": n, "wrapped_ordering_instances": 0}, 0, 0
-    )
-    for name, constraints, labels in _configured_triples(n):
+    triples = _configured_triples(n)
+    rep = VerificationReport("claim-psi", affine(n), {"n": n, "wrapped_ordering_instances": 0})
+    for name, constraints, labels, i, images in triples:
         rep.items_checked += 1
-        i = labels[0][0]
-        images = [phi_pair(i, pq, n) for pq in labels]
         back = tuple(psi_pair(i, t, n) for t in images)
         if back != labels:
-            rep.note_failure({
-                "configuration": name,
-                "tuple": [list(pq) for pq in labels],
-                "shift": i,
-                "returned": [list(t) for t in back],
-            })
+            rep.note_failure(_witness(name, labels, i, returned=[list(t) for t in back]))
             continue
         # the ordering where both arcs wrap: k < l < j < i with
         # [i,j] containing [k,l]; every shifted index gains n before reduction
-        j = labels[0][1]
-        k, l = labels[1]
+        (_, j), (k, l), _ = labels
         if ((1, 2), _CONTAINS) in constraints and k < l < j < i:
             rep.params["wrapped_ordering_instances"] += 1
-            ip, jp = images[0]
-            kp, lp = images[1]
+            (ip, jp), (kp, lp), _ = images
             ok = (
                 ip == 1
                 and jp == j - i + n + 1
@@ -476,12 +454,8 @@ def verify_claim_psi(n: int) -> VerificationReport:
                 and _wrap(lp + i - 1, n) == l
             )
             if not ok:
-                rep.note_failure({
-                    "configuration": name,
-                    "tuple": [list(pq) for pq in labels],
-                    "shift": i,
-                    "violated": "closed-form values of the doubly-wrapped ordering",
-                })
+                rep.note_failure(_witness(
+                    name, labels, i, violated="closed-form values of the doubly-wrapped ordering"))
     return rep
 
 
@@ -499,10 +473,8 @@ def check_square_normal_forms(b: CayleyBall) -> VerificationReport:
     index (for equal lengths this is exactly smaller-start-first).
     """
     spec = b.spec
-    rep = VerificationReport(
-        "square-normal-forms", spec, {"radius": b.radius}, 0, 0,
-        vacuous=b.radius < 2,
-    )
+    rep = VerificationReport("square-normal-forms", spec, {"radius": b.radius},
+                             vacuous=b.radius < 2)
     if b.radius < 2:
         return rep
     pres = presentation(spec)

@@ -174,6 +174,13 @@ def missing_cube_corner_graph() -> dict:
     }
 
 
+def cut_vertex_graph() -> dict:
+    """A degree-3 radius-3 ball without any edge at 2,1: the vertex 2,1 and
+    the pairs through it are cut off, so their breadth-first rows read -1."""
+    obj = export_obj(ball(affine(3), 3))
+    return dict(obj, edges=[r for r in obj["edges"] if "2,1" not in (r["from"], r["to"])])
+
+
 def missing_spoke_graph() -> dict:
     """A degree-4 radius-3 ball without the edge e -- 1,2: every cube at the
     identity with the label 1,2 loses an adjacent corner."""

@@ -652,6 +652,40 @@ def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
     _assert_pinned(capsys, tmp_path, _PINNED)
 
 
+# sha256 of verify reports, as written when each claim worked out its own
+# shift index and phi images and each check passed its report's zero counts
+_PINNED_REPORTS = (
+    (("verify", "--check", "claim-phi", "--n", "6"),
+     "4d451030ed7fbcd92cff194dabb2ab189eebeedf0da7629f3c4eaca676638c94", {}),
+    (("verify", "--check", "claim-psi", "--n", "6"),
+     "8e4fa92b8f21ecf4d89d275468ceab1cebc71dcc5549ed701cb4af4345ef1b19", {}),
+    (("verify", "--check", "cubes", "--family", "cactus", "--n", "5", "--radius", "4"),
+     "40405a31cee31245b8128a89c30325caf10d33073fab6fc2e04e250575a37695", {}),
+    (("verify", "--check", "median", "--n", "4", "--radius", "3", "--depth", "1"),
+     "2f1ff2d993f2a8f8cdd1db183890c04b2b1b70497f2400ffeb54e2b8744afe8b", {}),
+    (("verify", "--check", "square-normal-forms", "--n", "4", "--radius", "2"),
+     "1a0b8310c5e11aafbbc7fe62697bd30da048e896157ab2c9b802d5d40ac3c21b", {}),
+)
+# the same for the claims' failing reports at n = 5 with the shift map moved
+# one index too far, as in test_verify's negative control: (map, check, sha)
+_PINNED_FAILING_CLAIMS = (
+    ("phi_pair", "claim-phi", "b30793516df897bbb9f21d23ad6e931de7ceaf422ef1a7592e47c33c55278141"),
+    ("psi_pair", "claim-psi", "e7f9758087aac5f8d7a272bff1f5f303bc347d907384d16d32d2c7fb118c0d2b"),
+)
+
+
+def test_verify_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_pinned(capsys, tmp_path, _PINNED_REPORTS)
+    for name, check, stdout_sha in _PINNED_FAILING_CLAIMS:
+        shift = getattr(cactuskit.verify, name)
+        with monkeypatch.context() as m:
+            m.setattr(cactuskit.verify, name, lambda i, pair, n: shift(i + 1, pair, n))
+            code, out, err = run_cli(capsys, "verify", "--check", check, "--n", "5")
+        assert (code, err) == (1, ""), check
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, check
+
+
 # the same, one radius or more past the ops above, as written before ball()
 # ranked each sphere as ints and qi_fit took atanh only of each distance's
 # extreme ratios: more spheres and more pairs for a speed-up to get wrong

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 
 from graphs import (
+    cut_vertex_graph,
     doubled_edge_graph,
     many_medians_graph,
     missing_cube_corner_graph,
@@ -137,6 +138,13 @@ def test_embedding_rejects_a_relabelled_edge():
     rec["generator"] = "3,1"
     with pytest.raises(ClosureViolation, match=r"^vertex '1,2;2,1;3,1' placed 2\.292e\+00 apart"):
         embed_ball(import_ball(obj))
+
+
+def test_embedding_names_an_unreachable_vertex_by_its_word():
+    """An imported ball need not connect every vertex to e: with every edge
+    at 2,1 dropped, no parent places 2,1, and the error names its word."""
+    with pytest.raises(ClosureViolation, match=r"^vertex '2,1' reached before any parent"):
+        embed_ball(import_ball(cut_vertex_graph()))
 
 
 def test_first_ring_geometry():
@@ -350,7 +358,8 @@ def test_four_point_delta_sampled(aj3_r3):
 
 def _reference_delta(b, budget=10**7, seed=0):
     """Max over every basepoint of the Gromov-product defect, over full BFS
-    rows, with the quadruple space and the draws of four_point_delta."""
+    rows, with the quadruple space and the draws of four_point_delta.  A
+    quadruple with a pair the ball does not connect is counted at defect 0."""
     depth = [b.depth_at(v) for v in range(len(b))]
     core = [v for v, d in enumerate(depth) if d <= b.radius // 2]
     rows = {v: b.distances_from(v) for v in core}
@@ -365,6 +374,8 @@ def _reference_delta(b, budget=10**7, seed=0):
         return sorted((a2, b2, c2))[1] - min(a2, b2, c2)
 
     def quad_defect2(q):
+        if min(dist(u, v) for u, v in combinations(q, 2)) < 0:
+            return 0
         w, x, y, z = q
         return max(defect2(w, x, y, z), defect2(x, w, y, z),
                    defect2(y, w, x, z), defect2(z, w, x, y))
@@ -400,7 +411,8 @@ def _reference_delta(b, budget=10**7, seed=0):
 
 
 def test_four_point_delta_matches_per_basepoint_reference(aj3_r3, aj3_r4, aj4_r3):
-    for b in (aj3_r3, aj3_r4, ball(cactus(4), 4), aj4_r3):
+    """Also on an imported ball with a vertex cut off, whose rows read -1."""
+    for b in (aj3_r3, aj3_r4, ball(cactus(4), 4), aj4_r3, import_ball(cut_vertex_graph())):
         full = four_point_delta(b)
         assert not full.sampled and full == _reference_delta(b)
         for budget, seed in ((100, 1), (1000, 7)):

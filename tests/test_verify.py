@@ -1,5 +1,6 @@
 """Mechanical structure checks, their reports, and the index-shift maps."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -357,6 +358,26 @@ def test_roundtrip_reports():
         assert rep.items_checked == n * n * (n - 1)
 
 
+def _claim_counts_from_arcs(n):
+    """(configured triples, doubly-wrapped ones) of AJ_n from the arcs' member
+    lists alone: an arc contains a shorter one whose members run forward
+    inside its own, and two arcs are disjoint when they share no member.  A
+    triple counts once for each configuration it realizes."""
+    arcs = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1) if p != q]
+    members = [[(p - 1 + t) % n + 1 for t in range((q - p) % n + 1)] for p, q in arcs]
+    inside = [[len(ma) > len(mb) and any(ma[s:s + len(mb)] == mb for s in range(len(ma)))
+               for mb in members] for ma in members]
+    apart = [[not set(ma) & set(mb) for mb in members] for ma in members]
+    items = wrapped = 0
+    for a, b, c in permutations(range(len(arcs)), 3):
+        # chain, nested-plus-disjoint and common-outer: label 1 contains label 2
+        nested = inside[a][b] * (inside[b][c] + apart[a][c] + (inside[a][c] and apart[b][c]))
+        items += nested + (apart[a][b] and apart[a][c] and apart[b][c])  # pairwise-disjoint
+        (i, j), (k, l) = arcs[a], arcs[b]
+        wrapped += nested * (k < l < j < i)
+    return items, wrapped
+
+
 def test_claim_reports():
     want_items = {3: 0, 4: 24, 5: 170, 6: 696}
     want_wrapped = {3: 0, 4: 0, 5: 5, 6: 36}
@@ -368,6 +389,8 @@ def test_claim_reports():
         assert psi.passed
         assert psi.items_checked == items
         assert psi.params["wrapped_ordering_instances"] == want_wrapped[n]
+        # the same counts, with no classify, par or triple walk of verify
+        assert _claim_counts_from_arcs(n) == (items, want_wrapped[n])
 
 
 def test_claim_preconditions():
