@@ -173,9 +173,10 @@ class CayleyBall:
             yield e >> 16, e & 0xFFFF
 
     def step(self, vid: int, gid: int) -> int:
-        """Follow the edge labeled gid out of vid; -1 if absent in the ball."""
+        """Follow the edge labeled gid out of vid; -1 if absent in the ball
+        or if vid is -1, so walks chain: step(step(v, a), c)."""
         adj = self._adj
-        for k in range(self._off[vid], self._off[vid + 1]):
+        for k in range(self._off[vid], self._off[vid + 1]) if vid >= 0 else ():
             e = adj[k]
             if e & 0xFFFF == gid:
                 return e >> 16
@@ -255,7 +256,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     since the complex is CAT(0) (Sageev 1995, Niblo-Reeves 1998).  So when
     u expands along a letter g its row leaves empty, v = u*g is new and each
     other parent v*h is u*a*b, two filled edges away, for a down letter a of
-    u with h = par[g*G + a], b = par[a*G + g].  All of v's down-edges are
+    u with h = par[g][a], b = par[a][g].  All of v's down-edges are
     written then, and v's key is the kappa-least parent's key plus its
     letter (normal forms are prefix-closed): no word is normalized.  The
     kappa-least parent is the least-ranked, each inner sphere being ranked
@@ -267,7 +268,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     edges join consecutive spheres).  Raises BudgetExceeded past
     `max_vertices`.
 
-    The loop over u keeps one triple (a, a*G, row of u*a) per down letter
+    The loop over u keeps one triple (a, par[a], row of u*a) per down letter
     a, lists each new v's parents in a plain loop that also picks the
     kappa-least one, and appends a radius vertex's sorted row entry by
     entry: no comprehension reads a loop local.
@@ -275,7 +276,7 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     _check_ball_args(spec, radius, max_vertices)
     pres = presentation(spec)
     G, par = pres.G, pres.par
-    kappa = [b.bit_length() - 1 for b in pres.bit]  # id -> kappa rank
+    kappa = pres.rank  # id -> kappa rank
     empty_row = array("q", [-1]) * G
 
     keys: list[str] = [""]
@@ -294,22 +295,22 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
         for u in range(lo, hi):
             row, low = u * G, u << 16
             slots = adj[row:row + G]  # expanding u writes no other slot of its row
-            down = []  # per down letter a: (a, a*G, the row of u*a)
+            down = []  # per down letter a: (a, par[a], the row of u*a)
             for a, e in enumerate(slots):
                 if 0 <= e < low:
-                    down.append((a, a * G, (e >> 16) * G))
+                    down.append((a, par[a], (e >> 16) * G))
             ru = rank[u - lo]
             for g, e in enumerate(slots):
                 if e >= 0:
                     continue  # a down-edge, or one an earlier parent of u*g filled
                 # v = u*g is new; each other parent v*h is u*a*b (see above)
-                gG, v = g * G, len(keys)
+                pg, v = par[g], len(keys)
                 parents = []
                 r, c, w = ru, g, u  # the kappa-least parent w, with v = w*c
-                for a, aG, ua in down:
-                    h = par[gG + a]
+                for a, pa, ua in down:
+                    h = pg[a]
                     if h >= 0:
-                        pw = adj[ua + par[aG + g]] >> 16
+                        pw = adj[ua + pa[g]] >> 16
                         parents.append((h, pw))
                         if rank[pw - lo] < r:
                             r, c, w = rank[pw - lo], h, pw

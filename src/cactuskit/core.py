@@ -320,9 +320,10 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # Everything downstream (normalization, ball construction, verification)
 # starts from pair lookups, so we flatten the generator set to integer ids and
 # tabulate, per ordered pair, the label each letter takes across the square
-# the pair spans (par), the one O(G^2) table: a pair is related iff its entry
-# is >= 0.  The word problem (rewriting) and the ball builder (cayley) run on
-# par; the word problem also keeps one row per descent state it meets.
+# the pair spans (par, G rows of G), the one O(G^2) table: par[a][b] >= 0 iff
+# a and b are related.  Every table is indexed by generator id.  The word
+# problem (rewriting) and the ball builder (cayley) run on par; the word
+# problem also keeps one row per descent state it meets.
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
 # spelling is three characters, and rewriting.parse_word decodes a whole
@@ -331,9 +332,10 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # UTF-16-LE code unit, to the pair's id + 1, and _UNSHIFT takes the one off.
 # Both maps are EncodingMaps (the codecs' own C table), made by _encoding_map.
 #
-# Priority rank of a generator: kappa(g) = (-|interval|, p, q) -- longer
-# intervals first, then smaller start, then smaller end.  A normal form is
-# its element's kappa-shortlex-least word (rewriting).
+# Priority of a generator: kappa(g) = (-|interval|, p, q) -- longer
+# intervals first, then smaller start, then smaller end; rank[g] is g's
+# place in that order.  A normal form is its element's kappa-shortlex-least
+# word (rewriting).
 # --------------------------------------------------------------------------
 
 
@@ -363,10 +365,8 @@ class Presentation:
 
     def __init__(self, spec: GroupSpec) -> None:
         G = _checked_generator_count(spec)
-        self.spec = spec
-        gens = generators(spec)
-        self.gens = gens
-        self.G = G
+        self.spec, self.G = spec, G
+        gens = self.gens = generators(spec)
         self.pairs = tuple((g.p, g.q) for g in gens)
         self.gid = {pq: i for i, pq in enumerate(self.pairs)}
         self.texts = [g.text() for g in gens]
@@ -377,31 +377,28 @@ class Presentation:
         ) if spec.degree <= 9 else None
         members = [interval_of(g).members for g in gens]
         self.card = [len(m) for m in members]
-        self.kappa = [(-self.card[i], g.p, g.q) for i, g in enumerate(gens)]
+        # kappa rank of each id: the kappa order, then its inverse permutation
+        by_kappa = sorted(range(G), key=lambda i: (-self.card[i], *self.pairs[i]))
+        self.rank = sorted(range(G), key=by_kappa.__getitem__)
 
         # The table classify and conjugate_nested give, made from ints: an
         # interval as a bitmask of its members, containment by _arc_contains,
         # and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b).
-        # par[a*G + b] is the label b takes across the square it spans with a:
+        # par[a][b] is the label b takes across the square it spans with a:
         # that mirror when a contains b, b itself when they are disjoint or b
-        # contains a, -1 when they span none; (a, b) = (par[a*G + b], par[b*G + a]).
+        # contains a, -1 when they span none; (a, b) = (par[a][b], par[b][a]).
         n, card, gid = spec.degree, self.card, self.gid
         mask = [sum(1 << r for r in m) for m in members]
-        par = [-1] * (G * G)
+        self.par = par = []
         for a, (pa, qa) in enumerate(self.pairs):
-            ma, ca, row = mask[a], card[a], a * G
+            ma, ca, row = mask[a], card[a], [-1] * G
             for b, (pb, qb) in enumerate(self.pairs):
                 if not ma & mask[b] or card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
-                    par[row + b] = b
+                    row[b] = b
                 elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
-                    par[row + b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
-        self.par = par
+                    row[b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
+            par.append(row)
 
-        # Descent tables.  A set of letters is an int mask with bit
-        # bit[g] = 1 << (kappa rank of g), so its kappa-least letter is
-        # by_rank[lowest set bit].
-        self.by_rank = sorted(range(G), key=self.kappa.__getitem__)
-        self.bit = [1 << self.by_rank.index(g) for g in range(G)]
         self._numbering = threading.Lock()
         self.state_of: dict[int, list] = {}
         self.reset_states()
@@ -415,11 +412,12 @@ class Presentation:
         the right descent masks of geodesics, one row per mask, each a list of
         G + 2 slots: row[g] is the row after appending g, () when g is in the
         mask (g cancels), or None until rewriting._up fills it; row[G] is the
-        mask's kappa-least letter (-1 at the root) and row[G + 1] the mask.
-        state_of maps each mask to its row, and no step leads back to the
-        root.  Every mask is a clique of the link at e, so there are at most
-        cliques + 1 rows (the empty mask is the root's).  Not to be called
-        while another thread uses the presentation.
+        mask's kappa-least letter (-1 at the root) and row[G + 1] the mask, a
+        set of generator ids (bit g is letter g).  state_of maps each mask to
+        its row, and no step leads back to the root.  Every mask is a clique
+        of the link at e, so there are at most cliques + 1 rows (the empty
+        mask is the root's).  Not to be called while another thread uses the
+        presentation.
 
         Rows step to one another in cycles, so each dropped row is cleared
         first: the rows are freed when state_of lets them go, without the
@@ -448,8 +446,13 @@ class Presentation:
             with self._numbering:
                 row = self.state_of.get(mask)
                 if row is None:
-                    least = self.by_rank[(mask & -mask).bit_length() - 1] if mask else -1
-                    row = [() if mask & b else None for b in self.bit] + [least, mask]
+                    ids, m = [], mask
+                    while m:  # the mask's letters, lowest bit first, one pass per letter
+                        ids.append((m & -m).bit_length() - 1)
+                        m &= m - 1
+                    row = [None] * self.G + [min(ids, key=self.rank.__getitem__, default=-1), mask]
+                    for g in ids:  # each cancels
+                        row[g] = ()
                     self.state_of[mask] = row
         return row
 

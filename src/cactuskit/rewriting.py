@@ -28,13 +28,13 @@ of cube complexes and the complexity of their fundamental groups, 1998):
 
 A hyperplane's edges are the ones the squares carry into each other: in
 (a, b) = (b', a') the edge labelled b is carried to the one labelled b' =
-Presentation.par[a*G + b].  The right descent set of a geodesic w, the
-letters g with |w g| < |w|, is the set of labels of its hyperplanes that can
-be carried to its end; they span a cube there, so they form a clique of the
-link at e, kept as an int mask.  Appending a letter g (_geodesic):
+Presentation.par[a][b].  The right descent set of a geodesic w, the letters
+g with |w g| < |w|, is the set of labels of its hyperplanes that can be
+carried to its end; they span a cube there, so they form a clique of the
+link at e, kept as an int mask, bit g for letter g.  Appending g (_geodesic):
 
 * g not in the mask: w g is a geodesic, and its mask is g plus the image
-  par[g*G + h] of every h in the mask that spans a square with g (_up);
+  par[g][h] of every h in the mask that spans a square with g (_up);
 * g in the mask (_cancel): carry g's hyperplane left, letter by letter, to
   the letter that crosses it, delete that letter, and carry the letters it
   passed across the hyperplane.  The word gets shorter, so reduction ends.
@@ -53,10 +53,10 @@ codec calls.
 
 Most cancels are short, and _geodesic, the one descent loop, takes three
 of them inline: g equal to the last letter b (a pop); g whose hyperplane,
-carried across b to x = par[b*G + g], is crossed by the letter a before it,
-so that a b g reduces to the one letter par[a*G + b]; and x carried on
+carried across b to x = par[b][g], is crossed by the letter a before it,
+so that a b g reduces to the one letter par[a][b]; and x carried on
 across a to the letter c before that, so that c a b g reduces to
-par[c*G + a] par[x*G + b].  Only a carry across three letters or more calls
+par[c][a] par[x][b].  Only a carry across three letters or more calls
 _cancel.  The loop runs on buffers with an end index k, so a pop is k -= 1;
 for normalize it goes on to peel the normal form off (_normal_ids).
 
@@ -225,29 +225,30 @@ def _successors_all(ids: tuple[int, ...], pres: Presentation):
     """Every length-2 relation move at every position, in both directions.
 
     The free cancellation of an equal pair, or the defining square
-    (a, b) = (par[a*G + b], par[b*G + a]) of a pair that spans one (a
+    (a, b) = (par[a][b], par[b][a]) of a pair that spans one (a
     commuting swap or a nested flip): the one list of the presentation's
     moves, which generates oracle_closure's length-capped classes.
     """
-    G, par = pres.G, pres.par
+    par = pres.par
     for i in range(len(ids) - 1):
         a, b = ids[i], ids[i + 1]
         if a == b:
             yield ids[:i] + ids[i + 2 :]
-        elif par[a * G + b] >= 0:
-            yield ids[:i] + (par[a * G + b], par[b * G + a]) + ids[i + 2 :]
+        elif par[a][b] >= 0:
+            yield ids[:i] + (par[a][b], par[b][a]) + ids[i + 2 :]
 
 
 def _up(pres: Presentation, s: list, g: int) -> list:
-    """The row of w g, for a geodesic w in row s that g does not shorten.
+    """The row of w g, for a geodesic w in row s that g does not shorten: its
+    mask, a set of generator ids, is g and each par[g][h] >= 0 of s's mask.
     Callers read s[g] first; this fills it when it is None."""
-    G, by_rank, bit, par = pres.G, pres.by_rank, pres.bit, pres.par
-    got, row, m = bit[g], g * G, s[G + 1]
+    row = pres.par[g]
+    got, m = 1 << g, s[pres.G + 1]
     while m:
         low = m & -m
-        h = par[row + by_rank[low.bit_length() - 1]]
+        h = row[low.bit_length() - 1]
         if h >= 0:
-            got |= bit[h]
+            got |= 1 << h
         m ^= low
     t = s[g] = pres.state(got)
     return t
@@ -259,16 +260,16 @@ def _cancel(pres: Presentation, w: list[int], states: list[list], g: int, n: int
     w[:k], is kept in step for k < n.  The letters put back make a geodesic,
     so none of their slots holds a cancel.  _geodesic takes carries of one
     and two letters inline and calls this for three or more."""
-    G, par = pres.G, pres.par
+    par = pres.par
     j, a = n - 1, g
     while w[j] != a:  # carry g's hyperplane left to the letter crossing it
-        a = par[w[j] * G + a]
+        a = par[w[j]][a]
         j -= 1
     s = states[j]
     for k in range(j + 1, n):  # and the letters it passed back across it, one place left
         x = w[k]
-        y = w[k - 1] = par[a * G + x]
-        a = par[x * G + a]
+        y = w[k - 1] = par[a][x]
+        a = par[x][a]
         s = states[k] = s[y] or _up(pres, s, y)
 
 
@@ -318,18 +319,18 @@ def _geodesic(pres: Presentation, ids, peel: bool = False) -> tuple[list[int], l
                 continue
         # g is in the mask but is not the last letter, so the carry across b
         # ends at a letter before it (before a too when it passes a)
-        a, x = w[k - 2], par[b * G + g]
-        if x == a:  # carried across b, g's hyperplane meets a: a b g = par[a*G + b]
+        a, x = w[k - 2], par[b][g]
+        if x == a:  # carried across b, g's hyperplane meets a: a b g = par[a][b]
             k -= 1
-            y = w[k - 1] = par[a * G + b]
+            y = w[k - 1] = par[a][b]
             s = states[k - 1]
             s = states[k] = s[y] or _up(pres, s, y)
-        elif par[a * G + x] == (c := w[k - 3]):
-            # carried on across a, it meets c: c a b g = par[c*G + a] par[x*G + b]
-            y = w[k - 3] = par[c * G + a]
+        elif par[a][x] == (c := w[k - 3]):
+            # carried on across a, it meets c: c a b g = par[c][a] par[x][b]
+            y = w[k - 3] = par[c][a]
             s = states[k - 3]
             s = states[k - 2] = s[y] or _up(pres, s, y)
-            y = w[k - 2] = par[x * G + b]
+            y = w[k - 2] = par[x][b]
             k -= 1
             s = states[k] = s[y] or _up(pres, s, y)
         else:

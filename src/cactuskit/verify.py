@@ -11,9 +11,11 @@ consists of:
   3-cube (the eighth corner and all 12 edges exist);
 * every vertex triple has a unique median.
 
-All checks treat the ball as a labeled graph, navigating purely along stored
-edges, so they work unchanged on imported (possibly deliberately broken)
-graphs without normal-form assumptions smoothing over the defects.
+Every check walks only the ball's stored edges, so it works unchanged on
+imported (possibly deliberately broken) graphs.  The square, edge and median
+checks read nothing else; the cube check also reads which labels span squares
+(par), and square-normal-forms the group's normal forms: each product of two
+related generators normalizes to the expected word, found where its walk ends.
 
 Alongside these sit the index-shift correspondences between the affine and
 plain presentations: the maps phi (cyclic to plain, conjugating by a rotation
@@ -138,10 +140,10 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
 def _related_triples(spec: GroupSpec) -> list[tuple[int, int, int]]:
     """Unordered generator-id triples whose intervals are pairwise related (par >= 0)."""
     pres = presentation(spec)
-    G, par = pres.G, pres.par
+    par = pres.par
     return [
-        (a, b, c) for a, b, c in combinations(range(G), 3)
-        if par[a * G + b] >= 0 and par[a * G + c] >= 0 and par[b * G + c] >= 0
+        (a, b, c) for a, b, c in combinations(range(pres.G), 3)
+        if par[a][b] >= 0 and par[a][c] >= 0 and par[b][c] >= 0
     ]
 
 
@@ -156,20 +158,11 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
     the unique common graph-neighbor of the three face corners.
     """
     pres = presentation(b.spec)
-    G, par, card, gens = pres.G, pres.par, pres.card, pres.gens
+    par, card, gens = pres.par, pres.card, pres.gens
     triples = _related_triples(b.spec)
     eligible = [v for v in range(len(b)) if b.depth_at(v) <= b.radius - 3]
     rep = VerificationReport("cube-spans", b.spec, {"radius": b.radius},
                              len(triples) * len(eligible), vacuous=not triples or not eligible)
-
-    def two_step(v: int, a: int, c: int) -> int:
-        w = b.step(v, a)
-        return -1 if w < 0 else b.step(w, c)
-
-    def far_corner(v: int, a: int, c: int) -> tuple[int, int]:
-        """The corner opposite v on the face with labels {a, c}, both routes:
-        each first letter, then the other's label across the face (par)."""
-        return two_step(v, a, par[a * G + c]), two_step(v, c, par[c * G + a])
 
     def defect(v: int, x: int, y: int, z: int) -> dict | None:
         """Why the cube at v on labels x, y, z does not span, or None."""
@@ -178,7 +171,9 @@ def check_cube_spans(b: CayleyBall) -> VerificationReport:
             return {"reason": "adjacent corner missing"}
         fars = []
         for a, c in ((x, y), (x, z), (y, z)):
-            r1, r2 = far_corner(v, a, c)
+            # the corner opposite v on the face {a, c} by both routes: each
+            # first letter, then the other's label across the face (par)
+            r1, r2 = b.step(b.step(v, a), par[a][c]), b.step(b.step(v, c), par[c][a])
             if r1 < 0 or r1 != r2:
                 return {"reason": "face does not close",
                         "pair": [gens[a].text(), gens[c].text()]}
@@ -361,9 +356,9 @@ def _configured_triples(n: int):
         raise PreconditionViolated("configurations need n >= 3")
     pres = presentation(affine(n))
     G, par, gens, pairs = pres.G, pres.par, pres.gens, pres.pairs
-    # each related pair's kind by classify (par >= 0), tabulated for this call only
-    kind = [classify(x, y) if par[row + b] >= 0 else RelationKind.NONE
-            for row, x in zip(range(0, G * G, G), gens) for b, y in enumerate(gens)]
+    # each related pair's kind by classify (par >= 0), rows tabulated for this call only
+    kind = [[classify(x, y) if h >= 0 else RelationKind.NONE for y, h in zip(gens, row)]
+            for x, row in zip(gens, par)]
     # the configurations each kind triple (r12, r13, r23) realizes, read off _CONFIGS
     by_kinds: dict[tuple[RelationKind, ...], list] = {}
     for kinds in product(RelationKind, repeat=3):
@@ -375,13 +370,13 @@ def _configured_triples(n: int):
 
     def walk():
         for a, b in permutations(range(G), 2):
-            r12, i = kind[a * G + b], pairs[a][0]
+            r12, i = kind[a][b], pairs[a][0]
             if r12 not in leads:
                 continue
             for c in range(G):
                 if c != a and c != b:
                     for name, constraints in by_kinds.get(
-                            (r12, kind[a * G + c], kind[b * G + c]), ()):
+                            (r12, kind[a][c], kind[b][c]), ()):
                         labels = pairs[a], pairs[b], pairs[c]
                         yield name, constraints, labels, i, [phi_pair(i, pq, n) for pq in labels]
     return walk()
@@ -465,7 +460,8 @@ def verify_claim_psi(n: int) -> VerificationReport:
 
 
 def check_square_normal_forms(b: CayleyBall) -> VerificationReport:
-    """The far corner of each square at the identity has the expected word.
+    """Each product x y of a related pair normalizes to the expected word, and
+    its walk from e along the edges x then y ends at that vertex, at depth 2.
 
     For a nested pair the normal form leads with the outer generator (in both
     multiplication orders); for a disjoint pair it leads with the
@@ -478,9 +474,10 @@ def check_square_normal_forms(b: CayleyBall) -> VerificationReport:
     if b.radius < 2:
         return rep
     pres = presentation(spec)
-    G, par, gens = pres.G, pres.par, pres.gens
-    for a, c in combinations(range(G), 2):
-        if par[a * G + c] < 0:
+    par, gens = pres.par, pres.gens
+    e = b.vid(()) if () in b else -1
+    for a, c in combinations(range(pres.G), 2):
+        if par[a][c] < 0:
             continue
         rep.items_checked += 1
         ga, gc = gens[a], gens[c]
@@ -488,21 +485,19 @@ def check_square_normal_forms(b: CayleyBall) -> VerificationReport:
         nf1 = normalize(Word(spec, (ga, gc)))
         nf2 = normalize(Word(spec, (gc, ga)))
         if k is _DISJOINT:
-            want1 = want2 = (ga, gc) if pres.kappa[a] < pres.kappa[c] else (gc, ga)
+            want1 = want2 = (ga, gc) if pres.rank[a] < pres.rank[c] else (gc, ga)
         else:
             outer, inner = (ga, gc) if k is _CONTAINS else (gc, ga)
             want_oi = (outer, inner)
             want_io = (outer, conjugate_nested(outer, inner))
             want1 = want_oi if ga is outer else want_io
             want2 = want_oi if gc is outer else want_io
-        for x, y, nf, want in ((ga, gc, nf1, want1), (gc, ga, nf2, want2)):
+        for x, y, nf, want in ((a, c, nf1, want1), (c, a, nf2, want2)):
+            product = [gens[x].text(), gens[y].text()]
             if nf.letters != want:
-                rep.note_failure({"product": [x.text(), y.text()], "normal_form": nf.text()})
-        # the far corner itself must sit in the ball at depth 2
-        far = tuple((g.p, g.q) for g in nf1.letters)
-        if far not in b:
-            rep.note_failure({
-                "product": [ga.text(), gc.text()],
-                "reason": "far corner missing from the ball",
-            })
+                rep.note_failure({"product": product, "normal_form": nf.text()})
+            v = b.step(b.step(e, x), y)
+            if v < 0 or b.depth_at(v) != 2 or b.key(v) != nf.pairs():
+                rep.note_failure({"product": product, "normal_form": nf.text(),
+                                  "reason": "its walk from e does not end there at depth 2"})
     return rep

@@ -39,6 +39,7 @@ from cactuskit import (
     generators,
     hyperbolic_distance,
     identity,
+    interval_of,
     normalize,
     oracle_closure,
     phi_pair,
@@ -52,7 +53,6 @@ from cactuskit import (
 )
 from cactuskit.cayley import sphere_sizes
 from cactuskit.cli import main
-from cactuskit.core import presentation
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -161,11 +161,10 @@ def _sweep(spec, max_len):
     are deduplicated lengthwise: relation moves are invertible, so
     same-length members of one class have the same class.
     """
-    pres = presentation(spec)
     pairs = [(g.p, g.q) for g in generators(spec)]
 
-    def kappa_key(word):
-        return [pres.kappa[i] for i in pres.ids(word.letters)]
+    def kappa_key(word):  # kappa(g) = (-|interval|, p, q) per letter
+        return [(-len(interval_of(g)), g.p, g.q) for g in word.letters]
 
     wrong = []
     inconsistent = 0

@@ -49,7 +49,7 @@ from cactuskit import (
 )
 from cactuskit import cayley
 from cactuskit.cayley import _key, sphere_sizes
-from cactuskit.core import Family, GroupSpec, Presentation, presentation
+from cactuskit.core import Family, GroupSpec, Presentation, interval_of, presentation
 from cactuskit.rewriting import _up
 from cactuskit.verify import check_no_shared_consecutive_edges, check_squares_embedded
 
@@ -103,10 +103,11 @@ def _walked_sphere_sizes(pres, radius):
     Each division must be exact; one that is not means the tables break the
     CAT(0) theorem, and raises ClosureViolation.  The last sphere needs only
     each |t|, which is 1 + #{h in s spanning a square with g} because
-    par[g*G + .] is one-to-one on those h and never gives g: its sums are
-    divided per size, and no state is numbered for it.
+    par[g] is one-to-one on those h and never gives g: its sums are divided
+    per size, and no state is numbered for it.  A mask is a set of
+    generator ids, bit g for letter g.
     """
-    G, par, bit, row_of = pres.G, pres.par, pres.bit, pres.state_of
+    G, par, row_of = pres.G, pres.par, pres.state_of
 
     def exact(count, size):
         q, rem = divmod(count, size)
@@ -127,9 +128,9 @@ def _walked_sphere_sizes(pres, radius):
                         got[t] = got.get(t, 0) + c
             cur = {t: exact(c, t.bit_count()) for t, c in got.items()}
         else:
-            span = [sum(b for b, h in zip(bit, par[g * G:g * G + G]) if h >= 0) for g in range(G)]
+            span = [sum(1 << b for b, h in enumerate(par[g]) if h >= 0) for g in range(G)]
             for m, c in cur.items():
-                ks = [(m & sp).bit_count() + 1 for b, sp in zip(bit, span) if not m & b]
+                ks = [(m & sp).bit_count() + 1 for g, sp in enumerate(span) if not m >> g & 1]
                 for k in set(ks):
                     got[k] = got.get(k, 0) + c * ks.count(k)
             cur = {k: exact(c, k) for k, c in got.items()}
@@ -151,7 +152,7 @@ def test_counted_spheres_match_the_ball():
 def _clique_counts(pres):
     """The cliques of the link at e by size, enumerated over par >= 0."""
     G, par = pres.G, pres.par
-    related = [sum(1 << b for b in range(G) if par[a * G + b] >= 0) for a in range(G)]
+    related = [sum(1 << b for b in range(G) if par[a][b] >= 0) for a in range(G)]
     counts = [0] * (pres.spec.degree + 1)
 
     def grow(size, candidates):
@@ -271,13 +272,12 @@ def test_a_doctored_transition_breaks_the_sphere_count():
 
 def test_square_images_are_one_to_one():
     """The walk's last sphere reads |t| as 1 + the letters of s that span a
-    square with g: that needs par[g*G + .] to be one-to-one on those letters
-    and never to give g."""
+    square with g: that needs par[g] to be one-to-one on those letters and
+    never to give g."""
     for spec in (*map(cactus, range(3, 10)), *map(affine, range(3, 9)), cactus(24), affine(17)):
         pres = presentation(spec)
-        G = pres.G
-        for g in range(G):
-            images = [h for h in pres.par[g * G:g * G + G] if h >= 0]
+        for g in range(pres.G):
+            images = [h for h in pres.par[g] if h >= 0]
             assert len(set(images)) == len(images) and g not in images, (spec, g)
 
 
@@ -298,7 +298,7 @@ def _reference_ball(spec, radius):
     from a BFS that keys every word by the kappa-shortlex-least shortest word
     of its relation-move class (oracle_closure); no normal forms involved."""
     pres = presentation(spec)
-    kappa = pres.kappa
+    kappa = [(-len(interval_of(g)), g.p, g.q) for g in pres.gens]
 
     def vertex(ids):
         cls = oracle_closure(Word(pres.spec, pres.letters(ids)))

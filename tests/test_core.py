@@ -253,18 +253,24 @@ def test_classify_errors():
         classify(g, g)
 
 
+def kappa(g):
+    """The priority of a generator, (-|interval|, p, q), from its interval."""
+    return (-len(interval_of(g)), g.p, g.q)
+
+
 @pytest.mark.parametrize("family", (cactus, affine))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_relation_tables_match_classify(family, n):
-    """Presentation builds par from ints; every ordered pair agrees with
-    classify and conjugate_nested on Generator objects: par[a*G + b] is the
-    image of b nested in a, b itself for a disjoint pair or one where b
-    contains a, and -1 when the pair spans no square (a == b included), so
+    """Presentation builds par from ints, as G rows of G; every ordered pair
+    agrees with classify and conjugate_nested on Generator objects: par[a][b]
+    is the image of b nested in a, b itself for a disjoint pair or one where
+    b contains a, and -1 when the pair spans no square (a == b included), so
     par >= 0 is exactly classify's relatedness."""
     pres = presentation(family(n))
     gens, G = pres.gens, pres.G
+    assert len(pres.par) == G and all(len(row) == G for row in pres.par)
     for a, ga in enumerate(gens):
-        assert pres.par[a * G + a] == -1
+        assert pres.par[a][a] == -1
         for b, gb in enumerate(gens):
             if a == b:
                 continue
@@ -274,7 +280,17 @@ def test_relation_tables_match_classify(family, n):
                 want = pres.id_of(conjugate_nested(ga, gb))
             elif kind is RelationKind.NONE:
                 want = -1
-            assert pres.par[a * G + b] == want, (ga, gb, kind)
+            assert pres.par[a][b] == want, (ga, gb, kind)
+
+
+@pytest.mark.parametrize("family", (cactus, affine))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rank_inverts_the_kappa_order(family, n):
+    """rank[g] is g's place in the kappa order: the generators sorted on
+    kappa, read through rank, give 0, 1, ..., G - 1."""
+    pres = presentation(family(n))
+    by_kappa = sorted(range(pres.G), key=lambda g: kappa(pres.gens[g]))
+    assert [pres.rank[g] for g in by_kappa] == list(range(pres.G))
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,33 @@ def test_ball_and_disk_kernels_hold_no_cells():
         assert f.__code__.co_cellvars == (), f.__qualname__
 
 
+def entries(value) -> int:
+    """How many entries an attribute holds: the total length of its rows when
+    it is a list, tuple or dict of lists, else its own length."""
+    rows = list(value.values()) if isinstance(value, dict) else value
+    if isinstance(rows, (list, tuple)) and rows and all(type(row) is list for row in rows):
+        return sum(map(len, rows))
+    return len(value) if isinstance(value, Sized) else 0
+
+
+def tables_of_g_squared(pres) -> list[str]:
+    """The presentation's attributes that hold G^2 entries, flat or as rows."""
+    return [name for name, value in vars(pres).items() if entries(value) == pres.G ** 2]
+
+
 @pytest.mark.parametrize("family, n", [("affine", 4), ("cactus", 5)])
 def test_a_presentation_holds_one_table_of_g_squared_entries(family, n):
-    """par is the only G^2-entry attribute: a second per-pair table would
-    double the presentation's memory at large degree."""
+    """par, G rows of G, is the only attribute of G^2 entries: a second
+    per-pair table would double the presentation's memory at large degree.
+    A copy of par, as rows or flat, is seen."""
     from cactuskit.core import Family, GroupSpec, Presentation
 
     pres = Presentation(GroupSpec(Family(family), n))
-    sized = [name for name, value in vars(pres).items()
-             if isinstance(value, Sized) and len(value) == pres.G ** 2]
-    assert sized == ["par"]
+    assert len(pres.par) == pres.G and {len(row) for row in pres.par} == {pres.G}
+    assert tables_of_g_squared(pres) == ["par"]
+    for spare in ([row[:] for row in pres.par], [h for row in pres.par for h in row]):
+        pres.spare = spare
+        assert tables_of_g_squared(pres) == ["par", "spare"]
 
 
 def test_the_guards_see_a_closure():

@@ -52,6 +52,11 @@ def w(spec, text):
     return parse_word(spec, text)
 
 
+def kappa(g):
+    """The priority of a generator, (-|interval|, p, q), from its interval."""
+    return (-len(interval_of(g)), g.p, g.q)
+
+
 # ---------------------------------------------------------------------------
 # word plumbing
 # ---------------------------------------------------------------------------
@@ -273,7 +278,7 @@ def moves(word):
                RelationKind.SECOND_CONTAINS_FIRST: "flip-left"}
 
     def order_key(u):
-        return (len(u), [pres.kappa[x] for x in u])
+        return (len(u), [kappa(pres.gens[x]) for x in u])
 
     out = []
     for res in _successors_all(ids, pres):
@@ -462,7 +467,7 @@ def least_shortest(cls):
     short = min(map(len, cls))
     return min(
         (x for x in cls if len(x) == short),
-        key=lambda x: [pres.kappa[i] for i in pres.ids(x.letters)],
+        key=lambda x: [kappa(g) for g in x.letters],
     )
 
 
@@ -557,10 +562,10 @@ def test_completion_resolves_every_critical_pair(spec):
     them up.
     """
     pres = presentation(spec)
-    kappa = pres.kappa
+    ranks = [kappa(g) for g in pres.gens]
 
     def order_key(u):
-        return (len(u), [kappa[x] for x in u])
+        return (len(u), [ranks[x] for x in u])
 
     pairs = 0
     for ids in itertools.product(range(pres.G), repeat=3):
@@ -658,7 +663,7 @@ def _naive_geodesic(ids, pres):
 def _naive_normal_form(ids, pres):
     """The kappa-least letter that shortens the word from the left, taken
     off one at a time, with lengths from _naive_geodesic (test reference)."""
-    by_kappa = sorted(range(pres.G), key=pres.kappa.__getitem__)
+    by_kappa = sorted(range(pres.G), key=lambda g: kappa(pres.gens[g]))
     cur, out = _naive_geodesic(ids, pres), []
     while cur:
         for g in by_kappa:
@@ -714,13 +719,13 @@ def _carry_lengths(pres, ids):
     def carry(w, g):
         j, a = len(w) - 1, g
         while w[j] != a:
-            a = par[w[j] * G + a]
+            a = par[w[j]][a]
             j -= 1
         return len(w) - 1 - j
 
     out, w = [], []
     for g in ids[::-1]:
-        if _geodesic(pres, w)[1][-1][G + 1] & pres.bit[g]:
+        if _geodesic(pres, w)[1][-1][G + 1] >> g & 1:  # g is in the descent mask
             out.append(carry(w, g))
         w = _geodesic(pres, w + [g])[0]
     while w:
@@ -889,21 +894,22 @@ def test_a_freed_presentation_frees_its_rows_without_the_cycle_collector(monkeyp
 
 
 def _cliques(pres):
-    """Every set of letters that pairwise span squares, as descent masks."""
+    """Every set of letters that pairwise span squares, as descent masks:
+    bit g for letter g."""
     out = []
 
     def grow(mask, members, start):
         out.append(mask)
-        for g in pres.by_rank[start:]:
+        for g in range(start, pres.G):
             if all(_spans_square(pres, g, h) for h in members):
-                grow(mask | pres.bit[g], members + [g], pres.by_rank.index(g) + 1)
+                grow(mask | 1 << g, members + [g], g + 1)
 
     grow(0, [], 0)
     return set(out)
 
 
 def _members(pres, mask):
-    return [g for g in range(pres.G) if mask & pres.bit[g]]
+    return [g for g in range(pres.G) if mask >> g & 1]
 
 
 def _slots(pres):
@@ -923,7 +929,7 @@ def test_sinks_memo_is_bounded():
     assert presentation.cache_info().maxsize == 32
     for spec in (cactus(5), affine(4)):
         pres = presentation(spec)
-        G, bit, par = pres.G, pres.bit, pres.par
+        G, par = pres.G, pres.par
         cliques = _cliques(pres)
         words = [random_word(spec, length, seed) for length in (3, 8, 20, 40) for seed in range(25)]
         want = [normalize(x) for x in words]
@@ -939,18 +945,18 @@ def test_sinks_memo_is_bounded():
         for mask, row in rows.items():
             assert len(row) == G + 2 and row[G + 1] == mask
             members = _members(pres, mask)
-            assert row[G] == (min(members, key=pres.kappa.__getitem__) if mask else -1)
+            assert row[G] == (min(members, key=lambda g: kappa(pres.gens[g])) if mask else -1)
             for g in range(G):
                 t = row[g]
-                if mask & bit[g]:
+                if mask >> g & 1:
                     assert t == ()  # g cancels
                     continue
                 assert t is None or type(t) is list
                 if t is not None:  # the mask of w g: g, and each h of w's mask carried across g
-                    up = bit[g]
+                    up = 1 << g
                     for h in members:
-                        if par[g * G + h] >= 0:
-                            up |= bit[par[g * G + h]]
+                        if par[g][h] >= 0:
+                            up |= 1 << par[g][h]
                     assert t is rows[up]
                     reached.add(up)
         assert reached == set(rows) - {0}  # each made by the step that filled it

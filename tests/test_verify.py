@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import graphs
 from graphs import (
     doubled_edge_graph,
     many_medians_graph,
@@ -112,6 +113,27 @@ def test_square_normal_forms(aj3_r2):
         assert rep.items_checked == items, spec
     small = check_square_normal_forms(ball(affine(3), 1))
     assert small.vacuous and small.passed
+
+
+def test_square_normal_forms_walk_the_stored_edges():
+    """Each product x y of a related pair walks from e along the file's
+    edges, x then y, and must end at its normal form at depth 2.  A graph
+    with a square's edges cut fails although the far corner is there: two
+    routes start at the cut-off vertex 2,1, and six start with the missing
+    spoke 1,2 or leave 1,2 along a missing face edge.  Where the far corner
+    is missing, both of a pair's routes fail.  One item per related pair."""
+    counts = {}
+    for name in ("cut_vertex", "missing_spoke", "open_face", "missing_cube_corner",
+                 "phantom_eighth_corner", "shared_wedge", "many_medians"):
+        rep = check_square_normal_forms(import_ball(getattr(graphs, name + "_graph")()))
+        counts[name] = (rep.items_checked, rep.failure_count)
+    assert counts == {"cut_vertex": (6, 2), "missing_spoke": (30, 6), "open_face": (30, 6),
+                      "missing_cube_corner": (30, 0), "phantom_eighth_corner": (30, 0),
+                      "shared_wedge": (6, 12), "many_medians": (30, 60)}
+    rep = check_square_normal_forms(import_ball(graphs.cut_vertex_graph()))
+    assert [f["product"] for f in rep.failures] == [["2,1", "2,3"], ["2,1", "3,1"]]
+    assert {f["reason"] for f in rep.failures} == {
+        "its walk from e does not end there at depth 2"}
 
 
 # ---------------------------------------------------------------------------
