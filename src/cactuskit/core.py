@@ -36,6 +36,7 @@ from __future__ import annotations
 import codecs
 import enum
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -321,9 +322,12 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # starts from pair lookups, so we flatten the generator set to integer ids and
 # tabulate, per ordered pair, the label each letter takes across the square
 # the pair spans (par, G rows of G), the one O(G^2) table: par[a][b] >= 0 iff
-# a and b are related.  Every table is indexed by generator id.  The word
-# problem (rewriting) and the ball builder (cayley) run on par; the word
-# problem also keeps one row per descent state it meets.
+# a and b are related.  A row of par is made on its first read, from a's
+# endpoints in O(G), so a presentation costs O(G) until it is read, and the
+# word problem (rewriting) makes only the rows of the letters its words
+# meet; ball (cayley) and verify read every row.  Every table is indexed by
+# generator id.  The word problem also keeps one row per descent state it
+# meets.
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
 # spelling is three characters, and rewriting.parse_word decodes a whole
@@ -359,9 +363,99 @@ def _checked_generator_count(spec: GroupSpec) -> int:
     return G
 
 
+class _ParRows:
+    """What the unread rows of one presentation's par share: the spec, its
+    generator pairs and ids, the list 0, 1, ..., G - 1 whose int objects
+    every row copies.  It holds the presentation weakly, so an unread row
+    makes no reference cycle: a presentation is freed when its last
+    reference goes, unread rows and all, without the cyclic collector."""
+
+    __slots__ = ("owner", "spec", "pairs", "ids")
+
+    def __init__(self, pres: "Presentation") -> None:
+        self.owner, self.spec, self.pairs = weakref.ref(pres), pres.spec, pres.pairs
+        self.ids = list(range(pres.G))
+
+    def read(self, a: int) -> list[int]:
+        """Row a of par, made and put in par's slot a on its first read.  Two
+        threads may both make it; the rows are equal, and either stays.  A
+        row read once its presentation is gone (Presentation(spec).par) is
+        made for that read."""
+        pres = self.owner()
+        row = pres.par[a] if pres is not None else None
+        if type(row) is not list:
+            row = _par_row(self.spec, *self.pairs[a], a, self.ids)
+            if pres is not None:
+                pres.par[a] = row
+        return row
+
+
+class _UnreadRow:
+    """Row a of par before its first read.  A subscript, len or iteration
+    makes the row, puts it in par's slot a and reads it there, so par[a] is a
+    plain list from then on; a reference taken before that reads the list."""
+
+    __slots__ = ("rows", "a")
+
+    def __init__(self, rows: _ParRows, a: int) -> None:
+        self.rows, self.a = rows, a
+
+    def __getitem__(self, b):
+        return self.rows.read(self.a)[b]
+
+    def __len__(self) -> int:
+        return len(self.rows.read(self.a))
+
+    def __iter__(self):
+        return iter(self.rows.read(self.a))
+
+
+def _par_row(spec: GroupSpec, p: int, q: int, a: int, ids: list[int]) -> list[int]:
+    """Row a of par, for a = (p, q), from a's endpoints alone.
+
+    A copy of ids holds b wherever b is disjoint from a or contains it, so
+    only the b that meet a otherwise are written.  Walking a's arc from p, a
+    b = (r, s) that starts at a member r is nested in a when s lies further
+    along the arc (it takes its mirror; s = q from r = p is a itself, -1),
+    and overlaps a without nesting when r is past p and s runs from q + 1
+    on around to r - 1 (-1).  A b that starts outside a overlaps it without
+    nesting when s runs from p to q - 1 (-1).  J_n has only the b with r < s.
+    """
+    n, affine = spec.degree, spec.family is _AFFINE
+    ring = [(p + x - 1) % n + 1 for x in range(n)]  # 1..n from p on, around the circle
+    L = (q - p) % n + 1  # a's members are ring[:L]
+    row = ids.copy()
+
+    def gid(r: int, s: int) -> int:
+        if affine:
+            return (r - 1) * (n - 1) + s - 1 - (s > r)
+        return (r - 1) * n - r * (r - 1) // 2 + s - r - 1
+
+    def put(r: int, s: int, vals: list[int]) -> None:
+        # vals at (r, s), (r, s + 1), ...: their ids run on up to s = n, where
+        # an arc goes on from s = 1 and an interval stops; none reaches s = r
+        while vals and (affine or r < s):
+            x, k = gid(r, s), n + 1 - s
+            head, vals, s = vals[:k], vals[k:] if affine else [], 1
+            row[x:x + len(head)] = head
+
+    for i, r in enumerate(ring):
+        if i < L:
+            t = ring[L - 1 - i]  # the end of each mirror from r: (ring[m], t)
+            put(r, r % n + 1, [ids[gid(ring[m], t)] for m in range(L - 2 - i, -1, -1)])
+            if i:
+                put(r, q % n + 1, [-1] * (n - L + i))
+        else:
+            put(r, p, [-1] * (L - 1))
+    row[a] = -1
+    return row
+
+
 class Presentation:
-    """Integer-indexed tables for one group spec, one of them (par) of G^2
-    entries.  G >= 65,536 raises BudgetExceeded before any table is made."""
+    """Integer-indexed tables for one group spec.  par, the one table of G^2
+    entries, is G rows made on first read: construction makes tables of G
+    entries only.  G >= 65,536 raises BudgetExceeded before any table is
+    made."""
 
     def __init__(self, spec: GroupSpec) -> None:
         G = _checked_generator_count(spec)
@@ -375,29 +469,18 @@ class Presentation:
         self.pair_map = _encoding_map(
             chr(p + 1 | (q + 11) << 8) for p, q in self.pairs
         ) if spec.degree <= 9 else None
-        members = [interval_of(g).members for g in gens]
-        self.card = [len(m) for m in members]
+        n = spec.degree
+        self.card = card = [(q - p) % n + 1 for p, q in self.pairs]
         # kappa rank of each id: the kappa order, then its inverse permutation
-        by_kappa = sorted(range(G), key=lambda i: (-self.card[i], *self.pairs[i]))
+        by_kappa = sorted(range(G), key=lambda i: (-card[i], *self.pairs[i]))
         self.rank = sorted(range(G), key=by_kappa.__getitem__)
 
-        # The table classify and conjugate_nested give, made from ints: an
-        # interval as a bitmask of its members, containment by _arc_contains,
-        # and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b).
         # par[a][b] is the label b takes across the square it spans with a:
-        # that mirror when a contains b, b itself when they are disjoint or b
-        # contains a, -1 when they span none; (a, b) = (par[a][b], par[b][a]).
-        n, card, gid = spec.degree, self.card, self.gid
-        mask = [sum(1 << r for r in m) for m in members]
-        self.par = par = []
-        for a, (pa, qa) in enumerate(self.pairs):
-            ma, ca, row = mask[a], card[a], [-1] * G
-            for b, (pb, qb) in enumerate(self.pairs):
-                if not ma & mask[b] or card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
-                    row[b] = b
-                elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
-                    row[b] = gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
-            par.append(row)
+        # its mirror in a when a contains b, b itself when they are disjoint
+        # or b contains a, -1 when they span none; (a, b) = (par[a][b],
+        # par[b][a]).  Row a is made on its first read (_par_row).
+        rows = _ParRows(self)
+        self.par = [_UnreadRow(rows, a) for a in rows.ids]
 
         self._numbering = threading.Lock()
         self.state_of: dict[int, list] = {}
@@ -481,8 +564,9 @@ class Presentation:
 
 @lru_cache(maxsize=32)
 def presentation(spec: GroupSpec) -> Presentation:
-    """The tables of one spec, kept for the 32 specs used last: one table of
-    G^2 entries (par) plus at most cliques + 1 descent rows of G + 2 slots.
+    """The tables of one spec, kept for the 32 specs used last: tables of G
+    entries, the rows of par read so far (G slots each, G rows once every row
+    is read) and at most cliques + 1 descent rows of G + 2 slots.
     An evicted spec is rebuilt on its next use with the same generator ids,
     so the ids that words made earlier carry stay valid.  An evicted
     presentation and its rows are freed once no word or ball holds it,

@@ -3,6 +3,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from cactuskit import (
     parse_generator,
     s_reflect,
 )
-from cactuskit.core import Presentation, presentation
+from cactuskit.core import Presentation, _arc_contains, _wrap, presentation
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,51 @@ def test_relation_tables_match_classify(family, n):
             elif kind is RelationKind.NONE:
                 want = -1
             assert pres.par[a][b] == want, (ga, gb, kind)
+
+
+def pair_loop_par(pres):
+    """par as one loop over every ordered pair of generator ids, each row
+    whole: a member bitmask per interval, containment by _arc_contains,
+    and the image of b nested in a as its mirror (p + q - q_b, p + q - p_b)."""
+    n = pres.spec.degree
+    members = [interval_of(g).members for g in pres.gens]
+    card = [len(m) for m in members]
+    mask = [sum(1 << r for r in m) for m in members]
+    par = []
+    for a, (pa, qa) in enumerate(pres.pairs):
+        ma, ca, row = mask[a], card[a], [-1] * pres.G
+        for b, (pb, qb) in enumerate(pres.pairs):
+            if not ma & mask[b] or card[b] > ca and _arc_contains(pb, qb, pa, qa, n):
+                row[b] = b
+            elif ca > card[b] and _arc_contains(pa, qa, pb, qb, n):
+                row[b] = pres.gid[(_wrap(pa + qa - qb, n), _wrap(pa + qa - pb, n))]
+        par.append(row)
+    return par
+
+
+@pytest.mark.parametrize("family", (cactus, affine))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rows_made_on_read_match_the_pair_loop(family, n):
+    """A new presentation has read no row of par.  Each row is made on its
+    first read, whatever the order the rows are read in, equals the pair
+    loop's row, and from then on is a plain list in par's slot; a reference
+    to the row taken before that read reads the same entries, as does a row
+    read after its presentation is freed.  card is each interval's member
+    count."""
+    want = pair_loop_par(presentation(family(n)))
+    G = len(want)
+    for order in (range(G - 1, -1, -1), random.Random(n).sample(range(G), G)):
+        pres = Presentation(family(n))
+        assert pres.card == [len(interval_of(g)) for g in pres.gens]
+        held = list(pres.par)
+        assert not any(type(row) is list for row in held)
+        for a in order:
+            assert [held[a][b] for b in range(G)] == want[a]
+            assert type(pres.par[a]) is list and pres.par[a] == want[a]
+            assert len(held[a]) == G and list(held[a]) == want[a] and held[a][1:] == want[a][1:]
+        assert pres.par == want
+    orphan = Presentation(family(n)).par  # its presentation is freed at once
+    assert [list(orphan[a]) for a in range(G)] == want
 
 
 @pytest.mark.parametrize("family", (cactus, affine))

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, holds no `:=`
 inside a comprehension, the Cayley ball's per-vertex kernels hold no
-cells, and a presentation holds one table of G^2 entries.
+cells, a presentation holds one table of G^2 entries, and the word problem
+imports only the modules it runs.
 
 The package's `__init__` is skipped by the import check: its imports are
 the public API.  Only the standard library is needed, so these guards run
@@ -8,6 +9,10 @@ wherever the tests do.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections.abc import Sized
 from pathlib import Path
 
@@ -88,17 +93,61 @@ def tables_of_g_squared(pres) -> list[str]:
 
 @pytest.mark.parametrize("family, n", [("affine", 4), ("cactus", 5)])
 def test_a_presentation_holds_one_table_of_g_squared_entries(family, n):
-    """par, G rows of G, is the only attribute of G^2 entries: a second
-    per-pair table would double the presentation's memory at large degree.
-    A copy of par, as rows or flat, is seen."""
+    """A new presentation holds no attribute of G^2 entries: par's rows are
+    made on first read.  Once every row is read, par is G rows of G and the
+    only such table: a second per-pair table would double the presentation's
+    memory at large degree.  A copy of par, as rows or flat, is seen."""
     from cactuskit.core import Family, GroupSpec, Presentation
 
     pres = Presentation(GroupSpec(Family(family), n))
-    assert len(pres.par) == pres.G and {len(row) for row in pres.par} == {pres.G}
+    assert len(pres.par) == pres.G and tables_of_g_squared(pres) == []
+    for row in pres.par:
+        row[0]
+    assert all(type(row) is list and len(row) == pres.G for row in pres.par)
     assert tables_of_g_squared(pres) == ["par"]
     for spare in ([row[:] for row in pres.par], [h for row in pres.par for h in row]):
         pres.spare = spare
         assert tables_of_g_squared(pres) == ["par", "spare"]
+
+
+def test_the_word_problem_imports_only_core_and_rewriting():
+    """In a fresh interpreter, the package and the word problem's names load
+    core and rewriting only.  Each other public name is imported on its first
+    access: a submodule after a plain import, every name by a star import,
+    each the same object as in its module, and dir() lists them all before
+    and after."""
+    code = """if True:
+        import json, sys
+        import cactuskit
+        from cactuskit import affine, cactus, equal, normalize, parse_word
+        loaded = sorted(m for m in sys.modules if m.startswith("cactuskit"))
+        before = dir(cactuskit)
+        verify_resolves = cactuskit.verify is sys.modules["cactuskit.verify"]
+        star = {}
+        exec("from cactuskit import *", star)
+        def home(value):  # the module a public name is defined in, or itself
+            return sys.modules[getattr(value, "__module__", None) or value.__name__]
+        print(json.dumps({
+            "loaded": loaded,
+            "verify_resolves": verify_resolves,
+            "unbound": sorted(set(cactuskit.__all__) - set(star)),
+            "elsewhere": [n for n in cactuskit.__all__
+                          if home(star[n]) is not star[n] and getattr(home(star[n]), n) is not star[n]],
+            "dir_kept": before == dir(cactuskit),
+            "dir_public": [n for n in before if not n.startswith("_")] == cactuskit.__all__,
+        }))
+    """
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert json.loads(out.stdout) == {
+        "loaded": ["cactuskit", "cactuskit.core", "cactuskit.rewriting"],
+        "verify_resolves": True,
+        "unbound": [],
+        "elsewhere": [],
+        "dir_kept": True,
+        "dir_public": True,
+    }
 
 
 def test_the_guards_see_a_closure():

@@ -863,32 +863,39 @@ def test_reset_states_frees_its_rows_without_the_cycle_collector():
         gc.enable()
 
 
-def _left_for_the_collector(spec) -> int:
-    """What the cyclic collector finds once a presentation that ran 50
-    normalizes loses its last reference, as one evicted from the
-    presentation() cache does when no word or ball holds it."""
+def _left_for_the_collector(spec, words: int) -> tuple[int, int]:
+    """(rows of par never read, objects the cyclic collector finds) once a
+    presentation that ran `words` normalizes loses its last reference, as
+    one evicted from the presentation() cache does when no word or ball
+    holds it."""
     pres = Presentation(spec)  # as presentation(spec) builds it, outside the cache
-    for seed in range(50):
+    for seed in range(words):
         normalize(Word._of(pres, random_word(spec, 40, seed).ids))
     assert len(pres.state_of) > 1
+    unread = sum(type(row) is not list for row in pres.par)
     ref = weakref.ref(pres)
     del pres
     assert ref() is None
-    return gc.collect()
+    return unread, gc.collect()
 
 
 def test_a_freed_presentation_frees_its_rows_without_the_cycle_collector(monkeypatch):
     """Rows step to one another in cycles; a presentation clears its rows
     when it is freed, so with the collector off none is left for it to find.
-    Without that (the negative control) the rows wait for the collector."""
+    That holds too for one that never read some rows of par, which refer
+    back to it.  Without the clearing (the negative control) the rows wait
+    for the collector."""
+    cases = ((affine(3), 50), (affine(4), 50), (affine(9), 1))
     gc.collect()
     gc.disable()
     try:
-        for spec in (affine(3), affine(4)):
-            assert _left_for_the_collector(spec) == 0, spec
+        for spec, words in cases:
+            unread, found = _left_for_the_collector(spec, words)
+            assert found == 0, spec
+        assert unread > 0  # AJ_9 after one word
         monkeypatch.delattr(Presentation, "__del__")
-        for spec in (affine(3), affine(4)):
-            assert _left_for_the_collector(spec) > 0, spec
+        for spec, words in cases:
+            assert _left_for_the_collector(spec, words)[1] > 0, spec
     finally:
         gc.enable()
 
@@ -983,24 +990,27 @@ def test_sinks_memo_is_kept_per_rule_set():
 
 
 def test_state_table_is_shared_by_threads():
-    """Threads that make new rows at once get the one-thread answers, and
-    the table stays one row per mask: every filled slot holds the row that
-    state_of publishes for its mask."""
+    """Threads that make new rows at once, descent rows and rows of par, get
+    the one-thread answers; the table stays one row per mask, every filled
+    slot holding the row that state_of publishes for its mask, and each row
+    of par that was read is a list equal to the one-thread row."""
     spec = affine(5)
-    pres = presentation(spec)
-    G = pres.G
-    words = [random_word(spec, 40, seed) for seed in range(40)]
-    want = [normalize(x).text() for x in words]
+    ref = presentation(spec)
+    G = ref.G
+    words = [random_word(spec, 40, seed).ids for seed in range(40)]
+    want = [normalize(Word._of(ref, x)).text() for x in words]
+    ref_par = [list(row) for row in ref.par]
 
     def work(k):
-        order = words[k * 10 :] + words[: k * 10]
+        order = mine[k * 10 :] + mine[: k * 10]
         results[k] = [normalize(x).text() for x in order]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(50):  # each round makes every row afresh
-            pres.reset_states()
+        for _ in range(50):  # each round makes every row afresh, in a new presentation
+            pres = Presentation(spec)
+            mine = [Word._of(pres, x) for x in words]
             results = [None] * 4
             threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
             for t in threads:
@@ -1013,6 +1023,8 @@ def test_state_table_is_shared_by_threads():
             rows = pres.state_of
             assert all(len(row) == G + 2 and row[G + 1] == mask for mask, row in rows.items())
             assert all(t is rows[t[G + 1]] for row in rows.values() for t in row[:G] if t)
+            read = [a for a, row in enumerate(pres.par) if type(row) is list]
+            assert read and [pres.par[a] for a in read] == [ref_par[a] for a in read]
     finally:
         sys.setswitchinterval(old)
 
