@@ -19,7 +19,8 @@ local, which would make that local a cell.  A kernel that reads many rows
 slices one list copy of the arrays (CayleyBall.lists), whose slices hold
 ints already made: squares, the trusted BFS rows and the disk kernels of
 the hyperbolic module.  `sphere_sizes` reads a ball's spheres off the
-growth series of the link at e and builds no ball and no table.  One
+growth series of the link at e and builds no ball and no table, and ball
+takes its vertex budget from it before it builds anything.  One
 writer, `_json_text`, writes the ball's JSON, both for `export(b, "json")`
 and for the CLI's `ball` to stdout.  The public API speaks in tuples of
 index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
@@ -237,17 +238,6 @@ def _bfs(adj, off, vid: int, limit: int, dist) -> list[list[int]]:
     return spheres
 
 
-def _check_ball_args(spec: GroupSpec, radius: int, max_vertices: int) -> None:
-    if radius < 0:
-        raise PreconditionViolated(f"radius must be >= 0, got {radius}")
-    if max_vertices < 1:
-        raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
-    # sphere 1 holds every generator: a budget below 1 + G fails before the
-    # O(G^2) table is built
-    if radius and 1 + spec.generator_count > max_vertices:
-        raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
-
-
 def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     """BFS ball of the given radius around the identity, vertices numbered
     in discovery order: by parent, then by generator id.
@@ -265,15 +255,16 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
     id, and vids go by depth, so its down letters are the slots that hold
     smaller vids: the ball reads no descent state.  One at the radius keeps its
     down-edges only, in generator order (relators have even length, so
-    edges join consecutive spheres).  Raises BudgetExceeded past
-    `max_vertices`.
+    edges join consecutive spheres).  The budget is decided before any
+    table is built: sphere_sizes reads the ball's size off the growth series
+    and raises BudgetExceeded once its running total passes `max_vertices`.
 
     The loop over u keeps one triple (a, par[a], row of u*a) per down letter
     a, lists each new v's parents in a plain loop that also picks the
     kappa-least one, and appends a radius vertex's sorted row entry by
     entry: no comprehension reads a loop local.
     """
-    _check_ball_args(spec, radius, max_vertices)
+    sphere_sizes(spec, radius, max_vertices)
     pres = presentation(spec)
     G, par = pres.G, pres.par
     kappa = pres.rank  # id -> kappa rank
@@ -333,8 +324,6 @@ def ball(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> CayleyBall:
                     else:
                         adj.append(u << 16 | g)
                     ends.append(len(adj))
-            if len(keys) > max_vertices:
-                raise BudgetExceeded(f"ball({spec}, {radius}) exceeded {max_vertices} vertices")
         lo = hi
         sizes.append(len(keys) - lo)
         if inner:  # rank this sphere, once the last one's ranks are freed
@@ -385,8 +374,12 @@ def sphere_sizes(spec: GroupSpec, radius: int, max_vertices: int = 10**6) -> lis
     subsets of its descent set.  Faces cut at t^m give W to degree m, and all
     of it at m = n - 1 (no clique has more): (1+x)^m / sum_k f_k (-x)^k
     (1+x)^(m-k).  m runs 1, 3, 7, ..., so a budget passed near e raises early.
-    Raises BudgetExceeded as ball() does, and for G >= 65,536 as presentation()."""
-    _check_ball_args(spec, radius, max_vertices)
+    ball() takes its budget from here: BudgetExceeded once the running total
+    passes max_vertices, and for G >= 65,536 as presentation()."""
+    if radius < 0:
+        raise PreconditionViolated(f"radius must be >= 0, got {radius}")
+    if max_vertices < 1:
+        raise PreconditionViolated(f"vertex budget must be >= 1, got {max_vertices}")
     _checked_generator_count(spec)
     last = min(radius, spec.degree - 1)
     sizes, total, m = [], 0, 0

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import codecs
 import enum
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -327,7 +326,8 @@ def conjugate_nested(outer: Generator, inner: Generator) -> Generator:
 # word problem (rewriting) makes only the rows of the letters its words
 # meet; ball (cayley) and verify read every row.  Every table is indexed by
 # generator id.  The word problem also keeps one row per descent state it
-# meets.
+# meets, the root made here and every other row by rewriting._up, which
+# steps into it (reset_states).
 # Text meets ids at two tables: gid_of_text maps each canonical spelling
 # "p,q" to its id, texts maps each id back to it.  Up to degree 9 every
 # spelling is three characters, and rewriting.parse_word decodes a whole
@@ -482,7 +482,6 @@ class Presentation:
         rows = _ParRows(self)
         self.par = [_UnreadRow(rows, a) for a in rows.ids]
 
-        self._numbering = threading.Lock()
         self.state_of: dict[int, list] = {}
         self.reset_states()
 
@@ -499,8 +498,10 @@ class Presentation:
         set of generator ids (bit g is letter g).  state_of maps each mask to
         its row, and no step leads back to the root.  Every mask is a clique
         of the link at e, so there are at most cliques + 1 rows (the empty
-        mask is the root's).  Not to be called while another thread uses the
-        presentation.
+        mask is the root's).  _up makes every other row, whole, and publishes
+        it with state_of.setdefault: threads that make one mask's row at once
+        all step to the row published first, so no lock is taken.  Not to be
+        called while another thread uses the presentation.
 
         Rows step to one another in cycles, so each dropped row is cleared
         first: the rows are freed when state_of lets them go, without the
@@ -509,8 +510,8 @@ class Presentation:
         """
         for row in self.state_of.values():
             row.clear()
-        self.state_of = {}
-        self.root = self.state(0)
+        self.root = [None] * self.G + [-1, 0]
+        self.state_of = {0: self.root}
 
     def __del__(self) -> None:
         # Once the presentation() cache has evicted it and no word or ball
@@ -518,26 +519,6 @@ class Presentation:
         # reset_states does, so they are freed now, not by the collector.
         for row in getattr(self, "state_of", {}).values():
             row.clear()
-
-    def state(self, mask: int) -> list:
-        """The row of a descent mask, made when it is new.
-
-        Threads share the table: a new row is made under a lock and published
-        in state_of only once it is whole."""
-        row = self.state_of.get(mask)
-        if row is None:
-            with self._numbering:
-                row = self.state_of.get(mask)
-                if row is None:
-                    ids, m = [], mask
-                    while m:  # the mask's letters, lowest bit first, one pass per letter
-                        ids.append((m & -m).bit_length() - 1)
-                        m &= m - 1
-                    row = [None] * self.G + [min(ids, key=self.rank.__getitem__, default=-1), mask]
-                    for g in ids:  # each cancels
-                        row[g] = ()
-                    self.state_of[mask] = row
-        return row
 
     def __reduce__(self):
         # words keep their presentation: a copy or an unpickled word gets the

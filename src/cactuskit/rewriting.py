@@ -40,9 +40,9 @@ link at e, kept as an int mask, bit g for letter g.  Appending g (_geodesic):
   passed across the hyperplane.  The word gets shorter, so reduction ends.
 
 The masks are the states of a finite automaton, each a row of its own:
-the presentation makes a mask's row when it is first seen, and row[g] holds
-the row after appending g, the cancel marker () when g is in the mask, or
-None until _up fills it; row[G] is the mask's kappa-least letter (see
+_up makes a mask's row when it is first seen, and row[g] holds the row
+after appending g, the cancel marker () when g is in the mask, or None
+until _up fills it; row[G] is the mask's kappa-least letter (see
 Presentation.reset_states).  A link has few cliques (13 masks for AJ_3, 394
 for J_6, counting the empty one), so there are at most cliques + 1 rows,
 and each letter costs one list index, t = s[g].  Words carry their
@@ -241,16 +241,26 @@ def _successors_all(ids: tuple[int, ...], pres: Presentation):
 def _up(pres: Presentation, s: list, g: int) -> list:
     """The row of w g, for a geodesic w in row s that g does not shorten: its
     mask, a set of generator ids, is g and each par[g][h] >= 0 of s's mask.
-    Callers read s[g] first; this fills it when it is None."""
-    row = pres.par[g]
-    got, m = 1 << g, s[pres.G + 1]
+    Callers read s[g] first; this fills it when it is None.  A mask seen for
+    the first time gets its row here, whole (Presentation.reset_states has
+    the layout), and state_of.setdefault publishes it: of two threads that
+    make one row at once, both step to the row published first."""
+    G, row = pres.G, pres.par[g]
+    got, m, ids = 1 << g, s[G + 1], [g]
     while m:
         low = m & -m
         h = row[low.bit_length() - 1]
         if h >= 0:
             got |= 1 << h
+            ids.append(h)
         m ^= low
-    t = s[g] = pres.state(got)
+    t = pres.state_of.get(got)
+    if t is None:
+        t = [None] * G + [min(ids, key=pres.rank.__getitem__), got]
+        for h in ids:  # each cancels
+            t[h] = ()
+        t = pres.state_of.setdefault(got, t)
+    s[g] = t
     return t
 
 

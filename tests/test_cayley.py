@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 import weakref
 from collections import OrderedDict
 from types import MappingProxyType
@@ -254,6 +255,29 @@ def test_a_budget_below_sphere_one_builds_no_tables():
             with pytest.raises(BudgetExceeded, match=f"exceeded {G} vertices"):
                 count(spec, 2, max_vertices=G)
     assert sphere_sizes(affine(40), 0, max_vertices=1) == [1]
+
+
+def test_a_ball_past_its_budget_is_refused_from_the_series():
+    """ball() takes its budget from sphere_sizes before it builds anything.
+    AJ_80 r2 has 29,953,640 vertices: at the default budget it is refused
+    with the count's message and builds no presentation, where par alone
+    would hold 6,320^2 entries.  AJ_3 r12, the ball qi-fit and embed
+    --radius 12 ask for, passes the budget in sphere 10 and is refused
+    within a few MB, where building it up to the budget took 169 MB."""
+    before = presentation.cache_info().misses
+    with pytest.raises(BudgetExceeded) as exc:
+        ball(affine(80), 2)
+    assert str(exc.value) == f"ball({affine(80)}, 2) exceeded 1000000 vertices"
+    assert presentation.cache_info().misses == before
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            ball(affine(3), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"ball({affine(3)}, 12) exceeded 1000000 vertices"
+    assert peak < 4 << 20, peak
 
 
 def test_a_doctored_transition_breaks_the_sphere_count():

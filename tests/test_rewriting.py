@@ -45,7 +45,7 @@ from cactuskit.core import (
 )
 from cactuskit import rewriting
 from cactuskit.cayley import ball
-from cactuskit.rewriting import _geodesic, _successors_all
+from cactuskit.rewriting import _geodesic, _successors_all, _up
 
 
 def w(spec, text):
@@ -1027,6 +1027,33 @@ def test_state_table_is_shared_by_threads():
             assert read and [pres.par[a] for a in read] == [ref_par[a] for a in read]
     finally:
         sys.setswitchinterval(old)
+
+
+def test_a_row_made_twice_steps_to_the_one_published_first():
+    """_up publishes a new row with state_of.setdefault.  A thread that made
+    a mask's row while another thread published one steps to the published
+    row and leaves it in place, so every slot that leads to the mask holds
+    one row: here state_of.get misses once for a mask already published, as
+    it does for the thread that loses that race."""
+    pres = Presentation(affine(4))
+    g, h = pres.gid[1, 2], pres.gid[3, 4]  # disjoint, so w g h and w h g end in one mask
+    mask = 1 << g | 1 << h
+    published = _up(pres, _up(pres, pres.root, h), g)
+    assert published[pres.G + 1] == mask and pres.state_of[mask] is published
+    s = _up(pres, pres.root, g)
+    assert s[h] is None
+    missed = []
+
+    class MissOnce(dict):
+        def get(self, key, default=None):
+            if key == mask and not missed:
+                missed.append(key)
+                return default
+            return super().get(key, default)
+
+    pres.state_of = MissOnce(pres.state_of)
+    assert _up(pres, s, h) is published and missed == [mask]
+    assert s[h] is published and pres.state_of[mask] is published
 
 
 def test_random_word_is_reproducible():
