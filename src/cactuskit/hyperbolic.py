@@ -237,7 +237,9 @@ def qi_fit(e: Embedding) -> QIFit:
     fixed d_G the ratio max(d_H/d_G, d_G/d_H) is V-shaped in the tanh-space
     t = tanh(d_H/2), so only the least and largest t per d_G are taken
     through atanh.  A pair whose BFS row reads -1 (an imported ball that
-    does not connect it) is counted but leaves lambda alone.
+    does not connect it) is counted but leaves lambda alone.  Two vertices
+    on one disk point (d_H = 0 < d_G: an imported ball whose embedding is
+    not injective) admit no finite lambda, so lam is then math.inf.
     """
     b = e.ball
     depth, _, table = _trusted_metric(b, "distance fit")
@@ -267,7 +269,7 @@ def qi_fit(e: Embedding) -> QIFit:
             continue  # no pair at this distance
         for t in (least[d_g], most[d_g]):
             d_h = 2.0 * math.atanh(t)  # as _disk_distance
-            ratio = d_h / d_g if d_h > d_g else d_g / d_h
+            ratio = d_h / d_g if d_h > d_g else d_g / d_h if d_h else math.inf
             if ratio > lam:
                 lam = ratio
     return QIFit(lam=lam, c=0.0, pair_count=pairs, max_violation=0.0)

@@ -35,7 +35,7 @@ link at e, kept as an int mask, bit g for letter g.  Appending g (_geodesic):
 
 * g not in the mask: w g is a geodesic, and its mask is g plus the image
   par[g][h] of every h in the mask that spans a square with g (_up);
-* g in the mask (_cancel): carry g's hyperplane left, letter by letter, to
+* g in the mask (a cancel): carry g's hyperplane left, letter by letter, to
   the letter that crosses it, delete that letter, and carry the letters it
   passed across the hyperplane.  The word gets shorter, so reduction ends.
 
@@ -51,14 +51,16 @@ the parsed text to the printed one; up to degree 9, where every letter is
 spelled in three characters, parse_word decodes a canonical word in two
 codec calls.
 
-Most cancels are short, and _geodesic, the one descent loop, takes three
-of them inline: g equal to the last letter b (a pop); g whose hyperplane,
-carried across b to x = par[b][g], is crossed by the letter a before it,
-so that a b g reduces to the one letter par[a][b]; and x carried on
-across a to the letter c before that, so that c a b g reduces to
-par[c][a] par[x][b].  Only a carry across three letters or more calls
-_cancel.  The loop runs on buffers with an end index k, so a pop is k -= 1;
-for normalize it goes on to peel the normal form off (_normal_ids).
+_geodesic, the one descent loop, takes every cancel inline.  Most are
+short, and three have a case of their own: g equal to the last letter b (a
+pop); g whose hyperplane, carried across b to x = par[b][g], is crossed by
+the letter a before it, so that a b g reduces to the one letter par[a][b];
+and x carried on across a to the letter c before that, so that c a b g
+reduces to par[c][a] par[x][b].  A longer carry scans on from c to the
+letter that crosses the hyperplane and moves the letters it passed back
+one place, each carried across it.  The loop runs on buffers with an end
+index k, so a pop is k -= 1; for normalize it goes on to peel the normal
+form off (_normal_ids).
 
 So equal(u, v) reduces u followed by v reversed (the inverse of v) and asks
 for the empty word, and normalize reduces the inverse of a word and then
@@ -82,6 +84,7 @@ import random
 from codecs import charmap_encode, utf_16_le_decode
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .core import (
     BudgetExceeded,
@@ -158,7 +161,10 @@ class Word:
         return tuple(map(self._pres.pairs.__getitem__, self.ids))
 
     def text(self) -> str:
-        return ";".join(map(self._pres.texts.__getitem__, self.ids)) or "e"
+        ids, texts = self.ids, self._pres.texts
+        if len(ids) > 1:  # one C gather; itemgetter of one id returns the bare str
+            return ";".join(itemgetter(*ids)(texts))
+        return texts[ids[0]] if ids else "e"
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -264,32 +270,16 @@ def _up(pres: Presentation, s: list, g: int) -> list:
     return t
 
 
-def _cancel(pres: Presentation, w: list[int], states: list[list], g: int, n: int) -> None:
-    """Reduce w[:n] g in place, for a geodesic w[:n] with g in its descent
-    set: w[:n - 1] becomes the shorter geodesic, and states[k], the row of
-    w[:k], is kept in step for k < n.  The letters put back make a geodesic,
-    so none of their slots holds a cancel.  _geodesic takes carries of one
-    and two letters inline and calls this for three or more."""
-    par = pres.par
-    j, a = n - 1, g
-    while w[j] != a:  # carry g's hyperplane left to the letter crossing it
-        a = par[w[j]][a]
-        j -= 1
-    s = states[j]
-    for k in range(j + 1, n):  # and the letters it passed back across it, one place left
-        x = w[k]
-        y = w[k - 1] = par[a][x]
-        a = par[x][a]
-        s = states[k] = s[y] or _up(pres, s, y)
-
-
 def _geodesic(pres: Presentation, ids, peel: bool = False) -> tuple[list[int], list[list]]:
     """A shortest word w of the element `ids` spells, with its len(w) + 1
     prefix rows: states[k] is the row of w[:k].
 
     w and states are buffers of the input's length with an end index k:
     appending a letter writes w[k] and states[k + 1], a pop decrements k,
-    and both are cut to k letters (and k + 1 rows) once ids are read.  With
+    and both are cut to k letters (and k + 1 rows) once ids are read.  Every
+    carry, of any length, runs in the loop: it rewrites w from the letter
+    that crosses g's hyperplane on, and refreshes the rows of the letters
+    it puts back, none of which cancels (they make a geodesic).  With
     peel (_normal_ids only), the loop then feeds itself the kappa-least
     letter of the last row, states[k][G], until w is empty, and writes each
     letter it takes off into the slot it frees: w ends as the normal form
@@ -335,7 +325,7 @@ def _geodesic(pres: Presentation, ids, peel: bool = False) -> tuple[list[int], l
             y = w[k - 1] = par[a][b]
             s = states[k - 1]
             s = states[k] = s[y] or _up(pres, s, y)
-        elif par[a][x] == (c := w[k - 3]):
+        elif (h := par[a][x]) == (c := w[k - 3]):
             # carried on across a, it meets c: c a b g = par[c][a] par[x][b]
             y = w[k - 3] = par[c][a]
             s = states[k - 3]
@@ -343,10 +333,18 @@ def _geodesic(pres: Presentation, ids, peel: bool = False) -> tuple[list[int], l
             y = w[k - 2] = par[x][b]
             k -= 1
             s = states[k] = s[y] or _up(pres, s, y)
-        else:
-            _cancel(pres, w, states, g, k)
+        else:  # carried on across c, on to the letter w[j] that crosses it
+            j, a = k - 4, par[c][h]
+            while w[j] != a:
+                a = par[w[j]][a]
+                j -= 1
+            s = states[j]
+            for i in range(j + 1, k):  # the letters it passed go back one place, across it
+                x = w[i]
+                y = w[i - 1] = par[a][x]
+                a = par[x][a]
+                s = states[i] = s[y] or _up(pres, s, y)
             k -= 1
-            s = states[k]
         w[k] = g  # past the end while reducing; the peel's letter when peeling
 
 

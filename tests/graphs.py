@@ -2,7 +2,8 @@
 
 Each builder returns a dict that import_ball() accepts at face value; the
 graphs are deliberately *not* Cayley balls, so specific structure checks must
-reject them with witnesses.  one_way_entries counts what a Cayley ball must
+reject them with witnesses (or, for coincident_points, qi_fit must find no
+finite constant).  one_way_entries counts what a Cayley ball must
 never hold, brute_force_cycles and brute_force_wedges are the reference
 that the square and wedge checks are held to, and reference_distances the
 one that the ball's breadth-first rows are held to.
@@ -216,4 +217,21 @@ def phantom_eighth_corner_graph() -> dict:
         obj,
         vertices=[*obj["vertices"], {"word": phantom, "depth": 3}],
         edges=[*obj["edges"], *copies],
+    )
+
+
+def coincident_points_graph() -> dict:
+    """The degree-3 radius-4 ball with a second vertex for the element
+    1,3;2,3: the word 1,2;1,3 at depth 2, joined to 1,2 by 1,3.
+
+    import_ball accepts it, and embed_ball puts both vertices on one disk
+    point, so the pair has disk distance 0 at graph distance 2.
+    """
+    obj = export_obj(ball(affine(3), 4))
+    extra = "1,2;1,3"
+    assert all(r["word"] != extra for r in obj["vertices"])
+    return dict(
+        obj,
+        vertices=[*obj["vertices"], {"word": extra, "depth": 2}],
+        edges=[*obj["edges"], {"from": "1,2", "to": extra, "generator": "1,3"}],
     )

@@ -16,6 +16,7 @@ from random import Random
 import pytest
 
 from graphs import (
+    coincident_points_graph,
     cut_vertex_graph,
     doubled_edge_graph,
     many_medians_graph,
@@ -45,6 +46,7 @@ from cactuskit import (
     four_point_delta,
     hyperbolic_distance,
     import_ball,
+    parse_word,
     qi_fit,
     render_svg,
     squares,
@@ -265,7 +267,7 @@ def _reference_qi_fit(e):
                 d_g = table[u][v] if u in table else table[v][u]
                 zv = points[v]
                 d_h = 2.0 * math.atanh(abs(zu - zv) / abs(1.0 - zu.conjugate() * zv))
-                ratio = d_h / d_g if d_h > d_g else d_g / d_h
+                ratio = d_h / d_g if d_h > d_g else d_g / d_h if d_h else math.inf
                 if ratio > lam:
                     lam = ratio
                 pairs += 1
@@ -333,6 +335,22 @@ def test_trusted_rows_are_the_ball_distances(disk_r4):
     assert -1 in read  # qi_fit's -1 slot is used
     assert qi_fit(cut_off).pair_count == len(trusted)
     assert qi_fit(cut_off) == _reference_qi_fit(cut_off)
+
+
+def test_qi_fit_of_two_vertices_on_one_point():
+    """An embedding that puts two vertices on one disk point (d_H = 0 at
+    d_G = 2) fits no finite lambda: lam is inf, as the per-pair reference
+    reads it, and every trusted pair is still counted."""
+    e = embed_ball(import_ball(coincident_points_graph()))
+    b = e.ball
+    u, v = (b.vid(parse_word(affine(3), text)) for text in ("1,3;2,3", "1,2;1,3"))
+    assert e.points[u] == e.points[v]
+    assert b.distances_from(u, b.radius)[v] == 2
+    fit = qi_fit(e)
+    assert fit.lam == math.inf
+    assert fit == _reference_qi_fit(e)
+    depth = [b.depth_at(w) for w in range(len(b))]
+    assert fit.pair_count == sum(du + dw <= b.radius for du, dw in combinations(depth, 2))
 
 
 def test_qi_fit_needs_room():

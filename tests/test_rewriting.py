@@ -43,7 +43,6 @@ from cactuskit.core import (
     interval_of,
     presentation,
 )
-from cactuskit import rewriting
 from cactuskit.cayley import ball
 from cactuskit.rewriting import _geodesic, _successors_all, _up
 
@@ -735,41 +734,73 @@ def _carry_lengths(pres, ids):
     return out
 
 
-# Normalize requests of word-problem seed 1 (perfbench/gen.py), one pair per
-# group: the first word cancels by pops and carries of one and two letters
-# (at least one of each) while reduced and peeled, the second carries three
-# letters or more at least once.
+# Normalize requests of word-problem seed 1 (perfbench/gen.py), three per
+# group: the first cancels by pops and carries of one and two letters (at
+# least one of each) while reduced and peeled, the second carries three
+# letters or more at least once, and the third, with its longest carry, is
+# a 16-letter request that carries 13 letters in J_5 and 12 in J_6.  No
+# seed-1 request carries 12 letters in AJ_3, AJ_4 or AJ_5, so there the
+# third is the request with the group's longest carry, of 6, 11 and 10
+# letters, and _strip_word makes a carry of 13 letters in every group.
 _CARRY_WORDS = {
-    affine(3): ("1,2;1,3;2,3;1,2;3,1;3,2;2,3;3,2", "1,3;3,2;3,1;1,2;1,3;2,1;3,2;1,2"),
-    affine(4): ("4,2;4,3;2,4;2,3;4,2;4,3;2,4;2,1", "2,4;2,4;1,2;1,4;3,1;3,2;4,1;1,2"),
-    cactus(5): ("1,3;2,4;1,5;1,3;1,3;1,4;1,3;2,3", "1,2;2,3;3,5;2,4;3,5;3,4;2,5;2,3"),
-    affine(5): ("4,5;5,2;3,2;5,1;5,3;2,3;1,3;1,4", "2,3;5,4;4,1;3,2;2,5;2,5;2,1;3,1"),
-    cactus(6): ("3,6;2,3;3,4;4,5;2,3;1,5;1,5;1,3", "4,5;3,6;4,5;1,6;2,5;1,3;1,5;2,6"),
+    affine(3): ("1,2;1,3;2,3;1,2;3,1;3,2;2,3;3,2", "1,3;3,2;3,1;1,2;1,3;2,1;3,2;1,2", (6, (
+        "3,2;2,3;1,2;3,1;3,1;2,3;1,2;3,1;1,3;3,1;1,2;1,2;1,3;3,2;2,3;3,1;1,2;3,1;3,2;2,3;1,3;2,3"
+        ";1,2;2,1;2,1;1,2;3,1;1,3;1,2;2,3;3,2;3,2;1,2;1,3;3,2;2,3;3,1;3,2;3,2;2,3;3,1;2,3;3,1"
+        ";2,1;2,3;1,3;3,2;3,1;2,3;2,3;3,2;3,2;2,3;2,3;1,3;3,1;2,1;3,2;1,2;1,3;3,1;1,3;1,2;3,1"))),
+    affine(4): ("4,2;4,3;2,4;2,3;4,2;4,3;2,4;2,1", "2,4;2,4;1,2;1,4;3,1;3,2;4,1;1,2", (11, (
+        "1,3;2,1;3,4;2,1;1,4;1,2;4,2;1,2;2,3;4,3;2,4;3,4;2,3;1,2;4,2;4,2;4,1;2,1;4,2;1,3;1,2;2,3"
+        ";4,2;2,3;3,1;3,4;3,1;4,2;4,1;1,2;4,3;2,1"))),
+    cactus(5): ("1,3;2,4;1,5;1,3;1,3;1,4;1,3;2,3", "1,2;2,3;3,5;2,4;3,5;3,4;2,5;2,3", (13, (
+        "1,3;2,5;1,2;3,5;2,3;3,5;4,5;3,5;1,3;1,4;3,5;1,4;2,5;1,2;2,4;1,5"))),
+    affine(5): ("4,5;5,2;3,2;5,1;5,3;2,3;1,3;1,4", "2,3;5,4;4,1;3,2;2,5;2,5;2,1;3,1", (10, (
+        "1,4;2,4;1,5;2,3;4,2;2,3;5,2;4,3;3,1;3,1;1,2;1,2;2,3;3,4;5,4;3,5;4,1;4,5;4,2;5,3;1,5;5,2"
+        ";5,4;2,3;3,1;3,5;2,3;2,3;3,5;4,3;3,4;4,3;5,3;2,3;2,1;5,4;1,4;2,1;2,3;4,1;5,3;5,1;5,4;1,2"
+        ";5,4;5,4;2,1;4,3;1,4;4,5;5,3;4,1;3,2;2,4;5,1;2,1;2,1;3,1;4,2;5,2;3,4;1,2;4,5;4,5"))),
+    cactus(6): ("3,6;2,3;3,4;4,5;2,3;1,5;1,5;1,3", "4,5;3,6;4,5;1,6;2,5;1,3;1,5;2,6", (12, (
+        "1,3;2,4;1,3;1,2;2,5;5,6;3,4;2,5;1,4;1,3;3,6;2,5;1,6;1,4;1,2;1,3"))),
 }
 
 
+def _strip_word(pres, length, seed):
+    """A word whose normalize carries one hyperplane across length letters.
+
+    A geodesic h x_1 ... x_length g in which each x_i spans a square with the
+    hyperplane of h carried past x_(i-1), and g is its label after x_length,
+    so g's hyperplane runs back along the strip of squares to h; returned
+    reversed, since normalize reduces the reversed word (test reference)."""
+    rng = random.Random(seed)
+    G, par = pres.G, pres.par
+    while True:
+        h = rng.randrange(G)
+        w = [h]
+        while len(w) <= length:
+            mask = _geodesic(pres, w)[1][-1][G + 1]
+            on = [x for x in range(G) if x != h and par[x][h] >= 0 and not mask >> x & 1]
+            if not on:
+                break
+            w.append(rng.choice(on))
+            h = par[w[-1]][h]
+        else:
+            return (w + [h])[::-1]
+
+
 @pytest.mark.parametrize("spec", list(_CARRY_WORDS), ids=lambda s: f"{s.family.value}-{s.degree}")
-def test_one_letter_carries_run_inline(spec, monkeypatch):
-    """Carries of at most two letters run inline: _geodesic, reducing and
-    peeling, takes pops and carries of one and two letters without _cancel,
-    and calls it for a carry of three letters or more; both words normalize
-    as the plain reducer does."""
+def test_one_letter_carries_run_inline(spec):
+    """Carries of every length run inside _geodesic's one loop, reducing
+    and peeling: words that cancel by pops and carries of one and two
+    letters, by carries of three or more, by the longest carry of the
+    group's seed-1 requests and by a carry of 13 letters each normalize as
+    the plain reducer does."""
     pres = presentation(spec)
-    short, longer = (parse_word(spec, text) for text in _CARRY_WORDS[spec])
-    assert set(_carry_lengths(pres, list(short.ids))) == {0, 1, 2}
-    assert max(_carry_lengths(pres, list(longer.ids))) >= 3
-    calls = []
-    real = rewriting._cancel
-
-    def recorder(pres, w, states, g, n):
-        calls.append(g)
-        real(pres, w, states, g, n)
-
-    monkeypatch.setattr(rewriting, "_cancel", recorder)
-    assert list(normalize(short).ids) == _naive_normal_form(list(short.ids), pres)
-    assert calls == []
-    assert list(normalize(longer).ids) == _naive_normal_form(list(longer.ids), pres)
-    assert calls
+    short, longer, (most, longest) = _CARRY_WORDS[spec]
+    short, longer, longest = (list(parse_word(spec, text).ids) for text in (short, longer, longest))
+    strip = _strip_word(pres, 13, 0)
+    assert set(_carry_lengths(pres, short)) == {0, 1, 2}
+    assert max(_carry_lengths(pres, longer)) >= 3
+    assert max(_carry_lengths(pres, longest)) == most
+    assert max(_carry_lengths(pres, strip)) == 13
+    for ids in (short, longer, longest, strip):
+        assert list(normalize(Word._of(pres, ids)).ids) == _naive_normal_form(ids, pres), ids
 
 
 def test_geodesic_returns_whole_lists():
@@ -1121,6 +1152,11 @@ _PINNED = {
     cactus(5): "50ec7494d6e912afc19e52172dbc84639596332261bf7b2afa4704830f000083",
     affine(5): "6f6edf96efb61c4deae3b0f1f8766de4bd9e2c585f2e681dc010941de378b4fc",
     cactus(6): "873cf450c4e98cd7f665646b99e314076e0f22dd01f4cf0f7a245ad81f3f3d3e",
+    # past the benchmark's groups: J_9 and AJ_7 within the fixed-width
+    # spellings of degree <= 9, J_12 past them
+    cactus(9): "ee6cf46a1d038b8f03d425ed0ea538d1f6e5eb8144d140b0f95d0851f7682f9f",
+    affine(7): "c847da3598e629874e50d429d8c0a94d2b4cc95eb1b90a9b862247d270eee8de",
+    cactus(12): "0a6277f0ca1a39f26be7625c34ec3a01f5e56411f44abaad051534af9393b4d1",
 }
 
 

@@ -44,7 +44,7 @@ from cactuskit import (
     verify_phi_psi_roundtrip,
 )
 from cactuskit import verify
-from cactuskit.cli import main
+from cactuskit.cli import _BALL_CHECKS, main
 from cactuskit.verify import _related_triples
 
 
@@ -275,6 +275,71 @@ def test_phantom_eighth_corner_is_reported():
         "expected": "1,4;2,4;2,3",
         "found": ["1,4;2,4;2,3", "1,4;2,4;2,3;1,2"],
     }]
+
+
+# The verdict matrix of every structure check on every doctored graph: per
+# check, (passed, failure_count, items_checked, vacuous), or the error it
+# raises.  A graph that is not its spec's Cayley ball can still pass every
+# check (coincident_points), and a changed verdict here is a changed check.
+_NO_ROOM = "need 3*test_depth <= radius, got test_depth=1, radius={}"
+_VERDICTS = {
+    "shared_wedge_graph": {
+        "squares": (True, 0, 3, False), "edges": (False, 3, 9, False),
+        "cubes": (True, 0, 0, True), "square-normal-forms": (False, 12, 6, False),
+        "median": (PreconditionViolated, _NO_ROOM.format(2))},
+    "doubled_edge_graph": {
+        "squares": (False, 1, 1, False), "edges": (False, 2, 2, False),
+        "cubes": (True, 0, 0, True), "square-normal-forms": (True, 0, 0, True),
+        "median": (PreconditionViolated, _NO_ROOM.format(1))},
+    "self_loop_graph": {
+        "squares": (False, 2, 2, False), "edges": (False, 3, 3, False),
+        "cubes": (True, 0, 0, True), "square-normal-forms": (True, 0, 0, True),
+        "median": (PreconditionViolated, _NO_ROOM.format(1))},
+    "many_medians_graph": {
+        "squares": (True, 0, 63, False), "edges": (False, 84, 84, False),
+        "cubes": (False, 20, 20, False), "square-normal-forms": (False, 60, 30, False),
+        "median": (False, 1, 20, False)},
+    "missing_cube_corner_graph": {
+        "squares": (True, 0, 327, False), "edges": (True, 0, 1308, False),
+        "cubes": (False, 1, 20, False), "square-normal-forms": (True, 0, 30, False),
+        "median": (True, 0, 455, False)},
+    "cut_vertex_graph": {
+        "squares": (True, 0, 24, False), "edges": (True, 0, 96, False),
+        "cubes": (True, 0, 0, True), "square-normal-forms": (False, 2, 6, False),
+        "median": (False, 27, 84, False)},
+    "missing_spoke_graph": {
+        "squares": (True, 0, 324, False), "edges": (True, 0, 1296, False),
+        "cubes": (False, 6, 20, False), "square-normal-forms": (False, 6, 30, False),
+        "median": (False, 78, 455, False)},
+    "open_face_graph": {
+        "squares": (True, 0, 300, False), "edges": (True, 0, 1200, False),
+        "cubes": (False, 6, 20, False), "square-normal-forms": (False, 6, 30, False),
+        "median": (True, 0, 455, False)},
+    "phantom_eighth_corner_graph": {
+        "squares": (True, 0, 336, False), "edges": (False, 12, 1332, False),
+        "cubes": (False, 1, 20, False), "square-normal-forms": (True, 0, 30, False),
+        "median": (True, 0, 455, False)},
+    "coincident_points_graph": {
+        "squares": (True, 0, 120, False), "edges": (True, 0, 480, False),
+        "cubes": (True, 0, 0, True), "square-normal-forms": (True, 0, 6, False),
+        "median": (True, 0, 84, False)},
+}
+
+
+@pytest.mark.parametrize("name", list(_VERDICTS))
+def test_verdicts_on_doctored_graphs_are_pinned(name):
+    """Each check of `verify --check`, and the median check at depth 1, on
+    one doctored graph of tests/graphs.py gives its pinned verdict."""
+    b = import_ball(getattr(graphs, name)())
+    got = {}
+    for check, run in {**_BALL_CHECKS, "median": lambda b: check_median(b, 1)}.items():
+        try:
+            rep = run(b)
+        except PreconditionViolated as exc:
+            got[check] = (type(exc), str(exc))
+        else:
+            got[check] = (rep.passed, rep.failure_count, rep.items_checked, rep.vacuous)
+    assert got == _VERDICTS[name]
 
 
 def test_median_witness_keeps_the_least_medians():
