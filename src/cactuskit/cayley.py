@@ -13,7 +13,9 @@ vertex.  The kernels work on these arrays and make no word per vertex: ball
 completes squares off its own rows, reading only par of the word problem's
 tables, one BFS loop (_bfs) gives both spheres and distances, squares
 searches the rows in vid order and makes a square's corner keys only when
-its cycle is read, and text is made from keys at the export.  The
+its cycle is read, and text is made from keys at the export.
+`import_ball` decodes a file's canonical vertex words (up to degree 9)
+in one codec pass and any other file word by word.  The
 per-vertex loops are plain loops: no comprehension in them reads a loop
 local, which would make that local a cell.  A kernel that reads many rows
 slices one list copy of the arrays (CayleyBall.lists), whose slices hold
@@ -29,6 +31,7 @@ index pairs, e.g. ((1, 4), (1, 2), (3, 4)).
 from __future__ import annotations
 
 from array import array
+from codecs import charmap_encode, utf_16_le_decode
 from itertools import accumulate, chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -45,6 +48,8 @@ from .core import (
     PreconditionViolated,
     SpecMismatch,
     VertexNotInBall,
+    _FRAMES,
+    _UNSHIFT,
     _checked_generator_count,
     parse_generator,
     presentation,
@@ -609,6 +614,41 @@ def _ball_header(obj) -> tuple[GroupSpec, int]:
     return spec, radius
 
 
+def _decoded_keys(pres, recs: list) -> list[str] | None:
+    """The key of every vertex record, decoded in one codec pass, or None.
+
+    Up to degree 9, when every record is a dict whose word is canonical
+    text of three characters a letter (a leading "e" aside), all words go
+    through parse_word's chain at once: _FRAMES, pair_map, _UNSHIFT.  They
+    are joined by a frame of four U+0000, which both tables take to the
+    byte 0 and _UNSHIFT to 255, the byte of no generator id, so the keys
+    split there.  Any other list, or a pair that names no generator, gives
+    None, and import_ball keys its words one by one.  Nothing here raises.
+    """
+    if pres.pair_map is None or not set(map(type, recs)) <= {dict}:
+        return None
+    try:
+        words = list(map(itemgetter("word"), recs))
+    except KeyError:
+        return None
+    if not set(map(type, words)) <= {str}:
+        return None
+    head = int(words[:1] == ["e"])  # a leading identity, keyed ""
+    rest = words[head:]
+    if not rest or any(n & 3 != 3 for n in set(map(len, rest))):  # whole "p,q;" frames
+        return None
+    text = ";\0\0\0\0".join(rest) + ";"
+    if not text.isascii() or text.count("\0") != 4 * len(rest) - 4:  # a U+0000 in a word
+        return None
+    try:
+        pq = charmap_encode(utf_16_le_decode(text.encode())[0], None, _FRAMES)[0]
+        ids = charmap_encode(utf_16_le_decode(pq)[0], None, pres.pair_map)[0]
+    except UnicodeEncodeError:  # not "p,q;" frames, or a pair that names no generator
+        return None
+    # code point = generator id, and 255 between two words
+    return [""] * head + ids.translate(_UNSHIFT).decode("latin-1").split("\xff")
+
+
 def import_ball(obj: dict) -> CayleyBall:
     """Rebuild a CayleyBall from the export schema.
 
@@ -618,6 +658,9 @@ def import_ball(obj: dict) -> CayleyBall:
     synthetic negative-control graphs come in).  Only the schema is checked:
     a missing field, a field of the wrong type, an unknown family, a
     negative radius or a depth outside 0..radius raises MalformedInput.
+    Canonical vertex words, as export writes them up to degree 9, are
+    decoded in one codec pass (_decoded_keys); any other file is keyed
+    word by word.  Either way each record is checked in file order.
     """
     spec, radius = _ball_header(obj)
     pres = presentation(spec)
@@ -634,13 +677,15 @@ def import_ball(obj: dict) -> CayleyBall:
     index: dict[str, int] = {}
     vid_of_text: dict[str, int] = {}  # each vertex's own spelling, parsed once
     depth = array("i")
-    for rec in _field(obj, "vertices", list):
+    recs = _field(obj, "vertices", list)
+    for rec, key in zip(recs, _decoded_keys(pres, recs) or repeat(None)):
         if not (type(rec) is dict and type(word := rec.get("word")) is str
                 and type(d := rec.get("depth")) is int):
             word, d = _field(rec, "word", str), _field(rec, "depth", int)
         if not 0 <= d <= radius:
             raise MalformedInput(f"vertex {word!r} has depth {d} outside 0..{radius}")
-        key = key_of(word)
+        if key is None:
+            key = key_of(word)
         if key in index:
             raise InvalidPair(f"duplicate vertex {word!r}")
         index[key] = vid_of_text[word] = len(keys)

@@ -41,13 +41,16 @@ The inner loops read each vertex's stored entries as one slice of the
 ball's rows copied into lists once per call (``CayleyBall.lists``), so a
 slice makes no int, and write the disk maths out in place: the two
 isometries of ``embed_ball``, which reads each label's turn from a table
-per orientation, and ``qi_fit``'s tanh-space distance, taken through atanh
-only at each graph distance's extremes.  ``render_svg`` formats all canvas
-points in one call.
+per orientation, places each step with ``cmath.rect`` and reads each new
+frame's base with ``cmath.phase`` (the same libm cos, sin and atan2 as
+``math``, so the same bits), and ``qi_fit``'s tanh-space distance, taken
+through atanh only at each graph distance's extremes.  ``render_svg``
+formats all canvas points in one call.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -135,17 +138,23 @@ class Embedding:
 def embed_ball(b: CayleyBall) -> Embedding:
     """Deterministic {4,6} placement of a degree-3 affine ball.
 
-    The identity sits at the origin with its six edges at angles k·π/3 in
-    the fixed label order; every further vertex is forced by frame
-    propagation, reading the vertices' rows as slices in vid order.  Raises
-    ClosureViolation if two paths disagree about any position by more than
-    1e-6 (hyperbolic), which would mean the graph is not locally the tiling.
-    The test runs in tanh space: d(z, p) = 2 atanh(|z - p| / |1 - conj(z) p|)
-    exceeds 1e-6 exactly when |z - p| > tanh(5e-7) |1 - conj(z) p|, so no
-    atanh is taken unless a placement fails.
+    The identity, which must be vertex 0 (as in every ball that ``ball``
+    builds or ``export_obj`` writes; PreconditionViolated otherwise), sits
+    at the origin with its six edges at angles k·π/3 in the fixed label
+    order; every further vertex is forced by frame propagation, reading the
+    vertices' rows as slices in vid order.  Raises ClosureViolation if two
+    paths disagree about any position by more than 1e-6 (hyperbolic), which
+    would mean the graph is not locally the tiling.  The test runs in tanh
+    space: d(z, p) = 2 atanh(|z - p| / |1 - conj(z) p|) exceeds 1e-6
+    exactly when |z - p| > tanh(5e-7) |1 - conj(z) p|, so no atanh is taken
+    unless a placement fails.  Every turn is +0.0 or nonzero, so no angle
+    is -0.0, the one input where ``cmath.rect`` differs from r·(cos, sin).
     """
     if b.spec.family is not Family.AFFINE or b.spec.degree != 3:
         raise NotAJ3(f"embedding is defined for the degree-3 affine group, got {b.spec}")
+    first = b.text(0) if len(b) else None
+    if first != "e":
+        raise PreconditionViolated(f"the identity must be vertex 0 to sit at the origin, got {first!r}")
     pres = presentation(b.spec)
     # Orientation character of each generator's isometry: full-circle arcs
     # are half-turns (+1), two-element arcs are reflections (-1).
@@ -168,6 +177,7 @@ def embed_ball(b: CayleyBall) -> Embedding:
     orient[0] = 1
 
     adj, off = b.lists()
+    rect, phase = cmath.rect, cmath.phase
     for vid in range(n):
         z_v = pos[vid]
         if z_v is None:  # an imported ball need not connect every vertex to e
@@ -176,8 +186,7 @@ def embed_ball(b: CayleyBall) -> Embedding:
         turn_v = turn[o_v]
         for e in adj[off[vid]:off[vid + 1]]:
             nb, gid = e >> 16, e & 0xFFFF
-            phi = base_v + turn_v[gid]
-            w = step_r * complex(math.cos(phi), math.sin(phi))
+            w = rect(step_r, base_v + turn_v[gid])
             # the disk isometry sending 0 to z_v with no rotation there
             z_nb = (w + z_v) / (1.0 + zc_v * w)
             p = pos[nb]
@@ -186,7 +195,7 @@ def embed_ball(b: CayleyBall) -> Embedding:
                 orient[nb] = o_nb = o_v * eps[gid]
                 # z_v seen from z_nb: the isometry sending z_nb to 0
                 back = (z_v - z_nb) / (1.0 - z_nb.conjugate() * z_v)
-                base[nb] = math.atan2(back.imag, back.real) - turn[o_nb][gid]
+                base[nb] = phase(back) - turn[o_nb][gid]
             elif abs(z_nb - p) > _CLOSURE_TANH * abs(1.0 - z_nb.conjugate() * p):
                 raise ClosureViolation(
                     f"vertex {b.text(nb)!r} placed {_disk_distance(z_nb, p):.3e} apart "

@@ -118,9 +118,12 @@ def check_no_shared_consecutive_edges(b: CayleyBall) -> VerificationReport:
     an item is worked out only when some item occurs twice.
     """
     sqs = squares(b)
-    wedges = [(c[k], a, z) if a < z else (c[k], z, a)  # four per square, in turn
-              for c in (s.vids for s in sqs) for k in range(4)
-              for a, z in ((c[k - 1], c[(k + 1) % 4]),)]
+    wedges = []
+    for c0, c1, c2, c3 in (s.vids for s in sqs):
+        # corner k with its neighbours k - 1 and k + 1, smaller first, k = 0..3
+        lo13, hi13 = (c1, c3) if c1 < c3 else (c3, c1)
+        lo02, hi02 = (c0, c2) if c0 < c2 else (c2, c0)
+        wedges += (c0, lo13, hi13), (c1, lo02, hi02), (c2, lo13, hi13), (c3, lo02, hi02)
     items = len(set(wedges))
     rep = VerificationReport("no-shared-consecutive-edges", b.spec, {"radius": b.radius}, items,
                              vacuous=not sqs)

@@ -11,6 +11,7 @@ from types import MappingProxyType
 
 import pytest
 
+import graphs
 from graphs import (
     brute_force_cycles,
     brute_force_wedges,
@@ -958,3 +959,89 @@ def test_import_reads_other_spellings(aj3_r2):
     assert respelled != obj["edges"]
     b = import_ball(dict(obj, edges=respelled))
     assert export(b) == export(aj3_r2)
+
+
+def _per_word_import(obj) -> tuple:
+    """import_ball's arrays, each word read on its own by parse_word: keys,
+    index, depths, packed entries and row offsets."""
+    spec = GroupSpec(Family(obj["spec"]["family"]), obj["spec"]["n"])
+    keys = [_key(parse_word(spec, r["word"]).ids) for r in obj["vertices"]]
+    index = {k: vid for vid, k in enumerate(keys)}
+    rows = [[] for _ in keys]
+    for r in obj["edges"]:
+        u, v = (index[_key(parse_word(spec, r[end]).ids)] for end in ("from", "to"))
+        (gid,) = parse_word(spec, r["generator"]).ids
+        rows[u].append(v << 16 | gid)
+        rows[v].append(u << 16 | gid)
+    off = [0]
+    for row in rows:
+        off.append(off[-1] + len(row))
+    return keys, index, [r["depth"] for r in obj["vertices"]], [e for row in rows for e in row], off
+
+
+def _arrays(b) -> tuple:
+    return b._keys, b._index, list(b._depth), list(b._adj), list(b._off)
+
+
+_DECODE_CASES = [
+    (family, n, radius)
+    for n, radius in ((3, 4), (4, 3), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2))
+    for family in (affine, cactus)
+]
+
+
+@pytest.mark.parametrize("family, n, radius", _DECODE_CASES)
+def test_import_decodes_an_exported_ball_as_parse_word_does(family, n, radius):
+    """Up to degree 9 an exported ball's words are decoded in one codec pass;
+    at degree 10 (no pair_map) word by word.  Either way the ball's arrays
+    are those of reading each word with parse_word."""
+    obj = export_obj(ball(family(n), radius))
+    decoded = cayley._decoded_keys(presentation(family(n)), obj["vertices"])
+    assert (decoded is not None) == (n <= 9)
+    assert _arrays(import_ball(obj)) == _per_word_import(obj)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in vars(graphs) if n.endswith("_graph")))
+def test_import_decodes_each_doctored_graph_as_parse_word_does(name):
+    obj = getattr(graphs, name)()
+    assert _arrays(import_ball(obj)) == _per_word_import(obj)
+
+
+def _respelled(obj, at: int, word) -> dict:
+    """obj with the word of vertex record `at` replaced."""
+    vertices = [dict(r) for r in obj["vertices"]]
+    vertices[at]["word"] = word
+    return dict(obj, vertices=vertices)
+
+
+def test_import_falls_back_to_each_word_with_its_errors(aj3_r2):
+    """A vertex list the one-pass decode does not take is keyed word by
+    word, with the errors and messages import_ball gave before that decode
+    existed (recorded then); a duplicate, which the decode takes, is refused
+    in the record loop as before."""
+    obj = export_obj(aj3_r2)
+    vertices = obj["vertices"]
+    assert vertices[0]["word"] == "e" and vertices[1]["word"] == "1,2"
+    accepted = {
+        "e listed second": dict(obj, vertices=[vertices[1], vertices[0], *vertices[2:]]),
+        "a leading space": _respelled(obj, 1, " 1,2"),
+    }
+    for name, bad in accepted.items():
+        assert cayley._decoded_keys(presentation(affine(3)), bad["vertices"]) is None, name
+        assert _arrays(import_ball(bad)) == _per_word_import(bad), name
+    refused = {
+        "a trailing ;": (_respelled(obj, 1, "1,2;"), InvalidPair, "expected 'p,q', got ''"),
+        "an index past n": (_respelled(obj, 5, "1,2;4,1"), IndexOutOfRange,
+                            "indices (4,1) outside 1..3"),
+        "equal indices": (_respelled(obj, 1, "1,1"), InvalidPair, "generator indices must differ"),
+        "not a str": (_respelled(obj, 1, 12), MalformedInput, "ball field 'word' must be str, got 12"),
+        "a duplicate": (dict(obj, vertices=[*vertices, vertices[5]]), InvalidPair,
+                        "duplicate vertex '3,1'"),
+    }
+    assert vertices[5]["word"] == "3,1"
+    for name, (bad, kind, message) in refused.items():
+        decoded = cayley._decoded_keys(presentation(affine(3)), bad["vertices"])
+        assert (decoded is None) == (name != "a duplicate"), name
+        with pytest.raises(kind) as exc:
+            import_ball(bad)
+        assert type(exc.value) is kind and str(exc.value) == message, name

@@ -52,6 +52,7 @@ from cactuskit import (
     squares,
     tiling_edge_length,
 )
+from cactuskit.core import presentation
 from cactuskit.hyperbolic import _trusted_metric
 
 EDGE = 1.7627471740390868  # frozen output of tiling_edge_length()
@@ -147,6 +148,97 @@ def test_embedding_names_an_unreachable_vertex_by_its_word():
     at 2,1 dropped, no parent places 2,1, and the error names its word."""
     with pytest.raises(ClosureViolation, match=r"^vertex '2,1' reached before any parent"):
         embed_ball(import_ball(cut_vertex_graph()))
+
+
+def test_embedding_refuses_a_ball_that_does_not_start_at_the_identity():
+    """embed_ball puts vertex 0 at the origin, so a file that lists another
+    vertex first is refused, by its word, rather than drawn off centre."""
+    obj = export_obj(ball(affine(3), 3))
+    first = [r for r in obj["vertices"] if r["word"] == "1,2"]
+    obj["vertices"] = first + [r for r in obj["vertices"] if r["word"] != "1,2"]
+    b = import_ball(obj)
+    assert b.text(0) == "1,2" and len(b) == len(ball(affine(3), 3))
+    with pytest.raises(PreconditionViolated, match=r"^the identity must be vertex 0 .*, got '1,2'$"):
+        embed_ball(b)
+    with pytest.raises(PreconditionViolated, match=r", got None$"):
+        embed_ball(import_ball(dict(obj, vertices=[], edges=[])))
+
+
+def _math_placement(b) -> list[complex]:
+    """embed_ball's placement with each step as r * complex(math.cos(phi),
+    math.sin(phi)) and each frame's base by math.atan2: the points, or the
+    ClosureViolation that placement raises, with its message."""
+    pres = presentation(b.spec)
+    eps = [1 if c == 3 else -1 for c in pres.card]
+    step_r = math.tanh(tiling_edge_length() / 2.0)
+    third = math.pi / 3.0
+    turn = {1: [0.0] * pres.G, -1: [0.0] * pres.G}
+    for k, pq in enumerate(((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))):
+        for o, t in turn.items():
+            t[pres.gid[pq]] = o * k * third
+    pos, base, orient = [None] * len(b), [0.0] * len(b), [0] * len(b)
+    pos[0], orient[0] = 0j, 1
+    for vid in range(len(b)):
+        z_v = pos[vid]
+        if z_v is None:
+            raise ClosureViolation(f"vertex {b.text(vid)!r} reached before any parent placed it")
+        for nb, gid in b.adj_entries(vid):
+            phi = base[vid] + turn[orient[vid]][gid]
+            w = step_r * complex(math.cos(phi), math.sin(phi))
+            z_nb = (w + z_v) / (1.0 + z_v.conjugate() * w)
+            p = pos[nb]
+            if p is None:
+                pos[nb] = z_nb
+                orient[nb] = orient[vid] * eps[gid]
+                back = (z_v - z_nb) / (1.0 - z_nb.conjugate() * z_v)
+                base[nb] = math.atan2(back.imag, back.real) - turn[orient[nb]][gid]
+            elif abs(z_nb - p) > math.tanh(1e-6 / 2.0) * abs(1.0 - z_nb.conjugate() * p):
+                d = 2.0 * math.atanh(abs(z_nb - p) / abs(1.0 - z_nb.conjugate() * p))
+                raise ClosureViolation(
+                    f"vertex {b.text(nb)!r} placed {d:.3e} apart along different paths "
+                    "(tolerance 1e-06)"
+                )
+    return pos
+
+
+# the AJ_3 graphs of tests/graphs.py that fail the closure test, with the
+# messages embed_ball gave for them when it placed through math.cos/sin/atan2
+_CLOSURE_MESSAGES = {
+    "cut_vertex_graph": "vertex '2,1' reached before any parent placed it",
+    "doubled_edge_graph":
+        "vertex '1,2' placed 2.292e+00 apart along different paths (tolerance 1e-06)",
+    "self_loop_graph":
+        "vertex 'e' placed 1.763e+00 apart along different paths (tolerance 1e-06)",
+    "shared_wedge_graph":
+        "vertex '1,3' placed 5.956e+00 apart along different paths (tolerance 1e-06)",
+}
+_AJ3_GRAPHS = {
+    "coincident_points_graph": coincident_points_graph,
+    "cut_vertex_graph": cut_vertex_graph,
+    "doubled_edge_graph": doubled_edge_graph,
+    "self_loop_graph": self_loop_graph,
+    "shared_wedge_graph": shared_wedge_graph,
+}
+
+
+@pytest.mark.parametrize("name", [f"radius {r}" for r in range(7)] + list(_AJ3_GRAPHS))
+def test_cmath_placement_keeps_every_bit(name):
+    """cmath.rect and cmath.phase call the libm cos, sin and atan2 that the
+    math placement calls, so every point has the same float.hex, and a graph
+    that fails the closure test fails it with the same message."""
+    if name in _AJ3_GRAPHS:
+        b = import_ball(_AJ3_GRAPHS[name]())
+    else:
+        b = ball(affine(3), int(name.split()[1]))
+    if name in _CLOSURE_MESSAGES:
+        for place in (_math_placement, embed_ball):
+            with pytest.raises(ClosureViolation) as exc:
+                place(b)
+            assert str(exc.value) == _CLOSURE_MESSAGES[name]
+        return
+    want = [x.hex() for z in _math_placement(b) for x in (z.real, z.imag)]
+    got = [x.hex() for z in embed_ball(b).points for x in (z.real, z.imag)]
+    assert got == want and len(got) == 2 * len(b)
 
 
 def test_first_ring_geometry():
